@@ -517,8 +517,6 @@ def _cap_check(order: int, budget: Budget):
 # --- spec dispatch ---------------------------------------------------------------
 
 _INT = "int"
-_SPEC = "spec"
-_TRIPLES = "triples"
 
 _CONSTRUCTORS: dict[str, tuple] = {
     # name: (param kinds, builder)

@@ -13,19 +13,43 @@ import json
 import math
 import random
 import time
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_BUDGET, Budget
-from .errors import ActionInconsistentError, BudgetExceededError, UnknownClaimError
-from .catalog import GroupSpec, PowerActionSpec, build_group, standard_catalog
+from .errors import (
+    ActionInconsistentError,
+    BudgetExceededError,
+    ConsistencyError,
+    NotAutomorphismError,
+    UnknownClaimError,
+)
+from .catalog import (
+    GroupSpec,
+    PowerActionSpec,
+    build_cyclic,
+    build_dihedral,
+    build_group,
+    parse_spec,
+    standard_catalog,
+)
 from .fields import is_prime
-from .groups import Group, order_fingerprint, quotient_group
+from .groups import (
+    Group,
+    automorphism_from_generator_images,
+    close_under_product,
+    direct_product,
+    order_fingerprint,
+    quotient_group,
+    semidirect_product,
+)
 from .lattice import (
     Subgroup,
     all_subgroups,
     centralizer_members,
+    full_subgroup,
     is_subnormal,
     normal_closure_members,
     normalizer_members,
@@ -45,7 +69,6 @@ from .predicates import (
     is_h_subgroup,
     is_metabelian,
     is_nc_subgroup,
-    is_ne_subgroup,
     is_nilpotent,
     is_normally_embedded,
     is_on_group,
@@ -56,6 +79,7 @@ from .predicates import (
     is_solvable,
     is_supersolvable,
     is_t_group,
+    p_core_members,
     p_length,
     p_part,
     pnc_witness,
@@ -64,6 +88,7 @@ from .predicates import (
     subgroup_as_group,
     vp_valuation,
 )
+
 
 @dataclass
 class ClaimResult:
@@ -143,45 +168,12 @@ STATEMENTS: dict[str, str] = {
 # --- helpers ----------------------------------------------------------------------
 
 
-def _spec_str(spec: GroupSpec) -> str:
-    return spec.to_string()
-
-
-def _catalog_members(budget: Budget, max_order: int | None = None):
-    members, skipped = [], []
-    for spec in standard_catalog():
-        try:
-            g = build_group(spec, budget)
-        except BudgetExceededError as e:
-            skipped.append({"group": _spec_str(spec), "reason": str(e)})
-            continue
-        if max_order is not None and g.order > max_order:
-            continue
-        members.append((spec, g))
-    return members, skipped
-
-
-def _guarded(skipped: list, spec: GroupSpec, fn):
-    """Run fn, converting budget blowups into a skip entry; returns None when skipped."""
-    try:
-        return fn()
-    except BudgetExceededError as e:
-        skipped.append({"group": _spec_str(spec), "reason": str(e)})
-        return None
-
-
-def _solvable_pnc_members(budget: Budget):
-    members, skipped = _catalog_members(budget)
-    out = []
-    for spec, g in members:
-        ok = _guarded(skipped, spec, lambda: is_solvable(g) and is_pnc_group(g, budget))
-        if ok:
-            out.append((spec, g))
-    return out, skipped
+def _skip(skipped: list, spec: GroupSpec, error: BudgetExceededError) -> None:
+    skipped.append({"group": spec.to_string(), "reason": str(error)})
 
 
 def _witness(spec: GroupSpec, sub: Subgroup | None = None, detail: str | None = None) -> dict:
-    doc: dict = {"group": _spec_str(spec)}
+    doc: dict = {"group": spec.to_string()}
     if sub is not None:
         doc["subgroup"] = [int(x) for x in sub.members]
     if detail:
@@ -189,18 +181,10 @@ def _witness(spec: GroupSpec, sub: Subgroup | None = None, detail: str | None = 
     return doc
 
 
-def _iff_result(claim_id, instances, skipped, notes):
-    """instances: list of (witness_dict, lhs, rhs).  Checks both directions."""
-    counterexamples = [w for w, lhs, rhs in instances if lhs != rhs]
-    sides = {lhs for _, lhs, _ in instances}
-    notes = list(notes)
-    if counterexamples:
-        return ClaimResult(claim_id, "fail", len(instances), counterexamples, skipped, notes)
-    if len(sides) < 2:
-        only = sides.pop() if sides else None
-        notes.append(f"VacuousSide: every instance falls on the {only} side of the biconditional")
-        return ClaimResult(claim_id, "skipped", len(instances), [], skipped, notes)
-    return ClaimResult(claim_id, "pass", len(instances), [], skipped, notes)
+def _first_failure(spec: GroupSpec, subs, fails, detail: str) -> dict | None:
+    """The witness for the first subgroup in ``subs`` that ``fails``, or None."""
+    bad = next((s for s in subs if fails(s)), None)
+    return None if bad is None else _witness(spec, bad, detail)
 
 
 def _must_hold_result(claim_id, checked, counterexamples, skipped, notes):
@@ -214,8 +198,6 @@ _PROFILE_CACHE: dict[str, tuple] = {}
 def _reference_profile(spec_text: str) -> tuple:
     key = _PROFILE_CACHE.get(spec_text)
     if key is None:
-        from .catalog import parse_spec
-
         key = order_fingerprint(build_group(parse_spec(spec_text))).key()
         _PROFILE_CACHE[spec_text] = key
     return key
@@ -225,10 +207,167 @@ def _profile_key(g: Group, members=None) -> tuple:
     return order_fingerprint(g, members).key()
 
 
-def _ref_group(spec_text: str) -> Group:
-    from .catalog import parse_spec
+def _is_solvable_pnc(g: Group, budget: Budget) -> bool:
+    return is_solvable(g) and is_pnc_group(g, budget)
 
-    return build_group(parse_spec(spec_text))
+
+def _class_sizes(g: Group, budget: Budget):
+    lat = all_subgroups(g, budget)
+    return (lat.class_sizes(i) for i in lat.rep_indices)
+
+
+# --- universes and quantifiers -------------------------------------------------------
+#
+# A catalog claim is a statement, a universe and a check.  The check is called
+# on each (spec, group) member and yields one item per instance it examines:
+#   None                    the instance holds;
+#   a witness dict          the instance fails;
+#   (witness, lhs, rhs)     one instance of a biconditional;
+#   a str                   a note, which is not an instance.
+# A member whose construction, filter or check exceeds the budget becomes a
+# skip entry.  Remarks run after the universe, in order, on the result so far:
+# probes of named groups and the notes that close a claim.
+
+Member = tuple[GroupSpec, Group]
+Check = Callable[[GroupSpec, Group, Budget], Iterable]
+Remark = Callable[[Budget, ClaimResult], None]
+
+
+@dataclass(frozen=True)
+class Universe:
+    """A named family of groups, enumerated in a fixed order.
+
+    ``members(budget, skipped)`` yields the members, appending a skip entry
+    for each one that exceeds the budget.
+    """
+
+    text: str
+    members: Callable[[Budget, list], Iterator[Member]]
+
+    @staticmethod
+    def of_specs(text: str, specs: Callable[[Budget], Iterable[GroupSpec]], max_order: int | None = None):
+        def members(budget, skipped):
+            for spec in specs(budget):
+                try:
+                    g = build_group(spec, budget)
+                except BudgetExceededError as e:
+                    _skip(skipped, spec, e)
+                    continue
+                if max_order is None or g.order <= max_order:
+                    yield spec, g
+
+        return Universe(text, members)
+
+    def where(self, text: str, pred: Callable[[Group, Budget], bool]) -> "Universe":
+        def members(budget, skipped):
+            for spec, g in self.members(budget, skipped):
+                try:
+                    keep = pred(g, budget)
+                except BudgetExceededError as e:
+                    _skip(skipped, spec, e)
+                    continue
+                if keep:
+                    yield spec, g
+
+        return Universe(text, members)
+
+
+def forall(claim_id: str, universe: Universe, check: Check, *remarks: Remark,
+           expectation: str = "mustHold") -> Claim:
+    """A claim asserting ``check`` on every member of ``universe``."""
+    return Claim(claim_id, expectation, universe.text, _quantified(claim_id, expectation, universe, check, remarks))
+
+
+def iff(claim_id: str, universe: Universe, lhs_rhs: Check, *remarks: Remark) -> Claim:
+    """A biconditional over ``universe``: every instance needs lhs == rhs, and an
+    instance set whose lhs takes a single value leaves the claim skipped."""
+    return Claim(claim_id, "iff", universe.text, _quantified(claim_id, "iff", universe, lhs_rhs, remarks))
+
+
+def _quantified(claim_id, expectation, universe, check, remarks):
+    def run(budget: Budget) -> ClaimResult:
+        result = ClaimResult(claim_id, "reportOnly", 0)  # asserted verdicts are settled below
+        sides = set()
+        for spec, g in universe.members(budget, result.skipped):
+            try:
+                items = list(check(spec, g, budget))
+            except BudgetExceededError as e:
+                _skip(result.skipped, spec, e)
+                continue
+            for item in items:
+                if isinstance(item, str):
+                    result.notes.append(item)
+                    continue
+                result.checked_count += 1
+                if isinstance(item, tuple):
+                    witness, lhs, rhs = item
+                    sides.add(lhs)
+                    item = witness if lhs != rhs else None
+                if item is not None:
+                    result.counterexamples.append(item)
+        for remark in remarks:
+            remark(budget, result)
+        if expectation != "reportOnly":
+            result.verdict = "fail" if result.counterexamples else "pass"
+        if expectation == "iff" and result.verdict == "pass" and len(sides) < 2:
+            only = sides.pop() if sides else None
+            result.notes.append(f"VacuousSide: every instance falls on the {only} side of the biconditional")
+            result.verdict = "skipped"
+        return result
+
+    return run
+
+
+def probe(spec_text: str, holds: Callable[[Group, Budget], bool], note: str | None, detail: str,
+          counted: bool = True) -> Remark:
+    """A remark on one named group: ``note`` when ``holds``, else a counterexample
+    with ``detail``; a counted probe adds one to checkedCount either way."""
+    spec = parse_spec(spec_text)
+
+    def remark(budget: Budget, result: ClaimResult) -> None:
+        try:
+            ok = holds(build_group(spec, budget), budget)
+        except BudgetExceededError as e:
+            _skip(result.skipped, spec, e)
+            return
+        if not ok:
+            result.counterexamples.append(_witness(spec, detail=detail))
+        elif note:
+            result.notes.append(note)
+        result.checked_count += counted
+
+    return remark
+
+
+def fixed_note(text: str) -> Remark:
+    return lambda budget, result: result.notes.append(text)
+
+
+def _family(constructor: str, ns) -> list[GroupSpec]:
+    return [GroupSpec(constructor, (n,)) for n in ns]
+
+
+def _catalog(budget: Budget) -> list[GroupSpec]:
+    return standard_catalog()
+
+
+CATALOG = Universe.of_specs("standard catalog", _catalog)
+CATALOG_500 = Universe.of_specs("catalog members of order <= 500", _catalog, max_order=500)
+CATALOG_120 = Universe.of_specs("catalog members of order <= 120", _catalog, max_order=120)
+CATALOG_60 = Universe.of_specs("catalog members of order <= 60", _catalog, max_order=60)
+CATALOG_DIRECT = Universe.of_specs(
+    "two-factor catalog direct products of order <= 500",
+    lambda budget: [s for s in standard_catalog() if s.constructor == "Direct" and len(s.params) == 2],
+    max_order=500,
+)
+NILPOTENT = CATALOG.where("nilpotent catalog members", lambda g, budget: is_nilpotent(g, budget)[0])
+PNC = CATALOG.where("PNC catalog members", lambda g, budget: is_pnc_group(g, budget))
+PNC_120 = CATALOG_120.where("PNC catalog members of order <= 120", lambda g, budget: is_pnc_group(g, budget))
+SOLVABLE_PNC = CATALOG.where("solvable PNC catalog members", _is_solvable_pnc)
+DIHEDRAL_24 = Universe.of_specs("dihedral groups, 3 <= n <= 24", lambda budget: _family("Dihedral", range(3, 25)))
+DIHEDRAL_40 = Universe.of_specs("dihedral groups, 3 <= n <= 40", lambda budget: _family("Dihedral", range(3, 41)))
+DICYCLIC_12 = Universe.of_specs("dicyclic groups, 2 <= n <= 12", lambda budget: _family("Dicyclic", range(2, 13)))
+SYMMETRIC = Universe.of_specs("symmetric groups S3..S7", lambda budget: _family("Sym", range(3, 8)))
 
 
 # --- structural shape checks -------------------------------------------------------
@@ -335,8 +474,6 @@ def shape_supersolvable_pq(g: Group, budget: Budget) -> bool:
         return False
     if not _is_elementary_abelian_members(g, _sylow_rep(g, budget, q).members):
         return False
-    from .predicates import p_core_members
-
     return p_core_members(g, q, budget).size > 1
 
 
@@ -433,9 +570,6 @@ def on_structural(g: Group, budget: Budget) -> bool:
         # generator of the cyclic Sylow, and <x^p> = O_p(G)
         x = int(sylow.members[np.argmax(orders[sylow.members] == sylow.order)])
         xp = g.power(x, p)
-        from .groups import close_under_product
-        from .predicates import p_core_members
-
         xp_gen = close_under_product(g.mul, np.array([0, xp], dtype=np.intp), cutoff_to_full=False)
         if not np.array_equal(xp_gen, p_core_members(g, p, budget)):
             continue
@@ -462,539 +596,257 @@ def on_structural(g: Group, budget: Budget) -> bool:
     return False
 
 
-# --- claim runners ------------------------------------------------------------------
+# --- catalog claims: checks ------------------------------------------------------------
 
 
-def _run_pnc_implies_t(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget)
-    counterexamples, checked = [], 0
-    for spec, g in members:
-        res = _guarded(skipped, spec, lambda: (is_pnc_group(g, budget), None))
-        if res is None:
-            continue
-        checked += 1
-        if res[0] and not is_t_group(g, budget):
-            counterexamples.append(_witness(spec, detail="PNC but not a T-group"))
-    return _must_hold_result("pnc-implies-t", checked, counterexamples, skipped, [])
-
-
-def _run_nilpotent_pnc_iff_dedekind(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget)
-    instances = []
-    for spec, g in members:
-        data = _guarded(
-            skipped,
-            spec,
-            lambda: (is_nilpotent(g, budget)[0], is_pnc_group(g, budget), is_dedekind(g, budget)),
-        )
-        if data is None or not data[0]:
-            continue
-        instances.append((_witness(spec), data[1], data[2]))
-    return _iff_result("nilpotent-pnc-iff-dedekind", instances, skipped, [])
-
-
-def _run_solvable_pnc_supersolvable(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget)
-    counterexamples, checked, notes = [], 0, []
-    for spec, g in members:
-        data = _guarded(
-            skipped, spec, lambda: (is_solvable(g), is_pnc_group(g, budget), is_supersolvable(g, budget))
-        )
-        if data is None:
-            continue
-        solvable, pnc, ss = data
-        if solvable and pnc:
-            checked += 1
-            if not ss:
-                counterexamples.append(_witness(spec, detail="solvable PNC but not supersolvable"))
-    converse = build_group(GroupSpec("C2sqSemiC4"), budget)
-    if is_supersolvable(converse, budget) and not is_pnc_group(converse, budget):
-        notes.append("converse fails: C2sqSemiC4 is supersolvable and not PNC")
-    else:
-        counterexamples.append(
-            _witness(GroupSpec("C2sqSemiC4"), detail="expected supersolvable non-PNC witness")
-        )
-    return _must_hold_result("solvable-pnc-supersolvable", checked + 1, counterexamples, skipped, notes)
-
-
-def _run_nc_iff_commutator(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget, max_order=120)
-    instances = []
-    for spec, g in members:
-        lat = _guarded(skipped, spec, lambda: all_subgroups(g, budget))
-        if lat is None:
-            continue
-        whole = Subgroup(g, np.arange(g.order))
-        for rep in lat.class_representatives():
-            lhs = is_nc_subgroup(g, rep)
-            comm = commutator_subgroup(g, rep, whole)
-            norm = Subgroup(g, normalizer_members(g, rep.members))
-            _, rhs = subgroup_product(g, comm, norm)
-            instances.append((_witness(spec, rep), lhs, rhs))
-    return _iff_result("nc-iff-commutator", instances, skipped, [])
+def _nc_vs_commutator(spec: GroupSpec, g: Group, budget: Budget):
+    whole = full_subgroup(g)
+    for rep in all_subgroups(g, budget).class_representatives():
+        norm = Subgroup(g, normalizer_members(g, rep.members))
+        _, rhs = subgroup_product(g, commutator_subgroup(g, rep, whole), norm)
+        yield _witness(spec, rep), is_nc_subgroup(g, rep), rhs
 
 
 _EQUIV_ITEMS = ("t-group", "supersolvable", "cp-all-p", "pronormal-p-subgroups",
                 "h-subgroups", "normally-embedded", "ne-subgroups")
 
 
-def _run_solvable_pnc_equivalences(budget: Budget) -> ClaimResult:
-    members, skipped = _solvable_pnc_members(budget)
-    counterexamples, checked = [], 0
-    for spec, g in members:
-        checked += 1
-        lat = all_subgroups(g, budget)
-        reps = lat.class_representatives()
-        failures = []
-        if not is_t_group(g, budget):
-            failures.append("t-group")
-        if not is_supersolvable(g, budget):
-            failures.append("supersolvable")
-        if not all(satisfies_cp(g, p, budget) for p in primes_of(g.order)):
-            failures.append("cp-all-p")
-        p_subgroups = [r for r in reps if len(primes_of(r.order)) == 1]
-        if not all(is_pronormal(g, r) for r in p_subgroups):
-            failures.append("pronormal-p-subgroups")
-        if not all(is_h_subgroup(g, r) for r in reps):
-            failures.append("h-subgroups")
-        if not all(is_normally_embedded(g, r, budget) for r in reps):
-            failures.append("normally-embedded")
-        if not all(is_ne_subgroup(g, r) for r in reps):
-            failures.append("ne-subgroups")
-        if failures:
-            counterexamples.append(_witness(spec, detail="failed items: " + ", ".join(failures)))
-    notes = [f"items checked per group: {', '.join(_EQUIV_ITEMS)}"]
-    return _must_hold_result("solvable-pnc-equivalences", checked, counterexamples, skipped, notes)
+def _solvable_pnc_equivalences(spec: GroupSpec, g: Group, budget: Budget):
+    lat = all_subgroups(g, budget)
+    reps = lat.class_representatives()
+    holds = (
+        is_t_group(g, budget),
+        is_supersolvable(g, budget),
+        all(satisfies_cp(g, p, budget) for p in primes_of(g.order)),
+        all(is_pronormal(g, r) for r in reps if len(primes_of(r.order)) == 1),
+        all(is_h_subgroup(g, r) for r in reps),
+        all(is_normally_embedded(g, r, budget) for r in reps),
+        all(lat.class_sizes(i).meet == lat.subgroups[i].order for i in lat.rep_indices),
+    )
+    failures = [item for item, ok in zip(_EQUIV_ITEMS, holds) if not ok]
+    yield _witness(spec, detail="failed items: " + ", ".join(failures)) if failures else None
 
 
-def _run_normalizer_closure(budget: Budget) -> ClaimResult:
-    members, skipped = _solvable_pnc_members(budget)
-    counterexamples, checked = [], 0
-    for spec, g in members:
-        checked += 1
-        lat = all_subgroups(g, budget)
-        for rep in lat.class_representatives():
-            norm = normalizer_members(g, rep.members)
-            if normal_closure_members(g, norm).size != g.order:
-                counterexamples.append(_witness(spec, rep, "normalizer has proper normal closure"))
-                break
-    return _must_hold_result("normalizer-closure", checked, counterexamples, skipped, [])
-
-
-def _run_nilpotent_subgroups_dedekind(budget: Budget) -> ClaimResult:
-    members, skipped = _solvable_pnc_members(budget)
-    counterexamples, checked = [], 0
-    for spec, g in members:
-        checked += 1
-        lat = all_subgroups(g, budget)
-        for rep in lat.class_representatives():
-            child = subgroup_as_group(g, rep)
-            if is_nilpotent(child, budget)[0] and not is_dedekind(child, budget):
-                counterexamples.append(_witness(spec, rep, "nilpotent subgroup is not Dedekind"))
-                break
-    return _must_hold_result("nilpotent-subgroups-dedekind", checked, counterexamples, skipped, [])
-
-
-def _run_min_prime_pnilpotent(budget: Budget) -> ClaimResult:
-    members, skipped = _solvable_pnc_members(budget)
-    counterexamples, checked, notes = [], 0, []
-    for spec, g in members:
-        if g.order == 1:
+def _sylow_in_closure(spec: GroupSpec, g: Group, budget: Budget):
+    lat = all_subgroups(g, budget)
+    for i in lat.rep_indices:
+        rep, ps = lat.subgroups[i], primes_of(lat.subgroups[i].order)
+        if len(ps) != 1:
             continue
-        checked += 1
-        p = min(primes_of(g.order))
-        if not is_p_nilpotent(g, p, budget):
-            counterexamples.append(_witness(spec, detail=f"not {p}-nilpotent at minimal prime"))
-    probe = build_group(GroupSpec("Direct", (GroupSpec("Cyclic", (5,)), GroupSpec("Sym", (3,)))), budget)
-    if is_pnc_group(probe, budget) and not is_p_nilpotent(probe, 3, budget) and is_p_nilpotent(probe, 2, budget):
-        notes.append("minimality needed: C5 x S3 is PNC, 2-nilpotent, and not 3-nilpotent")
+        sizes = lat.class_sizes(i)
+        if p_part(sizes.closure, ps[0]) != rep.order:
+            yield _witness(spec, rep, "not Sylow in its normal closure")
+            return
+        if p_part(sizes.normalizer, ps[0]) != p_part(g.order, ps[0]):
+            yield _witness(spec, rep, "normalizer misses full p-part")
+            return
+    yield None
+
+
+def _max_prime_order_normal(spec: GroupSpec, g: Group, budget: Budget):
+    if g.order == 1:
+        return
+    p = max(primes_of(g.order))
+    lat = all_subgroups(g, budget)
+    bad = [s for i, s in enumerate(lat.subgroups) if s.order == p and not lat.normal[i]]
+    if is_solvable(g):
+        yield _witness(spec, bad[0], f"order-{p} subgroup not normal") if bad else None
+    elif bad:
+        yield (f"unqualified form refuted on non-solvable PNC member {spec.to_string()}: "
+               f"order-{p} subgroup not normal")
+
+
+def _fstar_class(spec: GroupSpec, g: Group, budget: Budget):
+    _, _, fstar, klass = generalized_fitting(g, budget)
+    if is_solvable(g):
+        yield _witness(spec, fstar, f"F* nilpotency class {klass}") if klass is None or klass > 2 else None
     else:
-        counterexamples.append(_witness(GroupSpec("Direct", (GroupSpec("Cyclic", (5,)), GroupSpec("Sym", (3,)))),
-                                        detail="expected non-minimal-prime failure did not reproduce"))
-    return _must_hold_result("min-prime-pnilpotent", checked + 1, counterexamples, skipped, notes)
+        shown = "not nilpotent" if klass is None else f"class {klass}"
+        yield f"non-solvable PNC member {spec.to_string()}: |F*| = {fstar.order}, {shown}"
 
 
-def _run_max_prime_order_normal(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget)
-    counterexamples, checked, notes = [], 0, []
-    for spec, g in members:
-        if g.order == 1:
+def _structure_bundle(spec: GroupSpec, g: Group, budget: Budget):
+    failures = []
+    if fitting_height(g, budget) > 3:
+        failures.append("fitting-height")
+    if any(p_length(g, p, budget) > 1 for p in primes_of(g.order)):
+        failures.append("p-length")
+    if not is_abelian(subgroup_as_group(g, frattini_subgroup(g, budget))):
+        failures.append("frattini-abelian")
+    if not is_metabelian(g):
+        failures.append("metabelian")
+    if g.order % 2 == 1:
+        derived = derived_subgroup_members(g)
+        if not np.isin(derived, fitting_subgroup(g, budget).members, assume_unique=True).all():
+            failures.append("odd-derived-in-fitting")
+        centre = centralizer_members(g, np.arange(g.order))
+        if np.intersect1d(derived, centre, assume_unique=True).size != 1:
+            failures.append("odd-derived-meets-center")
+    yield _witness(spec, detail="failed: " + ", ".join(failures)) if failures else None
+
+
+def _component_lemma(spec: GroupSpec, g: Group, budget: Budget):
+    for a, b in itertools.combinations(all_subgroups(g, budget).normal_subgroups(), 2):
+        if subgroup_product(g, a, b)[0] != g.order:
             continue
-        data = _guarded(skipped, spec, lambda: (is_pnc_group(g, budget), is_solvable(g)))
-        if data is None or not data[0]:
-            continue
-        pnc, solvable = data
-        p = max(primes_of(g.order))
-        lat = all_subgroups(g, budget)
-        bad = [
-            s for i, s in enumerate(lat.subgroups) if s.order == p and not lat.normal[i]
-        ]
-        if solvable:
-            checked += 1
-            if bad:
-                counterexamples.append(_witness(spec, bad[0], f"order-{p} subgroup not normal"))
-        elif bad:
-            notes.append(
-                f"unqualified form refuted on non-solvable PNC member {_spec_str(spec)}: "
-                f"order-{p} subgroup not normal"
-            )
-    return _must_hold_result("max-prime-order-normal", checked, counterexamples, skipped, notes)
+        if not np.array_equal(g.mul[np.ix_(a.members, b.members)], g.mul[np.ix_(b.members, a.members)].T):
+            continue  # factors must commute elementwise
+        derived_g = derived_subgroup_members(g)
+        da, db = commutator_subgroup(g, a, a), commutator_subgroup(g, b, b)
+        rhs = close_under_product(g.mul, np.union1d(da.members, db.members), cutoff_to_full=False)
+        escapes = not np.isin(derived_g, rhs, assume_unique=True).all()
+        yield _witness(spec, detail=f"G' (size {derived_g.size}) escapes A'B' (size {rhs.size})") if escapes else None
 
 
-def _run_sylow_in_closure(budget: Budget) -> ClaimResult:
-    members, skipped = _solvable_pnc_members(budget)
-    counterexamples, checked = [], 0
-    for spec, g in members:
-        checked += 1
-        lat = all_subgroups(g, budget)
-        for rep in lat.class_representatives():
-            ps = primes_of(rep.order)
-            if len(ps) != 1:
-                continue
-            p = ps[0]
-            closure = normal_closure_members(g, rep.members)
-            if p_part(closure.size, p) != rep.order:
-                counterexamples.append(_witness(spec, rep, "not Sylow in its normal closure"))
-                break
-            norm = normalizer_members(g, rep.members)
-            if p_part(norm.size, p) != p_part(g.order, p):
-                counterexamples.append(_witness(spec, rep, "normalizer misses full p-part"))
-                break
-    return _must_hold_result("sylow-in-closure", checked, counterexamples, skipped, [])
-
-
-def _run_fstar_class(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget)
-    counterexamples, checked, notes = [], 0, []
-    for spec, g in members:
-        data = _guarded(skipped, spec, lambda: (is_pnc_group(g, budget), is_solvable(g)))
-        if data is None or not data[0]:
-            continue
-        _, solvable = data
-        comps, layer, fstar, klass = generalized_fitting(g, budget)
-        if solvable:
-            checked += 1
-            if klass is None or klass > 2:
-                counterexamples.append(
-                    _witness(spec, fstar, f"F* nilpotency class {klass}")
-                )
-        else:
-            shown = "not nilpotent" if klass is None else f"class {klass}"
-            notes.append(
-                f"non-solvable PNC member {_spec_str(spec)}: |F*| = {fstar.order}, {shown}"
-            )
-    return _must_hold_result("fstar-class", checked, counterexamples, skipped, notes)
-
-
-def _run_structure_bundle(budget: Budget) -> ClaimResult:
-    members, skipped = _solvable_pnc_members(budget)
-    counterexamples, checked = [], 0
-    for spec, g in members:
-        checked += 1
-        failures = []
-        if fitting_height(g, budget) > 3:
-            failures.append("fitting-height")
-        if any(p_length(g, p, budget) > 1 for p in primes_of(g.order)):
-            failures.append("p-length")
-        frat = frattini_subgroup(g, budget)
-        if not is_abelian(subgroup_as_group(g, frat)):
-            failures.append("frattini-abelian")
-        if not is_metabelian(g):
-            failures.append("metabelian")
-        if g.order % 2 == 1:
-            derived = derived_subgroup_members(g)
-            fit = fitting_subgroup(g, budget)
-            if not np.isin(derived, fit.members, assume_unique=True).all():
-                failures.append("odd-derived-in-fitting")
-            centre = centralizer_members(g, np.arange(g.order))
-            if np.intersect1d(derived, centre, assume_unique=True).size != 1:
-                failures.append("odd-derived-meets-center")
-        if failures:
-            counterexamples.append(_witness(spec, detail="failed: " + ", ".join(failures)))
-    return _must_hold_result("structure-bundle", checked, counterexamples, skipped, [])
-
-
-def _run_component_lemma(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget, max_order=120)
-    counterexamples, checked = [], 0
-    for spec, g in members:
-        lat = _guarded(skipped, spec, lambda: all_subgroups(g, budget))
-        if lat is None:
-            continue
-        normals = lat.normal_subgroups()
-        for a, b in itertools.combinations(normals, 2):
-            prod_size, _ = subgroup_product(g, a, b)
-            if prod_size != g.order:
-                continue
-            block = g.mul[np.ix_(a.members, b.members)]
-            blockT = g.mul[np.ix_(b.members, a.members)]
-            if not np.array_equal(block, blockT.T):
-                continue  # factors must commute elementwise
-            checked += 1
-            derived_g = derived_subgroup_members(g)
-            da = commutator_subgroup(g, a, a)
-            db = commutator_subgroup(g, b, b)
-            from .groups import close_under_product
-
-            rhs = close_under_product(g.mul, np.union1d(da.members, db.members), cutoff_to_full=False)
-            if not np.isin(derived_g, rhs, assume_unique=True).all():
-                counterexamples.append(
-                    _witness(spec, detail=f"G' (size {derived_g.size}) escapes A'B' (size {rhs.size})")
-                )
-    return _must_hold_result("component-lemma", checked, counterexamples, skipped, [])
-
-
-def _run_coprime_direct_product(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget, max_order=120)
-    pool = []
-    for spec, g in members:
-        ok = _guarded(skipped, spec, lambda: is_pnc_group(g, budget))
-        if ok and g.order > 1:
-            pool.append((spec, g))
-    rng = random.Random(0x5EED)
-    coprime_pairs = [
+def _coprime_pnc_pairs(budget: Budget, skipped: list) -> Iterator[Member]:
+    pool = [(spec, g) for spec, g in PNC_120.members(budget, skipped) if g.order > 1]
+    pairs = [
         (a, b)
         for a, b in itertools.combinations(pool, 2)
         if math.gcd(a[1].order, b[1].order) == 1 and a[1].order * b[1].order <= budget.order_cap
     ]
-    rng.shuffle(coprime_pairs)
-    sample = coprime_pairs[:20]
-    counterexamples, checked, notes = [], 0, []
-    from .groups import direct_product
-
-    for (spec_a, ga), (spec_b, gb) in sample:
-        checked += 1
-        prod = direct_product(ga, gb, budget)
-        if not is_pnc_group(prod, budget):
-            counterexamples.append(
-                {"group": f"Direct({_spec_str(spec_a)},{_spec_str(spec_b)})", "detail": "coprime product not PNC"}
-            )
-    probe_spec = GroupSpec("Direct", (GroupSpec("Cyclic", (3,)), GroupSpec("Sym", (3,))))
-    probe = build_group(probe_spec, budget)
-    if not is_pnc_group(probe, budget):
-        notes.append("coprimality needed: C3 x S3 (non-coprime factors, both PNC) is not PNC")
-    else:
-        counterexamples.append(_witness(probe_spec, detail="expected non-PNC for non-coprime product"))
-    notes.append(f"sampled {len(sample)} coprime PNC pairs (seeded shuffle)")
-    return _must_hold_result("coprime-direct-product", checked + 1, counterexamples, skipped, notes)
+    random.Random(0x5EED).shuffle(pairs)
+    for (spec_a, ga), (spec_b, gb) in pairs[:20]:
+        yield GroupSpec("Direct", (spec_a, spec_b)), direct_product(ga, gb, budget)
 
 
-def _run_quotient_closure(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget, max_order=120)
-    counterexamples, checked, notes = [], 0, []
-    for spec, g in members:
-        data = _guarded(skipped, spec, lambda: is_pnc_group(g, budget))
-        if not data:
-            continue
-        lat = all_subgroups(g, budget)
-        for n in lat.normal_subgroups():
-            if n.order in (1, g.order):
-                continue
-            checked += 1
+COPRIME_PNC_PAIRS = Universe("20 seeded coprime pairs of PNC catalog members of order <= 120", _coprime_pnc_pairs)
+
+
+def _coprime_remarks(budget: Budget, result: ClaimResult) -> None:
+    sampled = result.checked_count
+    probe("Direct(Cyclic(3),Sym(3))", lambda g, budget: not is_pnc_group(g, budget),
+          "coprimality needed: C3 x S3 (non-coprime factors, both PNC) is not PNC",
+          "expected non-PNC for non-coprime product")(budget, result)
+    result.notes.append(f"sampled {sampled} coprime PNC pairs (seeded shuffle)")
+
+
+def _quotients_pnc(spec: GroupSpec, g: Group, budget: Budget):
+    for n in all_subgroups(g, budget).normal_subgroups():
+        if 1 < n.order < g.order:
             q, _ = quotient_group(g, n.members, budget)
-            if not is_pnc_group(q, budget):
-                counterexamples.append(_witness(spec, n, "PNC group with non-PNC quotient"))
-    d4 = build_group(GroupSpec("Dihedral", (4,)), budget)
-    lat = all_subgroups(d4, budget)
+            yield None if is_pnc_group(q, budget) else _witness(spec, n, "PNC group with non-PNC quotient")
+
+
+def _d4_converse(d4: Group, budget: Budget) -> bool:
     quotients_pnc = all(
         is_pnc_group(quotient_group(d4, n.members, budget)[0], budget)
-        for n in lat.normal_subgroups()
+        for n in all_subgroups(d4, budget).normal_subgroups()
         if n.order > 1
     )
-    if quotients_pnc and not is_pnc_group(d4, budget):
-        notes.append("converse fails: D4 is not PNC while all nontrivial quotients are PNC")
-    else:
-        counterexamples.append(_witness(GroupSpec("Dihedral", (4,)), detail="expected converse witness"))
-    return _must_hold_result("quotient-closure", checked + 1, counterexamples, skipped, notes)
+    return quotients_pnc and not is_pnc_group(d4, budget)
 
 
-def _run_normal_subgroup_closure(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget, max_order=120)
-    counterexamples, checked, notes = [], 0, []
-    for spec, g in members:
-        data = _guarded(skipped, spec, lambda: is_pnc_group(g, budget))
-        if not data:
+def _normal_subgroups_pnc(spec: GroupSpec, g: Group, budget: Budget):
+    for n in all_subgroups(g, budget).normal_subgroups():
+        ok = is_pnc_group(subgroup_as_group(g, n), budget)
+        yield None if ok else _witness(spec, n, "normal subgroup of PNC group not PNC")
+
+
+def _has_non_pnc_a4(big: Group, budget: Budget) -> bool:
+    a4_key = _reference_profile("Alt(4)")
+    witness = next(
+        (s for s in all_subgroups(big, budget).subgroups if s.order == 12 and _profile_key(big, s.members) == a4_key),
+        None,
+    )
+    return (
+        witness is not None
+        and is_pnc_group(big, budget)
+        and not is_pnc_group(subgroup_as_group(big, witness), budget)
+    )
+
+
+def _order_p_generated(g: Group, x: int) -> np.ndarray:
+    return close_under_product(g.mul, np.array([0, x], dtype=np.intp), cutoff_to_full=False)
+
+
+def _central_p_lift(spec: GroupSpec, g: Group, budget: Budget):
+    """One instance per prime p with a central x of order p and |G|_p = p."""
+    orders = g.element_orders()
+    seen_p = set()
+    for x in centralizer_members(g, np.arange(g.order)).tolist():
+        o = int(orders[x])
+        if is_prime(o) and p_part(g.order, o) == o and o not in seen_p:
+            seen_p.add(o)
+            gen = _order_p_generated(g, x)
+            q, _ = quotient_group(g, gen, budget)
+            lhs, rhs = is_pnc_group(g, budget), is_pnc_group(q, budget)
+            yield _witness(spec, detail=f"x index {x}, p = {gen.size}"), lhs, rhs
+
+
+def _central_c2_needs_hypothesis(g: Group, budget: Budget) -> bool:
+    centre = centralizer_members(g, np.arange(g.order))
+    x = int(centre[np.argmax(g.element_orders()[centre] == 2)])
+    q, _ = quotient_group(g, _order_p_generated(g, x), budget)
+    return (not is_pnc_group(g, budget)) and is_pnc_group(q, budget) and p_part(g.order, 2) > 2
+
+
+def _nc_mod_normal(spec: GroupSpec, g: Group, budget: Budget):
+    lat = all_subgroups(g, budget)
+    for n in lat.normal_subgroups():
+        if n.order in (1, g.order):
             continue
-        lat = all_subgroups(g, budget)
-        for n in lat.normal_subgroups():
-            checked += 1
-            child = subgroup_as_group(g, n)
-            if not is_pnc_group(child, budget):
-                counterexamples.append(_witness(spec, n, "normal subgroup of PNC group not PNC"))
-    big_spec = GroupSpec("Direct", (GroupSpec("Cyclic", (7,)), GroupSpec("Alt", (5,))))
-    big = _guarded(skipped, big_spec, lambda: build_group(big_spec, budget))
-    if big is not None:
-        a4_key = _reference_profile("Alt(4)")
-        lat = all_subgroups(big, budget)
-        witness = next(
-            (s for s in lat.subgroups if s.order == 12 and _profile_key(big, s.members) == a4_key),
-            None,
-        )
-        if (
-            witness is not None
-            and is_pnc_group(big, budget)
-            and not is_pnc_group(subgroup_as_group(big, witness), budget)
-        ):
-            notes.append("normality needed: C7 x A5 is PNC with a non-PNC subgroup of A4 type")
-        else:
-            counterexamples.append(_witness(big_spec, detail="expected non-normal A4 witness"))
-    return _must_hold_result("normal-subgroup-closure", checked, counterexamples, skipped, notes)
-
-
-def _central_p_instances(budget: Budget):
-    """(spec, g, x) with <x> central of prime order p and |G|_p = p."""
-    members, skipped = _catalog_members(budget, max_order=500)
-    out = []
-    for spec, g in members:
-        centre = _guarded(skipped, spec, lambda: centralizer_members(g, np.arange(g.order)))
-        if centre is None:
-            continue
-        orders = g.element_orders()
-        seen_p = set()
-        for x in centre:
-            o = int(orders[x])
-            if is_prime(o) and p_part(g.order, o) == o and o not in seen_p:
-                seen_p.add(o)
-                out.append((spec, g, int(x)))
-    return out, skipped
-
-
-def _run_central_p_lift(budget: Budget) -> ClaimResult:
-    instances, skipped = _central_p_instances(budget)
-    notes = []
-    data = []
-    for spec, g, x in instances:
-        members = np.unique(np.concatenate([[0], [x]]))
-        from .groups import close_under_product
-
-        gen = close_under_product(g.mul, members, cutoff_to_full=False)
-        q, _ = quotient_group(g, gen, budget)
-        lhs = is_pnc_group(g, budget)
-        rhs = is_pnc_group(q, budget)
-        data.append((_witness(spec, detail=f"x index {x}, p = {gen.size}"), lhs, rhs))
-    probe_spec = GroupSpec("C5xC3SemiD4")
-    probe = build_group(probe_spec, budget)
-    centre = centralizer_members(probe, np.arange(probe.order))
-    orders = probe.element_orders()
-    x = int(centre[np.argmax(orders[centre] == 2)])
-    from .groups import close_under_product
-
-    gen = close_under_product(probe.mul, np.array([0, x], dtype=np.intp), cutoff_to_full=False)
-    q, _ = quotient_group(probe, gen, budget)
-    if (not is_pnc_group(probe, budget)) and is_pnc_group(q, budget) and p_part(probe.order, 2) > 2:
-        notes.append(
-            "|G|_p = p needed: (C5xC3):D4 has central C2 with |G|_2 = 8, quotient PNC, group not PNC"
-        )
-        result = _iff_result("central-p-lift", data, skipped, notes)
-    else:
-        result = ClaimResult(
-            "central-p-lift",
-            "fail",
-            len(data),
-            [_witness(probe_spec, detail="expected hypothesis-violation witness")],
-            skipped,
-            notes,
-        )
-    return result
-
-
-def _run_nc_quotient_correspondence(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget, max_order=60)
-    instances, notes = [], []
-    for spec, g in members:
-        lat = _guarded(skipped, spec, lambda: all_subgroups(g, budget))
-        if lat is None:
-            continue
-        for n in lat.normal_subgroups():
-            if n.order in (1, g.order):
+        q, hom = quotient_group(g, n.members, budget)
+        hom_map = np.asarray(hom.map, dtype=np.intp)
+        for k in lat.subgroups:
+            if k.order <= n.order or not np.isin(n.members, k.members, assume_unique=True).all():
                 continue
-            q, hom = quotient_group(g, n.members, budget)
-            hom_map = np.asarray(hom.map, dtype=np.intp)
-            for k in lat.subgroups:
-                if k.order <= n.order or not np.isin(n.members, k.members, assume_unique=True).all():
-                    continue
-                lhs = is_nc_subgroup(g, k)
-                image = Subgroup(q, np.unique(hom_map[k.members]))
-                rhs = is_nc_subgroup(q, image)
-                instances.append((_witness(spec, k, f"mod normal of order {n.order}"), lhs, rhs))
-    # containment is needed: in D4 pick K of order 2 outside N with K N / N still NC
-    d4 = build_group(GroupSpec("Dihedral", (4,)), budget)
+            image = Subgroup(q, np.unique(hom_map[k.members]))
+            yield _witness(spec, k, f"mod normal of order {n.order}"), is_nc_subgroup(g, k), is_nc_subgroup(q, image)
+
+
+def _d4_needs_containment(d4: Group, budget: Budget) -> bool:
+    """D4 has K of order 2 outside a normal C2^2 N, not NC, with K N / N still NC."""
     lat = all_subgroups(d4, budget)
-    found_probe = False
     for n in lat.normal_subgroups():
         if n.order != 4:
             continue
         for k in lat.subgroups:
             if k.order != 2 or np.isin(k.members, n.members).all():
                 continue
-            if np.intersect1d(k.members, n.members).size != 1:
-                continue
-            if is_nc_subgroup(d4, k):
+            if np.intersect1d(k.members, n.members).size != 1 or is_nc_subgroup(d4, k):
                 continue
             q, hom = quotient_group(d4, n.members, budget)
-            image = Subgroup(q, np.unique(np.asarray(hom.map)[k.members]))
-            if is_nc_subgroup(q, image):
-                found_probe = True
-    if found_probe:
-        notes.append("containment needed: D4 has K of order 2, not NC, whose image mod a disjoint C2^2 is NC")
-        return _iff_result("nc-quotient-correspondence", instances, skipped, notes)
-    return ClaimResult(
-        "nc-quotient-correspondence",
-        "fail",
-        len(instances),
-        [_witness(GroupSpec("Dihedral", (4,)), detail="expected containment-violation witness")],
-        skipped,
-        notes,
-    )
+            if is_nc_subgroup(q, Subgroup(q, np.unique(np.asarray(hom.map)[k.members]))):
+                return True
+    return False
 
 
-def _run_nc_direct_factor(budget: Budget) -> ClaimResult:
-    instances, skipped, notes = [], [], []
-    for spec in standard_catalog():
-        if spec.constructor != "Direct" or len(spec.params) != 2:
-            continue
-        g = _guarded(skipped, spec, lambda: build_group(spec, budget))
-        if g is None or g.order > 500:
-            continue
-        left = build_group(spec.params[0], budget)
-        right = build_group(spec.params[1], budget)
-        # subgroups of the left factor sit at indices k * |right|, of the right at their own indices
-        for factor, embed in ((left, lambda m: m * right.order), (right, lambda m: m)):
-            for rep in all_subgroups(factor, budget).class_representatives():
-                embedded = Subgroup(g, embed(rep.members))
-                lhs = is_nc_subgroup(g, embedded)
-                rhs = is_nc_subgroup(factor, rep)
-                instances.append((_witness(spec, embedded, "factor subgroup"), lhs, rhs))
-    # semidirect products are excluded for a reason: D4:S3
-    probe_spec = GroupSpec("D4SemiS3")
-    g = build_group(probe_spec, budget)
-    s3_order = 6
-    d4_members = np.arange(8, dtype=np.intp) * s3_order  # the D4 factor
+def _nc_in_factor(spec: GroupSpec, g: Group, budget: Budget):
+    left, right = (build_group(factor, budget) for factor in spec.params)
+    # subgroups of the left factor sit at indices k * |right|, of the right at their own indices
+    for factor, scale in ((left, right.order), (right, 1)):
+        for rep in all_subgroups(factor, budget).class_representatives():
+            embedded = Subgroup(g, rep.members * scale)
+            yield _witness(spec, embedded, "factor subgroup"), is_nc_subgroup(g, embedded), is_nc_subgroup(factor, rep)
+
+
+def _d4_s3_semidirect_fails(g: Group, budget: Budget) -> bool:
+    """D4:S3 has a C2^2 that is NC in the D4 factor but not NC in G."""
+    d4_members = np.arange(8, dtype=np.intp) * 6  # the D4 factor; |S3| = 6
     c22_key = _reference_profile("ElementaryAbelian(2,2)")
-    lat = all_subgroups(g, budget)
-    probe_ok = False
-    for s in lat.subgroups:
+    for s in all_subgroups(g, budget).subgroups:
         if s.order != 4 or not np.isin(s.members, d4_members).all():
             continue
         if _profile_key(g, s.members) != c22_key:
             continue
         in_d4 = normal_closure_members(g, s.members, within=d4_members)
         norm_in_d4 = np.intersect1d(normalizer_members(g, s.members), d4_members)
-        nc_in_d4 = np.unique(g.mul[np.ix_(in_d4, norm_in_d4)]).size == 8
-        if nc_in_d4 and not is_nc_subgroup(g, s):
-            probe_ok = True
-            break
-    if probe_ok:
-        notes.append("semidirect fails: D4:S3 has a C2^2 that is NC in the D4 factor but not NC in G")
-        return _iff_result("nc-direct-factor", instances, skipped, notes)
-    return ClaimResult(
-        "nc-direct-factor",
-        "fail",
-        len(instances),
-        [_witness(probe_spec, detail="expected semidirect witness")],
-        skipped,
-        notes,
-    )
+        if np.unique(g.mul[np.ix_(in_d4, norm_in_d4)]).size == 8 and not is_nc_subgroup(g, s):
+            return True
+    return False
+
+
+def _dihedral_maximals(spec: GroupSpec, g: Group, budget: Budget):
+    n = spec.params[0]
+    expected = {_reference_profile(f"Cyclic({n})")}
+    expected |= {_reference_profile(f"Dihedral({n // p})") for p in primes_of(n)}
+    got = {_profile_key(g, m.members) for m in all_subgroups(g, budget).maximal_subgroups()}
+    yield None if got == expected else _witness(spec, detail="maximal profile set mismatch")
+
+
+def _pnc_iff_4_does_not_divide_n(spec: GroupSpec, g: Group, budget: Budget):
+    yield _witness(spec), is_pnc_group(g, budget), spec.params[0] % 4 != 0
 
 
 def _run_gu23_remarks(budget: Budget) -> ClaimResult:
@@ -1059,9 +911,6 @@ def _run_gu23_remarks(budget: Budget) -> ClaimResult:
 def _wreath_c4_c2(budget: Budget) -> Group:
     cached = _REF_GROUPS.get("wreath")
     if cached is None:
-        from .catalog import build_cyclic
-        from .groups import direct_product, semidirect_product
-
         c4 = build_cyclic(4, budget)
         base = direct_product(c4, c4, budget)
         swap = np.array([(i % 4) * 4 + i // 4 for i in range(16)], dtype=np.int64)
@@ -1074,9 +923,6 @@ def _wreath_c4_c2(budget: Budget) -> Group:
 def _central_product_c4_d4(budget: Budget) -> Group:
     cached = _REF_GROUPS.get("central-product")
     if cached is None:
-        from .catalog import build_cyclic, build_dihedral
-        from .groups import direct_product
-
         c4 = build_cyclic(4, budget)
         d4 = build_dihedral(4, budget)
         prod = direct_product(c4, d4, budget)
@@ -1091,38 +937,84 @@ def _central_product_c4_d4(budget: Budget) -> Group:
 _REF_GROUPS: dict[str, Group] = {}
 
 
-def _run_dihedral_maximals(budget: Budget) -> ClaimResult:
-    counterexamples, checked = [], 0
-    for n in range(3, 25):
-        checked += 1
-        spec = GroupSpec("Dihedral", (n,))
-        g = build_group(spec, budget)
-        lat = all_subgroups(g, budget)
-        expected = {_reference_profile(f"Cyclic({n})")}
-        for p in primes_of(n):
-            expected.add(_reference_profile(f"Dihedral({n // p})"))
-        got = {_profile_key(g, m.members) for m in lat.maximal_subgroups()}
-        if got != expected:
-            counterexamples.append(_witness(spec, detail="maximal profile set mismatch"))
-    return _must_hold_result("dihedral-maximals", checked, counterexamples, skipped=[], notes=[])
+def _valuation_side(factors) -> bool:
+    return all(vp_valuation(t + 1, q) in (0, a) for q, a, t in factors)
 
 
-def _run_dihedral_iff(budget: Budget) -> ClaimResult:
-    instances = []
-    for n in range(3, 41):
-        spec = GroupSpec("Dihedral", (n,))
-        g = build_group(spec, budget)
-        instances.append((_witness(spec), is_pnc_group(g, budget), n % 4 != 0))
-    return _iff_result("dihedral-iff", instances, [], [])
+def _pa_spec(pa: PowerActionSpec) -> GroupSpec:
+    return GroupSpec("PowerAction", (pa.p, pa.alpha, *pa.factors))
 
 
-def _run_dicyclic_iff(budget: Budget) -> ClaimResult:
-    instances = []
-    for n in range(2, 13):
-        spec = GroupSpec("Dicyclic", (n,))
-        g = build_group(spec, budget)
-        instances.append((_witness(spec), is_pnc_group(g, budget), n % 4 != 0))
-    return _iff_result("dicyclic-iff", instances, [], [])
+def _dominant(pa: PowerActionSpec) -> bool:
+    """The acting prime is larger than every kernel prime."""
+    return all(pa.p > q for q, _, _ in pa.factors)
+
+
+POWER_ACTION = Universe.of_specs(
+    "valid power-action specs (bounded sweep)",
+    lambda budget: [_pa_spec(pa) for pa in _power_action_universe(min(budget.order_cap, 300))[0][:60]],
+)
+POWER_ACTION_DOMINANT = Universe.of_specs(
+    "valid power-action specs with dominant acting prime",
+    lambda budget: [_pa_spec(pa) for pa in _power_action_universe(min(budget.order_cap, 400))[0] if _dominant(pa)],
+)
+
+
+def _theorem3_sweep(budget: Budget, result: ClaimResult) -> None:
+    """Notes on the consistency filter and on the same biconditional without the prime hypothesis."""
+    limit = min(budget.order_cap, 400)
+    universe, rejected = _power_action_universe(limit)
+    result.notes.append(f"consistency filter rejected {rejected} twist assignments up to order {limit}")
+    result.notes.append(
+        f"restricted universe (acting prime above kernel primes): {sum(map(_dominant, universe))} valid specs"
+    )
+    mismatches = 0
+    sweep_sides = {True: 0, False: 0}
+    for pa in universe:
+        rhs = _valuation_side(pa.factors)
+        sweep_sides[rhs] += 1
+        mismatches += is_pnc_group(build_group(_pa_spec(pa), budget), budget) != rhs
+    result.notes.append(
+        "exploratory sweep without the prime-order hypothesis: "
+        f"{len(universe)} specs, biconditional sides (rhs true/false) = "
+        f"{sweep_sides[True]}/{sweep_sides[False]}, mismatches = {mismatches}"
+    )
+    result.notes.append(
+        "group-consistency already forces each twist to satisfy the valuation condition, "
+        "so the biconditional has no false side to exercise"
+    )
+
+
+def _power_action_formulas(spec: GroupSpec, g: Group, budget: Budget):
+    p, alpha, *factors = spec.params
+    q = p**alpha
+    moduli = [pi**ai for pi, ai, _ in factors]
+    twists = [(t, m) for (_, _, t), m in zip(factors, moduli)]
+
+    def encode(s, exps):
+        idx = s % q
+        for e, m in zip(exps, moduli):
+            idx = idx * m + (e % m)
+        return idx
+
+    def conjugation_holds(sample):
+        s, ks = sample[0], sample[1:]
+        w = encode(0, ks)
+        a_s = encode(s, [0] * len(moduli))
+        lhs = int(g.mul[g.mul[g.inv[w], a_s], w])  # (a^s)^w
+        return lhs == encode(s, [k * (1 - pow(-t % m, s, m)) for k, (t, m) in zip(ks, twists)])
+
+    def product_holds(pair):
+        width = 1 + len(moduli)
+        s1, f = pair[0], pair[1:width]
+        s2, u = pair[width], pair[width + 1:]
+        lhs = int(g.mul[encode(s1, f), encode(s2, u)])
+        return lhs == encode(s1 + s2, [ui + pow(-t % m, s2, m) * fi for fi, ui, (t, m) in zip(f, u, twists)])
+
+    samples = itertools.islice(itertools.product(range(1, q), *[range(m) for m in moduli]), 100)
+    pairs = itertools.islice(itertools.product(range(q), *[range(m) for m in moduli], repeat=2), 100)
+    ok = all(map(conjugation_holds, samples)) and all(map(product_holds, pairs))
+    yield None if ok else _witness(spec, detail="table disagrees with twist-power formula")
 
 
 def _power_action_universe(limit: int):
@@ -1163,96 +1055,26 @@ def _power_action_universe(limit: int):
     return singles + doubles, rejected
 
 
-def _valuation_side(pa: PowerActionSpec) -> bool:
-    return all(vp_valuation(t + 1, q) in (0, a) for q, a, t in pa.factors)
+HALL = Universe.of_specs(
+    "constructed Hall-Dedekind instances", lambda budget: [parse_spec(text) for text in _HALL_INSTANCES]
+)
 
 
-def _pa_spec(pa: PowerActionSpec) -> GroupSpec:
-    return GroupSpec("PowerAction", (pa.p, pa.alpha, *pa.factors))
-
-
-def _run_theorem3_valuations(budget: Budget) -> ClaimResult:
-    limit = min(budget.order_cap, 400)
-    universe, rejected = _power_action_universe(limit)
-    restricted = [pa for pa in universe if all(pa.p > q for q, _, _ in pa.factors)]
-    instances = []
-    for pa in restricted:
-        g = build_group(_pa_spec(pa), budget)
-        instances.append((_witness(_pa_spec(pa)), is_pnc_group(g, budget), _valuation_side(pa)))
-    notes = [
-        f"consistency filter rejected {rejected} twist assignments up to order {limit}",
-        f"restricted universe (acting prime above kernel primes): {len(restricted)} valid specs",
-    ]
-    mismatches = 0
-    sweep_sides = {True: 0, False: 0}
-    for pa in universe:
-        g = build_group(_pa_spec(pa), budget)
-        lhs = is_pnc_group(g, budget)
-        rhs = _valuation_side(pa)
-        sweep_sides[rhs] += 1
-        if lhs != rhs:
-            mismatches += 1
-    notes.append(
-        "exploratory sweep without the prime-order hypothesis: "
-        f"{len(universe)} specs, biconditional sides (rhs true/false) = "
-        f"{sweep_sides[True]}/{sweep_sides[False]}, mismatches = {mismatches}"
-    )
-    notes.append(
-        "group-consistency already forces each twist to satisfy the valuation condition, "
-        "so the biconditional has no false side to exercise"
-    )
-    return _iff_result("theorem3-valuations", instances, [], notes)
-
-
-def _run_power_action_formulas(budget: Budget) -> ClaimResult:
-    universe, _ = _power_action_universe(min(budget.order_cap, 300))
-    counterexamples, checked = [], 0
-    for pa in universe[:60]:
-        spec = _pa_spec(pa)
-        g = build_group(spec, budget)
-        q = pa.p**pa.alpha
-        moduli = [pi**ai for pi, ai, _ in pa.factors]
-        a_total = math.prod(moduli)
-
-        def encode(s, exps):
-            idx = s % q
-            for e, m in zip(exps, moduli):
-                idx = idx * m + (e % m)
-            return idx
-
-        checked += 1
-        samples = list(itertools.islice(
-            itertools.product(range(1, q), *[range(m) for m in moduli]), 100
-        ))
-        ok = True
-        for sample in samples:
-            s, ks = sample[0], sample[1:]
-            w = encode(0, ks)
-            a_s = encode(s, [0] * len(moduli))
-            lhs = int(g.mul[g.mul[g.inv[w], a_s], w])  # (a^s)^w
-            rhs = encode(s, [k * (1 - pow(-t % m, s, m)) for k, (pi, ai, t), m in zip(ks, pa.factors, moduli)])
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
-            pairs = list(itertools.islice(itertools.product(range(q), *[range(m) for m in moduli], repeat=2), 100))
-            width = 1 + len(moduli)
-            for pair in pairs:
-                s1, f = pair[0], pair[1:width]
-                s2, u = pair[width], pair[width + 1:]
-                g1 = encode(s1, f)
-                g2 = encode(s2, u)
-                lhs = int(g.mul[g1, g2])
-                rhs = encode(
-                    s1 + s2,
-                    [ui + pow(-t % m, s2, m) * fi for fi, ui, (pi, ai, t), m in zip(f, u, pa.factors, moduli)],
-                )
-                if lhs != rhs:
-                    ok = False
-                    break
-        if not ok:
-            counterexamples.append(_witness(spec, detail="table disagrees with twist-power formula"))
-    return _must_hold_result("power-action-formulas", checked, counterexamples, [], [])
+def _hall_sufficiency(spec: GroupSpec, g: Group, budget: Budget):
+    kernel = _hall_dedekind_hypothesis(g, budget)
+    if kernel is None:
+        yield _witness(spec, detail="instance does not satisfy the hypothesis")
+    elif not is_pnc_group(g, budget):
+        yield _witness(spec, detail="hypothesis holds but group is not PNC")
+    else:
+        yield _first_failure(
+            spec,
+            all_subgroups(g, budget).class_representatives(),
+            lambda h: not np.isin(
+                kernel.members, np.union1d(normalizer_members(g, h.members), normal_closure_members(g, h.members))
+            ).all(),
+            "some a in A avoids both N_G(H) and H^G",
+        )
 
 
 def _hall_dedekind_hypothesis(g: Group, budget: Budget) -> Subgroup | None:
@@ -1323,46 +1145,6 @@ _HALL_INSTANCES = (
 )
 
 
-def _run_sufficiency_hall(budget: Budget) -> ClaimResult:
-    from .catalog import parse_spec
-
-    counterexamples, checked, notes = [], 0, []
-    for text in _HALL_INSTANCES:
-        spec = parse_spec(text)
-        g = build_group(spec, budget)
-        checked += 1
-        kernel = _hall_dedekind_hypothesis(g, budget)
-        if kernel is None:
-            counterexamples.append(_witness(spec, detail="instance does not satisfy the hypothesis"))
-            continue
-        if not is_pnc_group(g, budget):
-            counterexamples.append(_witness(spec, detail="hypothesis holds but group is not PNC"))
-            continue
-        lat = all_subgroups(g, budget)
-        for h in lat.class_representatives():
-            norm_mask = np.zeros(g.order, dtype=bool)
-            norm_mask[normalizer_members(g, h.members)] = True
-            clo_mask = np.zeros(g.order, dtype=bool)
-            clo_mask[normal_closure_members(g, h.members)] = True
-            if not (norm_mask[kernel.members] | clo_mask[kernel.members]).all():
-                counterexamples.append(_witness(spec, h, "some a in A avoids both N_G(H) and H^G"))
-                break
-    notes.append("each instance re-checked elementwise: every a in the Hall kernel lies in N_G(H) or H^G")
-    return _must_hold_result("sufficiency-hall", checked, counterexamples, skipped=[], notes=notes)
-
-
-def _min_non_pe_gate(g: Group, budget: Budget, proper_condition) -> bool:
-    if is_pe_group(g, budget):
-        return False
-    lat = all_subgroups(g, budget)
-    for rep in lat.class_representatives():
-        if rep.order == g.order:
-            continue
-        if not proper_condition(subgroup_as_group(g, rep)):
-            return False
-    return True
-
-
 _MIN_NON_PE_INSTANCES = (
     "Dihedral(4)",
     "Modular(3,2)",
@@ -1372,133 +1154,89 @@ _MIN_NON_PE_INSTANCES = (
 )
 
 
-def _run_min_non_pe_shapes(budget: Budget) -> ClaimResult:
-    from .catalog import parse_spec
-
-    members, skipped = _catalog_members(budget)
-    counterexamples, checked, notes = [], 0, []
-    proper = lambda child: is_solvable(child) and is_pnc_group(child, budget)
-    gate_members = []
-    for spec, g in members:
-        hit = _guarded(skipped, spec, lambda: _min_non_pe_gate(g, budget, proper))
-        if hit:
-            gate_members.append((spec, g))
-    for spec, g in gate_members:
-        checked += 1
-        if len(primes_of(g.order)) > 2:
-            counterexamples.append(_witness(spec, detail="more than two prime divisors"))
-            continue
-        matched = [name for name, fn in THM1_SHAPES if fn(g, budget)]
-        if not matched:
-            counterexamples.append(_witness(spec, detail="matches no shape"))
-        else:
-            notes.append(f"{_spec_str(spec)} matches: {', '.join(matched)}")
-    for text in _MIN_NON_PE_INSTANCES:
-        spec = parse_spec(text)
-        g = build_group(spec, budget)
-        checked += 1
-        if not _min_non_pe_gate(g, budget, proper):
-            counterexamples.append(
-                _witness(spec, detail="expected non-PE with all proper subgroups solvable PNC")
-            )
-    return _must_hold_result("min-non-pe-shapes", checked, counterexamples, skipped, notes)
+def _min_non_pe_gate(g: Group, budget: Budget, proper_condition) -> bool:
+    """Not PE, while every proper subgroup satisfies ``proper_condition(child)``."""
+    if is_pe_group(g, budget):
+        return False
+    return all(
+        proper_condition(subgroup_as_group(g, rep))
+        for rep in all_subgroups(g, budget).class_representatives()
+        if rep.order != g.order
+    )
 
 
-def _run_min_non_pe_proper_on(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget)
-    counterexamples, checked, notes = [], 0, []
-    proper = lambda child: is_on_group(child, budget)
-    for spec, g in members:
-        hit = _guarded(skipped, spec, lambda: _min_non_pe_gate(g, budget, proper))
-        if not hit:
-            continue
-        checked += 1
-        matched = [name for name, fn in THM2_SHAPES if fn(g, budget)]
-        if not matched:
-            counterexamples.append(_witness(spec, detail="matches no shape"))
-        else:
-            notes.append(f"{_spec_str(spec)} matches: {', '.join(matched)}")
-    return _must_hold_result("min-non-pe-proper-on", checked, counterexamples, skipped, notes)
+def _min_non_pe_over_solvable_pnc(g: Group, budget: Budget) -> bool:
+    return _min_non_pe_gate(g, budget, lambda child: _is_solvable_pnc(child, budget))
 
 
-def _run_on_characterization(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget, max_order=120)
-    instances, notes = [], []
-    positives, negatives = [], []
-    for spec, g in members:
-        data = _guarded(
-            skipped,
-            spec,
-            lambda: (is_on_group(g, budget), is_dedekind(g, budget) or on_structural(g, budget)),
+MIN_NON_PE_OVER_SOLVABLE_PNC = CATALOG.where(
+    "non-PE catalog members whose proper subgroups are solvable PNC", _min_non_pe_over_solvable_pnc
+)
+MIN_NON_PE_OVER_ON = CATALOG.where(
+    "non-PE catalog members whose proper subgroups are ON",
+    lambda g, budget: _min_non_pe_gate(g, budget, lambda child: is_on_group(child, budget)),
+)
+
+
+def _shapes(shapes):
+    def check(spec: GroupSpec, g: Group, budget: Budget):
+        matched = [name for name, fn in shapes if fn(g, budget)]
+        if matched:
+            yield f"{spec.to_string()} matches: {', '.join(matched)}"
+        yield None if matched else _witness(spec, detail="matches no shape")
+
+    return check
+
+
+def _thm1_shapes(spec: GroupSpec, g: Group, budget: Budget):
+    if len(primes_of(g.order)) > 2:
+        return [_witness(spec, detail="more than two prime divisors")]
+    return _shapes(THM1_SHAPES)(spec, g, budget)
+
+
+def _on_sides_note(budget: Budget, result: ClaimResult) -> None:
+    s3, d4 = (build_group(parse_spec(text), budget) for text in ("Sym(3)", "Dihedral(4)"))
+    if is_on_group(s3, budget) and not is_on_group(d4, budget):
+        result.notes.append("positive side includes Sym(3) and the Dedekind members; Dihedral(4) is negative")
+
+
+MAXIMALS_SOLVABLE_PNC = CATALOG.where(
+    "nontrivial catalog members whose maximal subgroups are solvable PNC",
+    lambda g, budget: g.order > 1 and _all_maximals_satisfy(g, budget, lambda m: _is_solvable_pnc(m, budget)),
+)
+
+
+def _maximal_pnc_dichotomy(spec: GroupSpec, g: Group, budget: Budget):
+    if _profile_key(g) == _reference_profile("SL2(3)"):
+        yield (
+            f"dichotomy refuted on {spec.to_string()}: all maximal subgroups solvable PNC, "
+            "yet the group is neither 2-nilpotent nor minimal non-abelian "
+            "(it has a proper non-abelian Q8); reported, not asserted"
         )
-        if data is None:
-            continue
-        lhs, rhs = data
-        (positives if lhs else negatives).append(_spec_str(spec))
-        instances.append((_witness(spec), lhs, rhs))
-    if "Sym(3)" in positives and "Dihedral(4)" in negatives:
-        notes.append("positive side includes Sym(3) and the Dedekind members; Dihedral(4) is negative")
-    return _iff_result("on-characterization", instances, skipped, notes)
+        return
+    ok = is_p_nilpotent(g, 2, budget) or shape_minimal_nonabelian_pq(g, budget, force_p2=True)
+    yield None if ok else _witness(spec, detail="gate holds but conclusion fails")
 
 
-def _run_maximal_pnc_dichotomy(budget: Budget) -> ClaimResult:
-    members, skipped = _catalog_members(budget)
-    counterexamples, checked, notes = [], 0, []
-    sl23_key = _reference_profile("SL2(3)")
-    for spec, g in members:
-        if g.order == 1:
-            continue
-        gate = _guarded(
-            skipped,
-            spec,
-            lambda: _all_maximals_satisfy(
-                g, budget, lambda m: is_solvable(m) and is_pnc_group(m, budget)
-            ),
-        )
-        if not gate:
-            continue
-        conclusion = is_p_nilpotent(g, 2, budget) or shape_minimal_nonabelian_pq(
-            g, budget, force_p2=True
-        )
-        if _profile_key(g) == sl23_key:
-            notes.append(
-                f"dichotomy refuted on {_spec_str(spec)}: all maximal subgroups solvable PNC, "
-                "yet the group is neither 2-nilpotent nor minimal non-abelian "
-                "(it has a proper non-abelian Q8); reported, not asserted"
-            )
-            continue
-        checked += 1
-        if not conclusion:
-            counterexamples.append(_witness(spec, detail="gate holds but conclusion fails"))
-    return _must_hold_result("maximal-pnc-dichotomy", checked, counterexamples, skipped, notes)
-
-
-def _second_maximals_all_solvable_pnc(g: Group, budget: Budget):
-    bad = []
-    for s in second_maximal_subgroups(g, budget):
-        child = subgroup_as_group(g, s)
-        if not (is_solvable(child) and is_pnc_group(child, budget)):
-            bad.append(s)
-    return bad
+def _second_maximals_not_solvable_pnc(g: Group, budget: Budget) -> list[Subgroup]:
+    return [
+        s for s in second_maximal_subgroups(g, budget) if not _is_solvable_pnc(subgroup_as_group(g, s), budget)
+    ]
 
 
 def _run_simple_second_maximal(budget: Budget) -> ClaimResult:
-    counterexamples, checked, notes = [], 0, []
     skipped = [
         {"group": "PSL2(13)", "reason": "order-budget: permanently skipped (order 1092 lattice)"},
         {"group": "PSL2(27)", "reason": "order-budget: permanently skipped (order 9828)"},
     ]
+    counterexamples, notes = [], []
     for q in (4, 5, 8):
         spec = GroupSpec("PSL2", (q,))
-        g = build_group(spec, budget)
-        checked += 1
-        bad = _second_maximals_all_solvable_pnc(g, budget)
+        bad = _second_maximals_not_solvable_pnc(build_group(spec, budget), budget)
         if bad:
             counterexamples.append(_witness(spec, bad[0], "second maximal not solvable PNC"))
     spec7 = GroupSpec("PSL2", (7,))
-    g7 = build_group(spec7, budget)
-    checked += 1
-    bad7 = _second_maximals_all_solvable_pnc(g7, budget)
+    bad7 = _second_maximals_not_solvable_pnc(build_group(spec7, budget), budget)
     if bad7:
         notes.append(
             f"excluded case: PSL(2,7) has {len(bad7)} second maximal subgroups that are not solvable PNC "
@@ -1506,7 +1244,7 @@ def _run_simple_second_maximal(budget: Budget) -> ClaimResult:
         )
     else:
         counterexamples.append(_witness(spec7, detail="expected a non-PNC second maximal subgroup"))
-    return _must_hold_result("simple-second-maximal", checked, counterexamples, skipped, notes)
+    return _must_hold_result("simple-second-maximal", 4, counterexamples, skipped, notes)
 
 
 def _run_nonsolvable_second_maximal(budget: Budget) -> ClaimResult:
@@ -1515,38 +1253,21 @@ def _run_nonsolvable_second_maximal(budget: Budget) -> ClaimResult:
         {"group": "SL2(243)", "reason": "order-budget: permanently skipped"},
     ]
     spec = GroupSpec("SL2", (5,))
-    g = build_group(spec, budget)
-    bad = _second_maximals_all_solvable_pnc(g, budget)
+    bad = _second_maximals_not_solvable_pnc(build_group(spec, budget), budget)
     counterexamples = [_witness(spec, b, "second maximal not solvable PNC") for b in bad[:1]]
     return _must_hold_result("nonsolvable-second-maximal", 1, counterexamples, skipped, [])
 
 
-def _run_sn_probe(budget: Budget) -> ClaimResult:
-    notes, skipped = [], []
-    checked = 0
-    for n in (3, 4, 5, 6, 7):
-        spec = GroupSpec("Sym", (n,))
-        try:
-            g = build_group(spec, budget)
-            witness = pnc_witness(g, budget)
-        except BudgetExceededError as e:
-            skipped.append({"group": _spec_str(spec), "reason": str(e)})
-            continue
-        checked += 1
-        if witness is None:
-            notes.append(f"S{n}: PNC")
-        else:
-            notes.append(
-                f"S{n}: not PNC, witness subgroup of order {witness.order} "
-                f"with members {witness.members.tolist()}"
-            )
-    return ClaimResult("sn-probe", "reportOnly", checked, [], skipped, notes)
+def _sn_status(spec: GroupSpec, g: Group, budget: Budget):
+    n, witness = spec.params[0], pnc_witness(g, budget)
+    if witness is None:
+        yield f"S{n}: PNC"
+    else:
+        yield f"S{n}: not PNC, witness subgroup of order {witness.order} with members {witness.members.tolist()}"
+    yield None
 
 
 def _run_c3_semi_d4_remark(budget: Budget) -> ClaimResult:
-    from .groups import automorphism_from_generator_images, direct_product
-    from .errors import NotAutomorphismError
-
     d4 = build_group(GroupSpec("Dihedral", (4,)), budget)
     # count automorphisms by brute force over generator images
     orders = d4.element_orders()
@@ -1572,64 +1293,126 @@ def _run_c3_semi_d4_remark(budget: Budget) -> ClaimResult:
     return ClaimResult("c3-semi-d4-remark", "reportOnly", 1, [], [], notes)
 
 
-def _run_self_normalizer_probe(budget: Budget) -> ClaimResult:
-    members, skipped = _solvable_pnc_members(budget)
-    notes = []
-    for spec, g in members:
-        lat = all_subgroups(g, budget)
-        has_proper_normalizer = any(
-            normalizer_members(g, s.members).size < g.order for s in lat.class_representatives()
-        )
-        notes.append(
-            f"{_spec_str(spec)}: some subgroup has proper normalizer = {has_proper_normalizer}, "
-            f"Dedekind = {is_dedekind(g, budget)}"
-        )
-    return ClaimResult("self-normalizer-probe", "reportOnly", len(members), [], skipped, notes)
-
 
 # --- registry and runner -------------------------------------------------------------
 
 
 def claim_registry() -> list[Claim]:
     claims = [
-        Claim("pnc-implies-t", "mustHold", "standard catalog", _run_pnc_implies_t),
-        Claim("nilpotent-pnc-iff-dedekind", "iff", "nilpotent catalog members", _run_nilpotent_pnc_iff_dedekind),
-        Claim("solvable-pnc-supersolvable", "mustHold", "solvable catalog members + converse probe", _run_solvable_pnc_supersolvable),
-        Claim("nc-iff-commutator", "iff", "all subgroups of catalog members of order <= 120", _run_nc_iff_commutator),
-        Claim("solvable-pnc-equivalences", "mustHold", "solvable PNC catalog members", _run_solvable_pnc_equivalences),
-        Claim("normalizer-closure", "mustHold", "solvable PNC catalog members", _run_normalizer_closure),
-        Claim("nilpotent-subgroups-dedekind", "mustHold", "solvable PNC catalog members", _run_nilpotent_subgroups_dedekind),
-        Claim("min-prime-pnilpotent", "mustHold", "solvable PNC catalog members + probe", _run_min_prime_pnilpotent),
-        Claim("max-prime-order-normal", "mustHold", "solvable PNC members asserted; non-solvable reported", _run_max_prime_order_normal),
-        Claim("sylow-in-closure", "mustHold", "p-subgroups of solvable PNC catalog members", _run_sylow_in_closure),
-        Claim("fstar-class", "mustHold", "solvable PNC members asserted; non-solvable reported", _run_fstar_class),
-        Claim("structure-bundle", "mustHold", "solvable PNC catalog members", _run_structure_bundle),
-        Claim("component-lemma", "mustHold", "commuting normal factorizations in catalog members <= 120", _run_component_lemma),
-        Claim("coprime-direct-product", "mustHold", "20 seeded coprime PNC pairs + probe", _run_coprime_direct_product),
-        Claim("quotient-closure", "mustHold", "normal subgroups of PNC members <= 120 + converse probe", _run_quotient_closure),
-        Claim("normal-subgroup-closure", "mustHold", "normal subgroups of PNC members <= 120 + probe", _run_normal_subgroup_closure),
-        Claim("central-p-lift", "iff", "catalog members with central prime-order x, |G|_p = p", _run_central_p_lift),
-        Claim("nc-quotient-correspondence", "iff", "triples N <= K <= G over catalog members <= 60", _run_nc_quotient_correspondence),
-        Claim("nc-direct-factor", "iff", "factor subgroups of catalog direct products", _run_nc_direct_factor),
+        forall("pnc-implies-t", CATALOG, lambda spec, g, budget: [
+            _witness(spec, detail="PNC but not a T-group")
+            if is_pnc_group(g, budget) and not is_t_group(g, budget) else None
+        ]),
+        iff("nilpotent-pnc-iff-dedekind", NILPOTENT, lambda spec, g, budget: [
+            (_witness(spec), is_pnc_group(g, budget), is_dedekind(g, budget))
+        ]),
+        forall(
+            "solvable-pnc-supersolvable", SOLVABLE_PNC,
+            lambda spec, g, budget: [
+                None if is_supersolvable(g, budget) else _witness(spec, detail="solvable PNC but not supersolvable")
+            ],
+            probe("C2sqSemiC4", lambda g, budget: is_supersolvable(g, budget) and not is_pnc_group(g, budget),
+                  "converse fails: C2sqSemiC4 is supersolvable and not PNC", "expected supersolvable non-PNC witness"),
+        ),
+        iff("nc-iff-commutator", CATALOG_120, _nc_vs_commutator),
+        forall("solvable-pnc-equivalences", SOLVABLE_PNC, _solvable_pnc_equivalences,
+               fixed_note(f"items checked per group: {', '.join(_EQUIV_ITEMS)}")),
+        forall("normalizer-closure", SOLVABLE_PNC, lambda spec, g, budget: [_first_failure(
+            spec, all_subgroups(g, budget).class_representatives(),
+            lambda rep: normal_closure_members(g, normalizer_members(g, rep.members)).size != g.order,
+            "normalizer has proper normal closure",
+        )]),
+        forall("nilpotent-subgroups-dedekind", SOLVABLE_PNC, lambda spec, g, budget: [_first_failure(
+            spec, all_subgroups(g, budget).class_representatives(),
+            lambda rep: is_nilpotent(subgroup_as_group(g, rep), budget)[0]
+            and not is_dedekind(subgroup_as_group(g, rep), budget),
+            "nilpotent subgroup is not Dedekind",
+        )]),
+        forall(
+            "min-prime-pnilpotent", SOLVABLE_PNC,
+            lambda spec, g, budget: [
+                None if is_p_nilpotent(g, p, budget) else _witness(spec, detail=f"not {p}-nilpotent at minimal prime")
+                for p in primes_of(g.order)[:1]
+            ],
+            probe("Direct(Cyclic(5),Sym(3))",
+                  lambda g, budget: is_pnc_group(g, budget) and not is_p_nilpotent(g, 3, budget)
+                  and is_p_nilpotent(g, 2, budget),
+                  "minimality needed: C5 x S3 is PNC, 2-nilpotent, and not 3-nilpotent",
+                  "expected non-minimal-prime failure did not reproduce"),
+        ),
+        forall("max-prime-order-normal", PNC, _max_prime_order_normal),
+        forall("sylow-in-closure", SOLVABLE_PNC, _sylow_in_closure),
+        forall("fstar-class", PNC, _fstar_class),
+        forall("structure-bundle", SOLVABLE_PNC, _structure_bundle),
+        forall("component-lemma", CATALOG_120, _component_lemma),
+        forall(
+            "coprime-direct-product", COPRIME_PNC_PAIRS,
+            lambda spec, g, budget: [
+                None if is_pnc_group(g, budget) else _witness(spec, detail="coprime product not PNC")
+            ],
+            _coprime_remarks,
+        ),
+        forall("quotient-closure", PNC_120, _quotients_pnc,
+               probe("Dihedral(4)", _d4_converse,
+                     "converse fails: D4 is not PNC while all nontrivial quotients are PNC",
+                     "expected converse witness")),
+        forall("normal-subgroup-closure", PNC_120, _normal_subgroups_pnc,
+               probe("Direct(Cyclic(7),Alt(5))", _has_non_pnc_a4,
+                     "normality needed: C7 x A5 is PNC with a non-PNC subgroup of A4 type",
+                     "expected non-normal A4 witness", counted=False)),
+        iff("central-p-lift", CATALOG_500, _central_p_lift,
+            probe("C5xC3SemiD4", _central_c2_needs_hypothesis,
+                  "|G|_p = p needed: (C5xC3):D4 has central C2 with |G|_2 = 8, quotient PNC, group not PNC",
+                  "expected hypothesis-violation witness", counted=False)),
+        iff("nc-quotient-correspondence", CATALOG_60, _nc_mod_normal,
+            probe("Dihedral(4)", _d4_needs_containment,
+                  "containment needed: D4 has K of order 2, not NC, whose image mod a disjoint C2^2 is NC",
+                  "expected containment-violation witness", counted=False)),
+        iff("nc-direct-factor", CATALOG_DIRECT, _nc_in_factor,
+            probe("D4SemiS3", _d4_s3_semidirect_fails,
+                  "semidirect fails: D4:S3 has a C2^2 that is NC in the D4 factor but not NC in G",
+                  "expected semidirect witness", counted=False)),
         Claim("gu23-remarks", "mustHold", "the order-96 unitary group", _run_gu23_remarks),
-        Claim("dihedral-maximals", "mustHold", "dihedral groups, 3 <= n <= 24", _run_dihedral_maximals),
-        Claim("dihedral-iff", "iff", "dihedral groups, 3 <= n <= 40", _run_dihedral_iff),
-        Claim("dicyclic-iff", "iff", "dicyclic groups, 2 <= n <= 12", _run_dicyclic_iff),
-        Claim("power-action-formulas", "mustHold", "valid power-action specs (bounded sweep)", _run_power_action_formulas),
-        Claim("theorem3-valuations", "iff", "valid power-action specs with dominant acting prime", _run_theorem3_valuations),
-        Claim("sufficiency-hall", "mustHold", "constructed Hall-Dedekind instances", _run_sufficiency_hall),
-        Claim("min-non-pe-shapes", "mustHold", "catalog gate + named instances", _run_min_non_pe_shapes),
-        Claim("min-non-pe-proper-on", "mustHold", "catalog gate", _run_min_non_pe_proper_on),
-        Claim("on-characterization", "iff", "catalog members of order <= 120", _run_on_characterization),
-        Claim("maximal-pnc-dichotomy", "mustHold", "catalog members (SL(2,3) family reported)", _run_maximal_pnc_dichotomy),
-        Claim("simple-second-maximal", "mustHold", "PSL(2,q), q in {4,5,7,8}; 13 and 27 skipped", _run_simple_second_maximal),
-        Claim("nonsolvable-second-maximal", "mustHold", "SL(2,5); SL(2,3^r) for r >= 3 skipped", _run_nonsolvable_second_maximal),
-        Claim("sn-probe", "reportOnly", "symmetric groups S3..S7", _run_sn_probe),
+        forall("dihedral-maximals", DIHEDRAL_24, _dihedral_maximals),
+        iff("dihedral-iff", DIHEDRAL_40, _pnc_iff_4_does_not_divide_n),
+        iff("dicyclic-iff", DICYCLIC_12, _pnc_iff_4_does_not_divide_n),
+        forall("power-action-formulas", POWER_ACTION, _power_action_formulas),
+        iff("theorem3-valuations", POWER_ACTION_DOMINANT, lambda spec, g, budget: [
+            (_witness(spec), is_pnc_group(g, budget), _valuation_side(spec.params[2:]))
+        ], _theorem3_sweep),
+        forall("sufficiency-hall", HALL, _hall_sufficiency, fixed_note(
+            "each instance re-checked elementwise: every a in the Hall kernel lies in N_G(H) or H^G"
+        )),
+        forall(
+            "min-non-pe-shapes", MIN_NON_PE_OVER_SOLVABLE_PNC, _thm1_shapes,
+            *(
+                probe(text, _min_non_pe_over_solvable_pnc, None,
+                      "expected non-PE with all proper subgroups solvable PNC")
+                for text in _MIN_NON_PE_INSTANCES
+            ),
+        ),
+        forall("min-non-pe-proper-on", MIN_NON_PE_OVER_ON, _shapes(THM2_SHAPES)),
+        iff("on-characterization", CATALOG_120, lambda spec, g, budget: [
+            (_witness(spec), is_on_group(g, budget), is_dedekind(g, budget) or on_structural(g, budget))
+        ], _on_sides_note),
+        forall("maximal-pnc-dichotomy", MAXIMALS_SOLVABLE_PNC, _maximal_pnc_dichotomy),
+        Claim("simple-second-maximal", "mustHold", "PSL(2,q), q in {4,5,7,8}; 13 and 27 skipped",
+              _run_simple_second_maximal),
+        Claim("nonsolvable-second-maximal", "mustHold", "SL(2,5); SL(2,3^r) for r >= 3 skipped",
+              _run_nonsolvable_second_maximal),
+        forall("sn-probe", SYMMETRIC, _sn_status, expectation="reportOnly"),
         Claim("c3-semi-d4-remark", "reportOnly", "automorphism count + degenerate product", _run_c3_semi_d4_remark),
-        Claim("self-normalizer-probe", "reportOnly", "solvable PNC catalog members", _run_self_normalizer_probe),
+        forall("self-normalizer-probe", SOLVABLE_PNC, lambda spec, g, budget: [
+            f"{spec.to_string()}: some subgroup has proper normalizer = "
+            f"{any(s.normalizer < g.order for s in _class_sizes(g, budget))}, "
+            f"Dedekind = {is_dedekind(g, budget)}",
+            None,
+        ], expectation="reportOnly"),
     ]
-    assert len({c.id for c in claims}) == len(claims)
+    if len({c.id for c in claims}) != len(claims):
+        raise ConsistencyError("claim ids in the registry are not unique")
     return sorted(claims, key=lambda c: c.id)
+
 
 
 def run_claim(claim_id: str, budget: Budget = DEFAULT_BUDGET) -> ClaimResult:
@@ -1664,7 +1447,7 @@ def counterexample_search(expression: str, universe: list[GroupSpec], budget: Bu
             g = build_group(spec, budget)
             profile = classify_group(g, budget)
         except BudgetExceededError as e:
-            skipped.append({"group": _spec_str(spec), "reason": str(e)})
+            _skip(skipped, spec, e)
             continue
         if predicate(profile.flags()):
             matches.append(spec)

@@ -43,8 +43,6 @@ DEFAULT_BUDGET = Budget()
 class CliConfig:
     budget: Budget = DEFAULT_BUDGET
     parallelism: int = 1
-    output_format: str = "text"
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.parallelism < 1:

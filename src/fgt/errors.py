@@ -61,6 +61,10 @@ class UnknownClaimError(FgtError):
     pass
 
 
+class ConsistencyError(FgtError):
+    """An internal invariant failed: the computation itself is broken, not the input."""
+
+
 class BudgetExceededError(FgtError):
     """Raised when a construction or enumeration passes its configured budget.
 

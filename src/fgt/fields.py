@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
+    ConsistencyError,
     DegreeMismatchError,
     DivisionByZeroError,
     FieldMismatchError,
@@ -239,7 +240,7 @@ def multiplicative_generator(f: FieldSpec) -> int:
     for a in range(1, f.size):
         if element_multiplicative_order(f, a) == target:
             return a
-    raise AssertionError("multiplicative group not cyclic; field construction is broken")
+    raise ConsistencyError("multiplicative group not cyclic; field construction is broken")
 
 
 # --- permutations -----------------------------------------------------------

@@ -220,24 +220,6 @@ def generate_matrix_group(generators, label: str, budget: Budget = DEFAULT_BUDGE
     return Group(mul, label, gen_idx, spec=spec)
 
 
-def generate_abstract_group(generators, mul_fn, identity, label: str, budget: Budget = DEFAULT_BUDGET, spec=None) -> Group:
-    """Closure over any hashable element domain with a supplied product."""
-    elems, index = _bfs_elements(identity, list(generators), mul_fn, budget.order_cap)
-    n = len(elems)
-    mul = np.empty((n, n), dtype=np.uint16)
-    for a in range(n):
-        ea = elems[a]
-        row = mul[a]
-        for b in range(n):
-            row[b] = index[mul_fn(ea, elems[b])]
-    gen_idx = [index[g] for g in generators if g in index]
-    return Group(mul, label, gen_idx, spec=spec)
-
-
-def group_from_table(mul, label: str, generators, spec=None) -> Group:
-    return Group(mul, label, generators, spec=spec)
-
-
 def minimal_generators(group: Group) -> tuple[int, ...]:
     """Greedy deterministic generating set (first elements extending the closure)."""
     if group.order == 1:
@@ -482,7 +464,7 @@ def order_fingerprint(g: Group, members=None) -> OrderProfile:
         center_order = members.size
     else:
         center_order = int((block == block.T).all(axis=1).sum())
-    comms = _commutator_values(g, members, members)
+    comms = commutators(g, members, members)
     derived = close_under_product(g.mul, comms, cutoff_to_full=False)
     return OrderProfile(
         int(members.size),
@@ -493,7 +475,8 @@ def order_fingerprint(g: Group, members=None) -> OrderProfile:
     )
 
 
-def _commutator_values(g: Group, a_members, b_members) -> np.ndarray:
+def commutators(g: Group, a_members, b_members) -> np.ndarray:
+    """Sorted distinct commutators [a, b] = a^-1 b^-1 a b over the two member sets."""
     a = np.asarray(a_members, dtype=np.intp)
     b = np.asarray(b_members, dtype=np.intp)
     m, i = g.mul, g.inv

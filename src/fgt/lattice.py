@@ -9,11 +9,12 @@ witness selection downstream is deterministic.
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_BUDGET, Budget
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConsistencyError
 from .groups import Group, close_under_product
 
 
@@ -73,6 +74,14 @@ def full_subgroup(g: Group) -> Subgroup:
     return Subgroup(g, np.arange(g.order))
 
 
+class ClassSizes(NamedTuple):
+    """Orders of N_G(H), H^G and their meet; the same for every conjugate of H."""
+
+    normalizer: int
+    closure: int
+    meet: int
+
+
 class SubgroupLattice:
     def __init__(self, group: Group, subgroups: list[Subgroup], budget: Budget):
         self.group = group
@@ -83,6 +92,9 @@ class SubgroupLattice:
         self.maximal = np.zeros(len(subgroups), dtype=bool)
         self.class_id = np.full(len(subgroups), -1, dtype=np.int64)
         self._annotate()
+        # class ids follow the sort order, so the first index of each id is its representative
+        self.rep_indices = np.unique(self.class_id, return_index=True)[1].tolist()
+        self._class_sizes: dict[int, ClassSizes] = {}
 
     def _annotate(self):
         g = self.group
@@ -103,7 +115,7 @@ class SubgroupLattice:
                     conjugated = np.sort(conj[gen][mem])
                     j = self.index_by_key.get(_key_of(g.order, conjugated))
                     if j is None:
-                        raise AssertionError("lattice not closed under conjugation")
+                        raise ConsistencyError("lattice not closed under conjugation")
                     if self.subgroups[j].key not in seen:
                         seen.add(self.subgroups[j].key)
                         self.class_id[j] = next_class
@@ -131,18 +143,22 @@ class SubgroupLattice:
     def subgroup_index(self, sub: Subgroup) -> int:
         idx = self.index_by_key.get(sub.key)
         if idx is None:
-            raise AssertionError("subgroup not in lattice")
+            raise ConsistencyError("subgroup not in lattice")
         return idx
 
     def class_representatives(self) -> list[Subgroup]:
-        seen: set[int] = set()
-        reps = []
-        for i, sub in enumerate(self.subgroups):
-            cid = int(self.class_id[i])
-            if cid not in seen:
-                seen.add(cid)
-                reps.append(sub)
-        return reps
+        return [self.subgroups[i] for i in self.rep_indices]
+
+    def class_sizes(self, i: int) -> ClassSizes:
+        """Normalizer, normal closure and meet orders of subgroup i's class, computed on first use.
+
+        Threads racing on one class both compute it and store equal values.
+        """
+        cid = int(self.class_id[i])
+        sizes = self._class_sizes.get(cid)
+        if sizes is None:
+            sizes = self._class_sizes[cid] = normality_sizes(self.group, self.subgroups[i].members)
+        return sizes
 
     def conjugacy_class_size(self, i: int) -> int:
         return int((self.class_id == self.class_id[i]).sum())
@@ -278,6 +294,12 @@ def normal_closure_members(g: Group, members, within=None) -> np.ndarray:
         if np.isin(spread, cur, assume_unique=True).all():
             return cur
         cur = close_under_product(g.mul, np.union1d(cur, spread), cutoff_to_full=False)
+
+
+def normality_sizes(g: Group, members) -> ClassSizes:
+    norm = normalizer_members(g, members)
+    closure = normal_closure_members(g, members)
+    return ClassSizes(norm.size, closure.size, np.intersect1d(norm, closure, assume_unique=True).size)
 
 
 def centralizer_members(g: Group, members) -> np.ndarray:

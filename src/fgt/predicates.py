@@ -12,24 +12,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_BUDGET, Budget
-from .errors import NotApplicableError, NotSolvableError
+from .errors import ConsistencyError, NotApplicableError, NotSolvableError
+from .fields import is_prime
 from .groups import (
     Group,
     OrderProfile,
     close_under_product,
+    commutators,
     extract_subgroup_as_group,
     order_fingerprint,
     quotient_group,
 )
 from .lattice import (
+    ClassSizes,
     Subgroup,
-    SubgroupLattice,
     all_subgroups,
     centralizer_members,
-    normal_closure_members,
+    is_subnormal,
+    normality_sizes,
     normalizer_members,
-    subgroup_meet,
-    subgroup_product,
 )
 
 
@@ -64,19 +65,19 @@ def p_part(n: int, p: int) -> int:
 # --- subgroup-level predicates ------------------------------------------------
 
 
+def _is_nc(order: int, sizes: ClassSizes) -> bool:
+    # H^G is normal, so H^G N_G(H) is a subgroup of order |H^G| |N_G(H)| / |meet|
+    return sizes.closure * sizes.normalizer // sizes.meet == order
+
+
 def is_nc_subgroup(g: Group, h: Subgroup) -> bool:
     """H^G N_G(H) = G."""
-    closure = Subgroup(g, normal_closure_members(g, h.members))
-    norm = Subgroup(g, normalizer_members(g, h.members))
-    _, equals_g = subgroup_product(g, closure, norm)
-    return equals_g
+    return _is_nc(g.order, normality_sizes(g, h.members))
 
 
 def is_ne_subgroup(g: Group, h: Subgroup) -> bool:
-    """N_G(H) and H^G meet exactly in H."""
-    closure = Subgroup(g, normal_closure_members(g, h.members))
-    norm = Subgroup(g, normalizer_members(g, h.members))
-    return subgroup_meet(g, norm, closure).key == h.key
+    """N_G(H) and H^G meet exactly in H (the meet always contains H)."""
+    return normality_sizes(g, h.members).meet == h.order
 
 
 def is_h_subgroup(g: Group, h: Subgroup) -> bool:
@@ -128,24 +129,9 @@ def is_normally_embedded(g: Group, h: Subgroup, budget: Budget = DEFAULT_BUDGET)
     return True
 
 
-def is_subnormal_subgroup(g: Group, h: Subgroup) -> bool:
-    from .lattice import is_subnormal
-
-    return is_subnormal(g, h)
-
-
 def commutator_subgroup(g: Group, a: Subgroup, b: Subgroup) -> Subgroup:
-    values = _commutators(g, a.members, b.members)
+    values = commutators(g, a.members, b.members)
     return Subgroup(g, close_under_product(g.mul, values, cutoff_to_full=False))
-
-
-def _commutators(g: Group, a_members, b_members) -> np.ndarray:
-    a = np.asarray(a_members, dtype=np.intp)
-    b = np.asarray(b_members, dtype=np.intp)
-    m, i = g.mul, g.inv
-    left = m[np.ix_(i[a], i[b])]
-    right = m[np.ix_(a, b)]
-    return np.unique(m[left, right])
 
 
 # --- series ---------------------------------------------------------------------
@@ -165,7 +151,7 @@ def derived_series(g: Group) -> SeriesReport:
     terms = [np.arange(g.order, dtype=np.intp)]
     while True:
         cur = terms[-1]
-        nxt = close_under_product(g.mul, _commutators(g, cur, cur), cutoff_to_full=False)
+        nxt = close_under_product(g.mul, commutators(g, cur, cur), cutoff_to_full=False)
         if nxt.size == cur.size:
             return SeriesReport("derived", terms, terminated=cur.size == 1)
         terms.append(nxt)
@@ -178,7 +164,7 @@ def lower_central_series(g: Group) -> SeriesReport:
     terms = [whole]
     while True:
         cur = terms[-1]
-        nxt = close_under_product(g.mul, _commutators(g, cur, whole), cutoff_to_full=False)
+        nxt = close_under_product(g.mul, commutators(g, cur, whole), cutoff_to_full=False)
         if nxt.size == cur.size:
             return SeriesReport("lowerCentral", terms, terminated=cur.size == 1)
         terms.append(nxt)
@@ -188,7 +174,7 @@ def lower_central_series(g: Group) -> SeriesReport:
 
 def derived_subgroup_members(g: Group) -> np.ndarray:
     whole = np.arange(g.order, dtype=np.intp)
-    return close_under_product(g.mul, _commutators(g, whole, whole), cutoff_to_full=False)
+    return close_under_product(g.mul, commutators(g, whole, whole), cutoff_to_full=False)
 
 
 def _preimage(hom_map, target_members, order: int) -> np.ndarray:
@@ -283,8 +269,6 @@ def is_supersolvable(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
     Memoized on the order profile of the group, which repeated quotient
     towers hit over and over.
     """
-    from .fields import is_prime
-
     if g.order == 1:
         return True
     key = order_fingerprint(g).key()
@@ -407,14 +391,12 @@ def generalized_fitting(g: Group, budget: Budget = DEFAULT_BUDGET):
     central quotient.  Returns (components, layer, fstar, fstar_class) where
     fstar_class is None when F* is not nilpotent.
     """
-    from .lattice import is_subnormal
-
     lattice = all_subgroups(g, budget)
     components: list[Subgroup] = []
     for s in lattice.subgroups:
         if s.order == 1:
             continue
-        derived = close_under_product(g.mul, _commutators(g, s.members, s.members), cutoff_to_full=False)
+        derived = close_under_product(g.mul, commutators(g, s.members, s.members), cutoff_to_full=False)
         if derived.size != s.order:
             continue  # not perfect
         if not is_subnormal(g, s):
@@ -450,23 +432,26 @@ def is_pnc_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
 
 
 def pnc_witness(g: Group, budget: Budget = DEFAULT_BUDGET) -> Subgroup | None:
-    """First (in sort order) subgroup that is not an NC-subgroup, if any."""
+    """First (in sort order) subgroup that is not an NC-subgroup, if any.
+
+    Class sizes are filled one class at a time, so the search stops filling
+    at the first witness.
+    """
     lattice = all_subgroups(g, budget)
-    for s in lattice.class_representatives():
-        if not is_nc_subgroup(g, s):
-            return s
+    for i in lattice.rep_indices:
+        if not _is_nc(g.order, lattice.class_sizes(i)):
+            return lattice.subgroups[i]
     return None
 
 
 def is_pe_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
     """Every minimal (prime-order) subgroup is an NE-subgroup."""
-    from .fields import is_prime
-
     lattice = all_subgroups(g, budget)
-    for s in lattice.class_representatives():
-        if is_prime(s.order) and not is_ne_subgroup(g, s):
-            return False
-    return True
+    return all(
+        lattice.class_sizes(i).meet == lattice.subgroups[i].order
+        for i in lattice.rep_indices
+        if is_prime(lattice.subgroups[i].order)
+    )
 
 
 def is_on_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -477,11 +462,12 @@ def is_on_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
     vacuously and break both the ON classification and the implication
     ON => NSN.
     """
-    for s in all_subgroups(g, budget).class_representatives():
-        norm_size = normalizer_members(g, s.members).size
-        if norm_size == g.order:
+    lattice = all_subgroups(g, budget)
+    for i in lattice.rep_indices:
+        sizes = lattice.class_sizes(i)
+        if sizes.normalizer == g.order:
             continue
-        if norm_size == s.order and normal_closure_members(g, s.members).size == g.order:
+        if sizes.normalizer == lattice.subgroups[i].order and sizes.closure == g.order:
             continue
         return False
     return True
@@ -489,33 +475,27 @@ def is_on_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
 
 def is_nsn_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
     """Every subgroup is normal or self-normalizing."""
-    for s in all_subgroups(g, budget).class_representatives():
-        size = normalizer_members(g, s.members).size
-        if size != s.order and size != g.order:
-            return False
-    return True
+    lattice = all_subgroups(g, budget)
+    return all(
+        lattice.class_sizes(i).normalizer in (lattice.subgroups[i].order, g.order)
+        for i in lattice.rep_indices
+    )
 
 
 def is_t_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """Every subnormal subgroup is normal."""
-    from .lattice import is_subnormal
+    """Every subnormal subgroup is normal.
 
+    A proper subgroup with full normal closure lies in no proper normal
+    subgroup, so it is not subnormal; only the other non-normal classes
+    need the subnormal chain.
+    """
     lattice = all_subgroups(g, budget)
-    for i, s in zip(_rep_indices(lattice), lattice.class_representatives()):
-        if not lattice.normal[i] and is_subnormal(g, s):
+    for i in lattice.rep_indices:
+        if lattice.normal[i] or lattice.class_sizes(i).closure == g.order:
+            continue
+        if is_subnormal(g, lattice.subgroups[i]):
             return False
     return True
-
-
-def _rep_indices(lattice: SubgroupLattice) -> list[int]:
-    seen: set[int] = set()
-    out = []
-    for i in range(len(lattice.subgroups)):
-        cid = int(lattice.class_id[i])
-        if cid not in seen:
-            seen.add(cid)
-            out.append(i)
-    return out
 
 
 # --- the profile --------------------------------------------------------------------
@@ -613,13 +593,13 @@ def classify_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> PredicateProfil
         cp={p: satisfies_cp(g, p, budget) for p in primes},
     )
     # internal consistency
-    if profile.abelian:
-        assert profile.dedekind, f"{g.label}: abelian but not Dedekind"
-    if profile.dedekind:
-        assert profile.pnc and profile.nsn, f"{g.label}: Dedekind must be PNC and NSN"
-    if profile.simple:
-        assert profile.pnc, f"{g.label}: simple must be PNC"
-    if profile.on:
-        assert profile.pnc and profile.nsn, f"{g.label}: ON must be PNC and NSN"
+    for holds, implied, message in (
+        (profile.abelian, profile.dedekind, "abelian but not Dedekind"),
+        (profile.dedekind, profile.pnc and profile.nsn, "Dedekind must be PNC and NSN"),
+        (profile.simple, profile.pnc, "simple must be PNC"),
+        (profile.on, profile.pnc and profile.nsn, "ON must be PNC and NSN"),
+    ):
+        if holds and not implied:
+            raise ConsistencyError(f"{g.label}: {message}")
     g._cache["predicate_profile"] = profile
     return profile

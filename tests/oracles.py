@@ -85,15 +85,31 @@ def brute_normalizer(mul: np.ndarray, inv: np.ndarray, members: set[int]) -> set
     return out
 
 
-def brute_normal_closure(mul: np.ndarray, inv: np.ndarray, members: set[int]) -> set[int]:
-    n = int(mul.shape[0])
-    conjugates = {int(mul[mul[g, x], inv[g]]) for g in range(n) for x in members}
-    cur = set(conjugates) | {0}
+def brute_normal_closure(mul: np.ndarray, inv: np.ndarray, members: set[int], within=None) -> set[int]:
+    """Smallest subgroup containing ``members`` and normalized by ``within`` (default: the group).
+
+    ``within`` must be a subgroup containing the identity; the set of its
+    conjugates of ``members`` is then invariant, and so is its closure.
+    """
+    conjugators = range(int(mul.shape[0])) if within is None else within
+    cur = {int(mul[mul[g, x], inv[g]]) for g in conjugators for x in members} | {0}
     while True:
         new = {int(mul[x, y]) for x in cur for y in cur}
         if new <= cur:
             return cur
         cur |= new
+
+
+def brute_is_subnormal(mul: np.ndarray, inv: np.ndarray, members: set[int]) -> bool:
+    """Walk the chain K_0 = G, K_{i+1} = normal closure of H in K_i down to H or a fixed point."""
+    current = set(range(int(mul.shape[0])))
+    while True:
+        nxt = brute_normal_closure(mul, inv, members, within=current)
+        if nxt == members:
+            return True
+        if nxt == current:
+            return False
+        current = nxt
 
 
 def maximal_prime_index_oracle(group, lattice) -> bool:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +206,16 @@ def test_min_non_pe_gate_members_match_shapes():
     r2 = run_claim("min-non-pe-proper-on", BUDGET)
     assert r2.verdict == "pass"
     assert "SL2(3)" in " ".join(r2.notes)
+
+
+# Per-claim digests of the timing-free output, recorded from the code before
+# claims were written as data; the heavy two claims ran under a lower order cap.
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "fgtbench" / "golden.json").read_text())
+HEAVY_CLAIM_BUDGET = Budget(order_cap=150)
+
+
+@pytest.mark.parametrize("claim_id", [c.id for c in claim_registry()])
+def test_claim_output_is_byte_identical_to_recorded_digest(claim_id):
+    budget = HEAVY_CLAIM_BUDGET if claim_id in ("theorem3-valuations", "sn-probe") else BUDGET
+    doc = run_claim(claim_id, budget).to_json(timing=False)
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == GOLDEN["claims"][claim_id]

@@ -7,7 +7,7 @@ from oracles import brute_normal_closure, brute_normalizer, exhaustive_subgroups
 
 from fgt.catalog import build_group, parse_spec
 from fgt.config import Budget
-from fgt.errors import BudgetExceededError
+from fgt.errors import BudgetExceededError, ConsistencyError
 from fgt.groups import order_fingerprint
 from fgt.lattice import (
     Subgroup,
@@ -298,3 +298,11 @@ def test_join_meet_laws_on_s4(x, y):
     assert join.mask()[a.members].all() and join.mask()[b.members].all()
     assert a.mask()[meet.members].all() and b.mask()[meet.members].all()
     assert g.order % join.order == 0 and g.order % meet.order == 0
+
+
+def test_subgroup_index_of_a_non_subgroup_raises_typed_error():
+    g = build("Cyclic(6)")
+    lat = all_subgroups(g, BUDGET)
+    assert lat.subgroup_index(Subgroup(g, [0, 3])) >= 0
+    with pytest.raises(ConsistencyError):
+        lat.subgroup_index(Subgroup(g, [0, 1]))

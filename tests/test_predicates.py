@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import maximal_prime_index_oracle
+from oracles import brute_is_subnormal, brute_normal_closure, brute_normalizer, maximal_prime_index_oracle
 
-from fgt.catalog import build_group, parse_spec
+from fgt.catalog import build_group, parse_spec, standard_catalog
 from fgt.config import Budget
 from fgt.errors import NotApplicableError, NotSolvableError
 from fgt.groups import order_fingerprint
@@ -24,6 +24,7 @@ from fgt.predicates import (
     is_ne_subgroup,
     is_nilpotent,
     is_normally_embedded,
+    is_nsn_group,
     is_on_group,
     is_p_nilpotent,
     is_pe_group,
@@ -306,7 +307,7 @@ def test_normal_subgroups_satisfy_all_embedding_predicates():
 
 def test_profile_internal_consistency_over_small_catalog():
     for spec in ("Cyclic(8)", "Dicyclic(2)", "Sym(3)", "Dihedral(4)", "Alt(4)", "SL2(3)"):
-        classify_group(build(spec), BUDGET)  # asserts internally
+        classify_group(build(spec), BUDGET)  # raises ConsistencyError on a broken implication
 
 
 def test_pe_and_on_examples():
@@ -349,3 +350,40 @@ def test_ne_is_conjugation_invariant_on_d4_semi_s3(gen):
     for conjugator in (1, 7, 13):
         moved = conjugate_subgroup(g, h, conjugator)
         assert is_ne_subgroup(g, h) == is_ne_subgroup(g, moved)
+
+
+def test_class_sizes_and_group_classes_match_brute_oracles():
+    """Per-class sizes and the five class predicates, recomputed from brute sets."""
+    checked = 0
+    for spec in standard_catalog():
+        g = build_group(spec, BUDGET)
+        if g.order > 24:
+            continue
+        checked += 1
+        lat = all_subgroups(g, BUDGET)
+        everything = set(range(g.order))
+        nc, ne_minimal, on, nsn, t = [], [], [], [], []
+        for i in lat.rep_indices:
+            rep = lat.subgroups[i]
+            h = set(rep.members.tolist())
+            norm = brute_normalizer(g.mul, g.inv, h)
+            closure = brute_normal_closure(g.mul, g.inv, h)
+            assert lat.class_sizes(i) == (len(norm), len(closure), len(norm & closure)), (spec, i)
+            product = {int(g.mul[x, y]) for x in closure for y in norm}
+            nc.append(product == everything)
+            assert is_nc_subgroup(g, rep) == nc[-1]
+            assert is_ne_subgroup(g, rep) == (norm & closure == h)
+            if primes_of(rep.order) == [rep.order]:
+                ne_minimal.append(norm & closure == h)
+            on.append(norm == everything or (norm == h and closure == everything))
+            nsn.append(norm in (h, everything))
+            t.append(norm == everything or not brute_is_subnormal(g.mul, g.inv, h))
+        assert is_pnc_group(g, BUDGET) == all(nc), spec
+        assert is_pe_group(g, BUDGET) == all(ne_minimal), spec
+        assert is_on_group(g, BUDGET) == all(on), spec
+        assert is_nsn_group(g, BUDGET) == all(nsn), spec
+        assert is_t_group(g, BUDGET) == all(t), spec
+        witness = pnc_witness(g, BUDGET)
+        first_bad = next((lat.subgroups[i] for i, ok in zip(lat.rep_indices, nc) if not ok), None)
+        assert witness == first_bad, spec
+    assert checked >= 20
