@@ -65,7 +65,6 @@ class Group:
         if validate:
             inv = _validate_table(mul)
         else:
-            n = mul.shape[0]
             inv = np.argmin(mul, axis=1).astype(np.uint16)
         mul.setflags(write=False)
         inv.setflags(write=False)
@@ -130,23 +129,28 @@ class Group:
 def close_under_product(mul: np.ndarray, seed, cutoff_to_full: bool = True) -> np.ndarray:
     """Smallest subgroup (as a sorted index array) containing ``seed``.
 
-    In a finite group the multiplicative closure of a nonempty set is already
-    a subgroup.  When the working set passes n/2 the answer must be the whole
-    group (Lagrange), which short-circuits the common case of joins that
-    collapse to G.
+    Breadth-first from the identity: each round multiplies the frontier by
+    every seed element and keeps the products not yet marked.  In a finite
+    group the multiplicative closure is already a subgroup.  When the marked
+    set passes n/2 the answer must be the whole group (Lagrange), which
+    short-circuits the common case of joins that collapse to G.
     """
     n = mul.shape[0]
-    cur = np.unique(np.asarray(seed, dtype=np.intp))
-    if cur.size == 0:
-        return np.zeros(1, dtype=np.intp)
-    while True:
-        if cutoff_to_full and cur.size > n // 2:
+    seeds = np.asarray(seed, dtype=np.intp).ravel()
+    mask = np.zeros(n, dtype=bool)
+    mask[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    size = 1
+    while frontier.size:
+        reached = np.zeros(n, dtype=bool)
+        reached[mul[frontier[:, None], seeds]] = True
+        reached &= ~mask
+        frontier = reached.nonzero()[0]
+        mask |= reached
+        size += frontier.size
+        if cutoff_to_full and size > n // 2:
             return np.arange(n, dtype=np.intp)
-        prods = mul[np.ix_(cur, cur)]
-        new = np.union1d(cur, prods.ravel())
-        if new.size == cur.size:
-            return new
-        cur = new
+    return mask.nonzero()[0]
 
 
 # --- generated groups ---------------------------------------------------------
@@ -225,13 +229,15 @@ def minimal_generators(group: Group) -> tuple[int, ...]:
     if group.order == 1:
         return ()
     gens: list[int] = []
-    closed = np.array([0], dtype=np.intp)
+    closed = np.zeros(group.order, dtype=bool)
+    closed[0] = True
     for x in range(1, group.order):
-        if x in closed:
+        if closed[x]:
             continue
         gens.append(x)
-        closed = close_under_product(group.mul, np.concatenate([closed, [x]]), cutoff_to_full=False)
-        if closed.size == group.order:
+        members = close_under_product(group.mul, gens, cutoff_to_full=False)
+        closed[members] = True
+        if members.size == group.order:
             break
     return tuple(gens)
 

@@ -48,9 +48,6 @@ class Subgroup:
         mask[self.members] = True
         return mask
 
-    def contains(self, other: "Subgroup") -> bool:
-        return bool(np.isin(other.members, self.members, assume_unique=True).all())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Subgroup) and self.parent is other.parent and self.key == other.key
 
@@ -89,9 +86,12 @@ class SubgroupLattice:
         self.budget = budget
         self.index_by_key = {s.key: i for i, s in enumerate(subgroups)}
         self.normal = np.zeros(len(subgroups), dtype=bool)
-        self.maximal = np.zeros(len(subgroups), dtype=bool)
         self.class_id = np.full(len(subgroups), -1, dtype=np.int64)
         self._annotate()
+        # inside[i, j]: subgroup i is a proper subgroup of subgroup j
+        self.inside = _proper_containment(subgroups)
+        # the whole group sorts last: i is maximal when only the whole group contains it
+        self.maximal = self.inside[:, -1] & ~self.inside[:, :-1].any(axis=1)
         # class ids follow the sort order, so the first index of each id is its representative
         self.rep_indices = np.unique(self.class_id, return_index=True)[1].tolist()
         self._class_sizes: dict[int, ClassSizes] = {}
@@ -124,22 +124,6 @@ class SubgroupLattice:
             if len(orbit) == 1:
                 self.normal[orbit[0]] = True
             next_class += 1
-        # maximality: proper subgroups not contained in a larger proper subgroup
-        orders = np.array([s.order for s in self.subgroups])
-        n = self.group.order
-        member_sets = [frozenset(s.members.tolist()) for s in self.subgroups]
-        for i, sub in enumerate(self.subgroups):
-            if sub.order == n:
-                continue
-            is_max = True
-            for j in range(len(self.subgroups)):
-                if orders[j] <= sub.order or orders[j] == n:
-                    continue
-                if orders[j] % sub.order == 0 and member_sets[i] <= member_sets[j]:
-                    is_max = False
-                    break
-            self.maximal[i] = is_max
-
     def subgroup_index(self, sub: Subgroup) -> int:
         idx = self.index_by_key.get(sub.key)
         if idx is None:
@@ -173,8 +157,35 @@ class SubgroupLattice:
         return [s for s in self.subgroups if s.order == order]
 
     def subgroups_inside(self, sub: Subgroup) -> list[Subgroup]:
-        mask = sub.mask()
-        return [s for s in self.subgroups if mask[s.members].all()]
+        j = self.subgroup_index(sub)
+        return [self.subgroups[i] for i in np.flatnonzero(self.inside[:, j])] + [self.subgroups[j]]
+
+    def maximal_inside(self, j: int) -> np.ndarray:
+        """Indices of the maximal subgroups of subgroup j (the lattice covers below j)."""
+        below = np.flatnonzero(self.inside[:, j])
+        return below[~self.inside[np.ix_(below, below)].any(axis=1)]
+
+
+def _proper_containment(subgroups: list[Subgroup]) -> np.ndarray:
+    """Boolean matrix of proper inclusion, tested on the packed member bitsets.
+
+    Only larger subgroups whose order the smaller one divides are tested;
+    the bitsets are padded to whole 64-bit words so each row test is one
+    vectorized AND over a few words per candidate.
+    """
+    count = len(subgroups)
+    inside = np.zeros((count, count), dtype=bool)
+    width = -(-len(subgroups[0].key) // 8) * 8
+    packed = np.zeros((count, width), dtype=np.uint8)
+    for i, s in enumerate(subgroups):
+        packed[i, : len(s.key)] = np.frombuffer(s.key, dtype=np.uint8)
+    packed = packed.view(np.uint64)
+    outside = ~packed
+    orders = np.array([s.order for s in subgroups])
+    for i in range(count):
+        larger = np.flatnonzero((orders > orders[i]) & (orders % orders[i] == 0))
+        inside[i, larger] = ~(packed[i] & outside[larger]).any(axis=1)
+    return inside
 
 
 def _key_of(n: int, members: np.ndarray) -> bytes:
@@ -359,16 +370,10 @@ def maximal_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> list[Subgrou
 def second_maximal_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> list[Subgroup]:
     """Maximal subgroups of maximal subgroups, deduplicated across the group."""
     lattice = all_subgroups(g, budget)
-    out: dict[bytes, Subgroup] = {}
-    for top in lattice.maximal_subgroups():
-        inside = [s for s in lattice.subgroups_inside(top) if s.order < top.order]
-        for s in inside:
-            is_max_in_top = not any(
-                t.order > s.order and t.order < top.order and t.contains(s) for t in inside
-            )
-            if is_max_in_top:
-                out[s.key] = s
-    return sorted(out.values(), key=lambda s: s.sort_key())
+    second = np.zeros(len(lattice.subgroups), dtype=bool)
+    for top in np.flatnonzero(lattice.maximal):
+        second[lattice.maximal_inside(top)] = True
+    return [lattice.subgroups[i] for i in np.flatnonzero(second)]
 
 
 def subgroup_product(g: Group, a: Subgroup, b: Subgroup) -> tuple[int, bool]:
@@ -407,24 +412,7 @@ def conjugate_subgroup(g: Group, h: Subgroup, x: int) -> Subgroup:
 
 def hasse_edges(lattice: SubgroupLattice) -> list[tuple[int, int]]:
     """Covering pairs (i, j): subgroup i maximal inside subgroup j."""
-    subs = lattice.subgroups
-    masks = [int.from_bytes(s.key, "big") for s in subs]
-    orders = [s.order for s in subs]
-    edges = []
-    for j, sup in enumerate(subs):
-        below = [
-            i
-            for i in range(len(subs))
-            if orders[i] < orders[j]
-            and orders[j] % orders[i] == 0
-            and masks[i] & ~masks[j] == 0
-        ]
-        for i in below:
-            covered = any(
-                orders[i] < orders[k] and masks[i] & ~masks[k] == 0 for k in below if k != i
-            )
-            if not covered:
-                edges.append((i, j))
+    edges = [(int(i), j) for j in range(len(lattice.subgroups)) for i in lattice.maximal_inside(j)]
     return sorted(edges)
 
 

@@ -16,8 +16,11 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def exhaustive_subgroups(mul: np.ndarray) -> set[frozenset[int]]:
-    """Every product-closed subset, by brute enumeration.
+_EXHAUSTIVE_MEMO: dict[bytes, frozenset[frozenset[int]]] = {}
+
+
+def exhaustive_subgroups(mul: np.ndarray) -> frozenset[frozenset[int]]:
+    """Every product-closed subset, by brute enumeration (memoized per table).
 
     A finite subset closed under the product is automatically a subgroup
     (powers of each element cycle through the identity and the inverse), and
@@ -25,6 +28,14 @@ def exhaustive_subgroups(mul: np.ndarray) -> set[frozenset[int]]:
     are enumerated.  Subset sizes are restricted to divisors of the group
     order; candidate subsets are tested in vectorized batches.
     """
+    key = np.ascontiguousarray(mul, dtype=np.int64).tobytes()
+    found = _EXHAUSTIVE_MEMO.get(key)
+    if found is None:
+        found = _EXHAUSTIVE_MEMO[key] = frozenset(_exhaustive_search(mul))
+    return found
+
+
+def _exhaustive_search(mul: np.ndarray) -> set[frozenset[int]]:
     n = int(mul.shape[0])
     if n <= 14:
         return _exhaustive_bitmask(mul)
@@ -73,6 +84,26 @@ def _exhaustive_bitmask(mul: np.ndarray) -> set[frozenset[int]]:
         if closed:
             found.add(frozenset(members))
     return found
+
+
+def brute_closure(mul: np.ndarray, seed, cutoff_to_full: bool = True) -> np.ndarray:
+    """Subgroup generated by ``seed``: square the working set until it stops growing.
+
+    Each round adds every product of two current members (one sort-and-merge
+    per round); past n/2 members the answer is the whole group by Lagrange.
+    """
+    n = mul.shape[0]
+    cur = np.unique(np.asarray(seed, dtype=np.intp))
+    if cur.size == 0:
+        return np.zeros(1, dtype=np.intp)
+    while True:
+        if cutoff_to_full and cur.size > n // 2:
+            return np.arange(n, dtype=np.intp)
+        prods = mul[np.ix_(cur, cur)]
+        new = np.union1d(cur, prods.ravel())
+        if new.size == cur.size:
+            return new
+        cur = new
 
 
 def brute_normalizer(mul: np.ndarray, inv: np.ndarray, members: set[int]) -> set[int]:

@@ -1,8 +1,19 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from fgt.cli import main
+
+
+# `fgt lattice <spec>` stdout digests: the benchmark's recorded set, plus
+# Sym(6) (order 720, 1 455 subgroups), recorded with the earlier
+# square-and-merge closure.
+LATTICE_DIGESTS = {
+    **json.loads((Path(__file__).resolve().parents[1] / "fgtbench" / "golden.json").read_text())["lattice"],
+    "Sym(6)": "d9bb1fe0139e84e85555ef49c7098f877084ee82c7995deb5efaf54bd666ed66",
+}
 
 
 def run_cli(capsys, *argv):
@@ -115,3 +126,10 @@ def test_env_order_cap_override(monkeypatch, capsys):
     monkeypatch.setenv("FGT_ORDER_CAP", "99999")
     code, _, err = run_cli(capsys, "group", "info", "Sym(3)")
     assert code == 2  # above the hard limit
+
+
+@pytest.mark.parametrize("spec", LATTICE_DIGESTS)
+def test_lattice_output_is_byte_identical_to_recorded_digest(capsys, spec):
+    code, out, _ = run_cli(capsys, "lattice", spec)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_DIGESTS[spec]

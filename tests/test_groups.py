@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_closure
+
 from fgt.catalog import build_cyclic, build_dihedral, build_group, parse_spec
 from fgt.config import Budget
 from fgt.errors import BudgetExceededError, InvalidElementError, NotAutomorphismError, NotNormalError
@@ -230,6 +232,29 @@ def test_close_under_product_finds_whole_group_via_cutoff():
     s3 = build("Sym(3)")
     members = close_under_product(s3.mul, np.array([1, 2]))  # two transpositions
     assert members.size == 6
+
+
+def test_close_under_product_matches_brute_closure():
+    rng = np.random.default_rng(2024)
+    for spec in ("Sym(4)", "GU2_3", "PSL2(8)", "Direct(Cyclic(2),Sym(5))"):
+        g = build(spec)
+        seeds = [[], [0], [0, 0]]
+        for k in range(200):
+            seed = rng.integers(0, g.order, size=int(rng.integers(1, 5))).tolist()
+            if k % 3 == 0:
+                seed.append(0)
+            if k % 4 == 0:
+                seed += seed[:2]
+            seeds.append(seed)
+        # subgroup-sized seeds, as the lattice joins pass them
+        for k in range(20):
+            base = brute_closure(g.mul, rng.integers(0, g.order, size=1), cutoff_to_full=False)
+            seeds.append(np.concatenate([base, rng.integers(0, g.order, size=1)]).tolist())
+        for cutoff in (True, False):
+            for seed in seeds:
+                got = close_under_product(g.mul, np.array(seed, dtype=np.intp), cutoff_to_full=cutoff)
+                want = brute_closure(g.mul, seed, cutoff_to_full=cutoff)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (spec, seed, cutoff)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_normal_closure, brute_normalizer, exhaustive_subgroups
 
-from fgt.catalog import build_group, parse_spec
+from fgt.catalog import build_group, parse_spec, standard_catalog
 from fgt.config import Budget
 from fgt.errors import BudgetExceededError, ConsistencyError
 from fgt.groups import order_fingerprint
@@ -34,6 +34,7 @@ from fgt.lattice import (
 )
 
 BUDGET = Budget()
+SMALL_CATALOG = [s.to_string() for s in standard_catalog() if build_group(s, BUDGET).order <= 24]
 
 
 def build(text):
@@ -270,15 +271,19 @@ def test_lattice_json_is_deterministic_and_well_formed():
     assert parsed["hasse"]
 
 
-def test_hasse_edges_are_covers():
-    g = build("Cyclic(12)")
+@pytest.mark.parametrize("spec", SMALL_CATALOG)
+def test_hasse_edges_are_covers(spec):
+    g = build(spec)
     lat = all_subgroups(g, BUDGET)
-    edges = hasse_edges(lat)
-    # C12 divisor lattice: covers are the prime-index containments
-    orders = [s.order for s in lat.subgroups]
-    for i, j in edges:
-        ratio = orders[j] // orders[i]
-        assert ratio in (2, 3)
+    oracle = exhaustive_subgroups(g.mul)
+    index = {frozenset(int(x) for x in s.members): i for i, s in enumerate(lat.subgroups)}
+    assert set(index) == oracle
+    covers = [(a, b) for a in oracle for b in oracle if a < b and not any(a < c < b for c in oracle)]
+    assert hasse_edges(lat) == sorted((index[a], index[b]) for a, b in covers)
+    maximal = {a for a, b in covers if len(b) == g.order}
+    assert {a for a, i in index.items() if lat.maximal[i]} == maximal
+    second = sorted({index[a] for a, b in covers if b in maximal})
+    assert second == [index[frozenset(int(x) for x in s.members)] for s in second_maximal_subgroups(g, BUDGET)]
 
 
 def test_dot_export_marks_normal_subgroups():
