@@ -24,11 +24,19 @@ from .errors import (
 )
 from .fields import mat_mul, perm_compose
 
-EXHAUSTIVE_ASSOC_LIMIT = 512
-RANDOM_ASSOC_TRIPLES = 100_000
 
+def _validate_table(mul: np.ndarray, generators) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Check that ``mul`` is a group table generated by ``generators``.
 
-def _validate_table(mul: np.ndarray) -> np.ndarray:
+    Returns the inverse map and the generating set: the one supplied, or the
+    greedy one when none is.  Associativity is Light's test: if S generates a
+    loop, the loop is associative iff (x s) y = x (s y) for all x, y and every
+    s in S (Clifford-Preston, The Algebraic Theory of Semigroups I, 1961).
+    The elements passing that test are closed under the product, so the test
+    is exact once right multiplication by S reaches every element from the
+    identity; that closure runs without the Lagrange cutoff, which presumes
+    a group.
+    """
     n = mul.shape[0]
     if mul.shape != (n, n):
         raise InvalidElementError("multiplication table is not square")
@@ -43,35 +51,51 @@ def _validate_table(mul: np.ndarray) -> np.ndarray:
     inv = np.argmin(mul, axis=1).astype(mul.dtype)  # position of 0 in each row
     if not np.array_equal(mul[ar, inv], np.zeros(n, dtype=mul.dtype)):
         raise InvalidElementError("missing inverses")
-    if n <= EXHAUSTIVE_ASSOC_LIMIT:
-        for x in range(n):
-            if not np.array_equal(mul[mul[x]], mul[x][mul]):
-                raise InvalidElementError(f"associativity fails at element {x}")
-    else:
-        rng = np.random.default_rng(0)
-        xs, ys, zs = rng.integers(0, n, size=(3, RANDOM_ASSOC_TRIPLES))
-        if not np.array_equal(mul[mul[xs, ys], zs], mul[xs, mul[ys, zs]]):
-            raise InvalidElementError("associativity fails on sampled triples")
-    return inv
+    gens = tuple(int(s) for s in generators) or _greedy_generators(mul)
+    if not all(0 <= s < n for s in gens):
+        raise InvalidElementError(f"generator index out of range 0..{n - 1}")
+    if close_under_product(mul, gens, cutoff_to_full=False).size != n:
+        raise InvalidElementError("generators do not generate the table")
+    for s in gens:
+        if not np.array_equal(mul[mul[:, s]], mul[:, mul[s]]):
+            raise InvalidElementError(f"associativity fails at generator {s}")
+    return inv, gens
+
+
+def _greedy_generators(mul: np.ndarray) -> tuple[int, ...]:
+    """Deterministic generating set: each element, in index order, not yet in the closure of those before."""
+    n = mul.shape[0]
+    gens: list[int] = []
+    closed = np.zeros(n, dtype=bool)
+    closed[0] = True
+    for x in range(1, n):
+        if closed[x]:
+            continue
+        gens.append(x)
+        members = close_under_product(mul, gens, cutoff_to_full=False)
+        closed[members] = True
+        if members.size == n:
+            break
+    return tuple(gens)
 
 
 class Group:
-    """Immutable finite group on indices 0..n-1 (identity = 0)."""
+    """Immutable finite group on indices 0..n-1 (identity = 0).
+
+    ``generators`` always generates the group: the table is checked against
+    the supplied set, or against a greedy one when the caller passes none.
+    """
 
     __slots__ = ("label", "mul", "inv", "generators", "spec", "_cache")
 
-    def __init__(self, mul, label: str, generators, spec=None, validate: bool = True):
+    def __init__(self, mul, label: str, generators, spec=None):
         mul = np.ascontiguousarray(mul, dtype=np.uint16)
-        if validate:
-            inv = _validate_table(mul)
-        else:
-            inv = np.argmin(mul, axis=1).astype(np.uint16)
+        inv, self.generators = _validate_table(mul, generators)
         mul.setflags(write=False)
         inv.setflags(write=False)
         self.mul = mul
         self.inv = inv
         self.label = label
-        self.generators = tuple(int(g) for g in generators)
         self.spec = spec
         self._cache: dict = {}
 
@@ -156,14 +180,16 @@ def close_under_product(mul: np.ndarray, seed, cutoff_to_full: bool = True) -> n
 # --- generated groups ---------------------------------------------------------
 
 
-def _bfs_elements(identity, generators, mul_fn, order_cap: int):
-    """Breadth-first closure; returns elements in discovery order."""
-    elems = [identity]
+def _right_table(identity, generators, mul_fn, order_cap: int) -> np.ndarray:
+    """Breadth-first closure, elements numbered in discovery order.
+
+    Returns right[x, i] = x * generators[i]; row 0 holds the generators' indices.
+    """
     index = {identity: 0}
-    head = 0
-    while head < len(elems):
-        x = elems[head]
-        head += 1
+    elems = [identity]
+    right = []
+    for x in elems:
+        row = []
         for g in generators:
             y = mul_fn(x, g)
             if y not in index:
@@ -173,7 +199,42 @@ def _bfs_elements(identity, generators, mul_fn, order_cap: int):
                     )
                 index[y] = len(elems)
                 elems.append(y)
-    return elems, index
+            row.append(index[y])
+        right.append(row)
+    return np.array(right, dtype=np.intp)
+
+
+def _bfs_edges(right: np.ndarray) -> list[tuple[int, int, int]]:
+    """Tree edges (y, x, i) of the breadth-first walk from 0, in discovery order.
+
+    ``right[x, i]`` is x times the i-th generator; y is first reached as x * s_i.
+    """
+    rows = right.tolist()
+    seen = [False] * len(rows)
+    seen[0] = True
+    queue = [0]
+    edges = []
+    for x in queue:
+        for i, y in enumerate(rows[x]):
+            if not seen[y]:
+                seen[y] = True
+                queue.append(y)
+                edges.append((y, x, i))
+    return edges
+
+
+def _table_from_bfs(right: np.ndarray) -> np.ndarray:
+    """Cayley table of the group with right-multiplication table ``right``.
+
+    If b is first reached as x * s, then a * b = (a * x) * s for every a, so
+    column b is right[mul[:, x], s]: n * |S| element products fill the table.
+    """
+    n = right.shape[0]
+    mul = np.empty((n, n), dtype=np.uint16)
+    mul[:, 0] = np.arange(n)
+    for b, x, i in _bfs_edges(right):
+        mul[:, b] = right[mul[:, x], i]
+    return mul
 
 
 def generate_permutation_group(generators, label: str, budget: Budget = DEFAULT_BUDGET, spec=None) -> Group:
@@ -184,22 +245,8 @@ def generate_permutation_group(generators, label: str, budget: Budget = DEFAULT_
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise InvalidElementError(f"not a permutation of degree {degree}: {g}")
     identity = tuple(range(degree))
-    elems, index = _bfs_elements(identity, [tuple(g) for g in generators], perm_compose, budget.order_cap)
-    n = len(elems)
-    arr = np.array(elems, dtype=np.int64)  # (n, degree)
-    # mul[a, b] = a  b (apply b first):  arr[a][arr[b]]
-    codes = arr @ (degree ** np.arange(degree, dtype=np.int64))
-    sort_idx = np.argsort(codes, kind="stable")
-    sorted_codes = codes[sort_idx]
-    mul = np.empty((n, n), dtype=np.uint16)
-    powers = degree ** np.arange(degree, dtype=np.int64)
-    for a in range(n):
-        composed = arr[a][arr]  # (n, degree)
-        ccodes = composed @ powers
-        pos = np.searchsorted(sorted_codes, ccodes)
-        mul[a] = sort_idx[pos]
-    gen_idx = [index[tuple(g)] for g in generators]
-    return Group(mul, label, gen_idx, spec=spec)
+    right = _right_table(identity, [tuple(g) for g in generators], perm_compose, budget.order_cap)
+    return Group(_table_from_bfs(right), label, right[0], spec=spec)
 
 
 def generate_matrix_group(generators, label: str, budget: Budget = DEFAULT_BUDGET, spec=None) -> Group:
@@ -211,35 +258,8 @@ def generate_matrix_group(generators, label: str, budget: Budget = DEFAULT_BUDGE
             raise InvalidElementError("generators over different fields")
     from .fields import mat_identity
 
-    identity = mat_identity(field)
-    elems, index = _bfs_elements(identity, list(generators), mat_mul, budget.order_cap)
-    n = len(elems)
-    mul = np.empty((n, n), dtype=np.uint16)
-    for a in range(n):
-        ma = elems[a]
-        row = mul[a]
-        for b in range(n):
-            row[b] = index[mat_mul(ma, elems[b])]
-    gen_idx = [index[g] for g in generators]
-    return Group(mul, label, gen_idx, spec=spec)
-
-
-def minimal_generators(group: Group) -> tuple[int, ...]:
-    """Greedy deterministic generating set (first elements extending the closure)."""
-    if group.order == 1:
-        return ()
-    gens: list[int] = []
-    closed = np.zeros(group.order, dtype=bool)
-    closed[0] = True
-    for x in range(1, group.order):
-        if closed[x]:
-            continue
-        gens.append(x)
-        members = close_under_product(group.mul, gens, cutoff_to_full=False)
-        closed[members] = True
-        if members.size == group.order:
-            break
-    return tuple(gens)
+    right = _right_table(mat_identity(field), list(generators), mat_mul, budget.order_cap)
+    return Group(_table_from_bfs(right), label, right[0], spec=spec)
 
 
 # --- products and quotients ---------------------------------------------------
@@ -264,20 +284,10 @@ def automorphism_from_generator_images(g: Group, images: dict[int, int]) -> np.n
     bijective homomorphism.
     """
     n = g.order
-    table = np.full(n, -1, dtype=np.int64)
-    table[0] = 0
-    order = [0]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for gen in g.generators:
-            y = int(g.mul[x, gen])
-            if table[y] == -1:
-                table[y] = g.mul[table[x], images[gen]]
-                order.append(y)
-    if (table < 0).any():
-        raise NotAutomorphismError("generators do not generate the group")
+    gens = list(g.generators)
+    table = np.zeros(n, dtype=np.int64)
+    for y, x, i in _bfs_edges(g.mul[:, gens]):
+        table[y] = g.mul[table[x], images[gens[i]]]
     if len(set(table.tolist())) != n:
         raise NotAutomorphismError("generator images do not extend to a bijection")
     if not np.array_equal(table[g.mul], g.mul[np.ix_(table, table)]):
@@ -305,8 +315,10 @@ def semidirect_product(
     """Split extension with b acting on a from the left.
 
     ``action`` assigns an automorphism table of ``a`` to every generator of
-    ``b``; the assignment must extend to a homomorphism b -> Aut(a), which is
-    validated by extending along BFS words and re-checking all products.
+    ``b``; the assignment must extend to a homomorphism b -> Aut(a).  It is
+    extended along BFS words and checked on every generator edge,
+    act(y s) = act(y) o act(s) for all y, which by induction on word length
+    covers all products.
     Elements are pairs (x in a, y in b) numbered x*|b| + y, multiplied as
     (x1, y1)(x2, y2) = (x1 * act(y1)(x2), y1 y2).
     """
@@ -318,30 +330,16 @@ def semidirect_product(
     for table in action.values():
         _check_automorphism(a, table)
 
+    gens = list(b.generators)
     act = np.empty((nb, na), dtype=np.int64)
     act[0] = np.arange(na)
-    seen = np.zeros(nb, dtype=bool)
-    seen[0] = True
-    order = [0]
-    head = 0
-    while head < len(order):
-        y = order[head]
-        head += 1
-        for gen in b.generators:
-            z = int(b.mul[y, gen])
-            if not seen[z]:
-                # act(y * gen) = act(y) o act(gen)
-                act[z] = act[y][action[gen]]
-                seen[z] = True
-                order.append(z)
-    if not seen.all():
-        raise ActionInconsistentError("generators do not generate b")
-    for y1 in range(nb):
-        for y2 in range(nb):
-            if not np.array_equal(act[b.mul[y1, y2]], act[y1][act[y2]]):
-                raise ActionInconsistentError(
-                    "generator assignment does not extend to a homomorphism into Aut(a)"
-                )
+    for z, y, i in _bfs_edges(b.mul[:, gens]):
+        act[z] = act[y][action[gens[i]]]
+    for s in gens:
+        if not np.array_equal(act[b.mul[:, s]], act[:, action[s]]):
+            raise ActionInconsistentError(
+                "generator assignment does not extend to a homomorphism into Aut(a)"
+            )
 
     mul = np.empty((na * nb, na * nb), dtype=np.int64)
     bm = b.mul.astype(np.int64)
@@ -398,8 +396,6 @@ def quotient_group(g: Group, normal_members, budget: Budget = DEFAULT_BUDGET) ->
     qmul = elem_to_coset[g.mul[np.ix_(rep_values, rep_values)]]
     gen_images = sorted(set(int(elem_to_coset[x]) for x in g.generators) - {0})
     qgroup = Group(qmul, f"{g.label}/N{len(members)}", gen_images)
-    if not gen_images and qgroup.order > 1:
-        qgroup.generators = minimal_generators(qgroup)
     hom = GroupHom(g, qgroup, tuple(int(c) for c in elem_to_coset))
     return qgroup, hom
 
@@ -418,8 +414,7 @@ def extract_subgroup_as_group(g: Group, members, label: str | None = None) -> tu
     sub = pos[g.mul[np.ix_(members, members)]]
     if (sub < 0).any():
         raise InvalidElementError("member set is not closed under multiplication")
-    child = Group(sub, label or f"{g.label}|sub{members.size}", [], validate=False)
-    child.generators = minimal_generators(child)
+    child = Group(sub, label or f"{g.label}|sub{members.size}", [])
     return child, members
 
 

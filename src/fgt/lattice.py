@@ -99,7 +99,6 @@ class SubgroupLattice:
     def _annotate(self):
         g = self.group
         conj = g.conj_table()
-        conjugators = list(g.generators) if (g.generators or g.order == 1) else list(range(g.order))
         # conjugacy classes, iterating in sorted order so class ids are canonical
         next_class = 0
         for i, sub in enumerate(self.subgroups):
@@ -111,7 +110,7 @@ class SubgroupLattice:
             seen = {sub.key}
             while queue:
                 mem = queue.pop()
-                for gen in conjugators:
+                for gen in g.generators:
                     conjugated = np.sort(conj[gen][mem])
                     j = self.index_by_key.get(_key_of(g.order, conjugated))
                     if j is None:
@@ -208,7 +207,6 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     n = g.order
     mul = g.mul
     conj = g.conj_table()
-    conjugators = list(g.generators) if (g.generators or n == 1) else list(range(n))
     found: dict[bytes, np.ndarray] = {}
     reps: list[np.ndarray] = []
 
@@ -228,7 +226,7 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
         queue = [members]
         while queue:
             mem = queue.pop()
-            for c in conjugators:
+            for c in g.generators:
                 cm = np.sort(conj[c][mem])
                 k2 = _key_of(n, cm)
                 if k2 not in found:
@@ -293,15 +291,10 @@ def normalizer_members(g: Group, members) -> np.ndarray:
 def normal_closure_members(g: Group, members, within=None) -> np.ndarray:
     """Smallest subgroup containing ``members`` normalized by ``within`` (default G)."""
     conj = g.conj_table()
-    conjugators = np.asarray(within, dtype=np.intp) if within is not None else None
+    conjugators = np.asarray(g.generators if within is None else within, dtype=np.intp)
     cur = close_under_product(g.mul, np.asarray(members, dtype=np.intp), cutoff_to_full=False)
-    if conjugators is None:
-        conjugators = np.asarray(g.generators, dtype=np.intp)
-        if conjugators.size == 0 and g.order > 1:
-            conjugators = np.arange(g.order, dtype=np.intp)
     while True:
-        spread = conj[conjugators][:, cur] if conjugators.size else cur
-        spread = np.unique(spread)
+        spread = np.unique(conj[conjugators][:, cur])
         if np.isin(spread, cur, assume_unique=True).all():
             return cur
         cur = close_under_product(g.mul, np.union1d(cur, spread), cutoff_to_full=False)

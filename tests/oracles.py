@@ -154,3 +154,11 @@ def maximal_prime_index_oracle(group, lattice) -> bool:
         if len(primes_of(index)) != 1 or index != primes_of(index)[0]:
             return False
     return True
+
+
+def brute_is_associative(mul: np.ndarray) -> bool:
+    """(x y) z == x (y z) for every triple, one row x at a time: O(n^3)."""
+    for x in range(mul.shape[0]):
+        if not np.array_equal(mul[mul[x]], mul[x][mul]):
+            return False
+    return True

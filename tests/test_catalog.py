@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +64,23 @@ def test_rebuilding_gives_byte_identical_tables():
         a = _build_uncached(spec, BUDGET)
         b = _build_uncached(spec, BUDGET)
         assert a.mul.tobytes() == b.mul.tobytes(), text
+
+
+# `mul` table digests: the benchmark's recorded construct set at the default
+# budget, plus the two degree-7 groups, recorded with the earlier builders.
+LARGE = Budget(order_cap=5040)
+CONSTRUCT_DIGESTS = {
+    **{(spec, BUDGET): digest for spec, digest in json.loads(
+        (Path(__file__).resolve().parents[1] / "fgtbench" / "golden.json").read_text())["construct"].items()},
+    ("Sym(7)", LARGE): "485060e436d79dcb436738e8f9aba50f52efedcaf3f9c93caa97c6c712926e36",
+    ("Alt(7)", LARGE): "4eb4b465f033febf8aa61f862444668e9de675ee31ae01b825a678660f97b13a",
+}
+
+
+@pytest.mark.parametrize("spec, budget", CONSTRUCT_DIGESTS, ids=lambda v: v if isinstance(v, str) else f"cap{v.order_cap}")
+def test_built_table_is_byte_identical_to_recorded_digest(spec, budget):
+    g = _build_uncached(parse_spec(spec), budget)
+    assert hashlib.sha256(g.mul.tobytes()).hexdigest() == CONSTRUCT_DIGESTS[spec, budget]
 
 
 def test_dihedral_4_has_two_elements_of_order_4():

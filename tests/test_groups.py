@@ -3,11 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_closure
+from oracles import brute_closure, brute_is_associative
 
-from fgt.catalog import build_cyclic, build_dihedral, build_group, parse_spec
+from fgt.catalog import build_cyclic, build_dihedral, build_group, parse_spec, standard_catalog
 from fgt.config import Budget
-from fgt.errors import BudgetExceededError, InvalidElementError, NotAutomorphismError, NotNormalError
+from fgt.errors import (
+    ActionInconsistentError,
+    BudgetExceededError,
+    InvalidElementError,
+    NotAutomorphismError,
+    NotNormalError,
+)
 from fgt.fields import perm_from_cycles
 from fgt.groups import (
     Group,
@@ -19,7 +25,6 @@ from fgt.groups import (
     extract_subgroup_as_group,
     generate_permutation_group,
     group_to_json,
-    minimal_generators,
     order_fingerprint,
     quotient_group,
     semidirect_product,
@@ -39,6 +44,68 @@ def test_table_validation_catches_broken_tables():
     mul = np.array([[1, 0], [0, 1]])  # identity not at index 0
     with pytest.raises(InvalidElementError):
         Group(mul, "broken", [1])
+
+
+def _intercalate_swap(mul: np.ndarray, k: int) -> np.ndarray:
+    """The table with its k-th intercalate (a 2x2 Latin subsquare) off row and column 0 swapped."""
+    n = mul.shape[0]
+    found = 0
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                for c2 in range(c1 + 1, n):
+                    a, b = mul[r1, c1], mul[r1, c2]
+                    if mul[r2, c2] == a and mul[r2, c1] == b:
+                        if found == k:
+                            loop = np.array(mul, dtype=np.int64)
+                            loop[r1, c1] = loop[r2, c2] = b
+                            loop[r1, c2] = loop[r2, c1] = a
+                            return loop
+                        found += 1
+    raise LookupError(f"fewer than {k + 1} intercalates")
+
+
+# every loop of order 4 is a group, so the order-4 swaps must be accepted
+LOOP_CASES = [("Cyclic(4)", 0)] + [
+    (spec, k)
+    for spec in ("ElementaryAbelian(2,2)", "Dihedral(3)", "Cyclic(6)", "Dihedral(4)", "Dicyclic(2)",
+                 "ElementaryAbelian(2,3)", "Sym(4)")
+    for k in (0, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "spec, swap",
+    [(s.to_string(), None) for s in standard_catalog()] + LOOP_CASES,
+    ids=lambda v: "group" if v is None else str(v),
+)
+def test_validation_rejects_exactly_the_non_associative_tables(spec, swap):
+    mul = build(spec).mul
+    if swap is not None:
+        mul = _intercalate_swap(mul, swap)
+    if brute_is_associative(mul):
+        assert Group(mul, spec, []).order == mul.shape[0]
+    else:
+        with pytest.raises(InvalidElementError, match="associativity"):
+            Group(mul, spec, [])
+
+
+def test_validation_rejects_a_non_associative_loop_above_the_old_sampling_order():
+    # C2^11 as xor, with the intercalate rows {1, 2} x columns {4, 7} swapped:
+    # a loop of order 2048 whose failing triples are too rare for random sampling to find
+    n = 2**11
+    i = np.arange(n)
+    mul = i[:, None] ^ i[None, :]
+    mul[1, 4], mul[1, 7], mul[2, 4], mul[2, 7] = 6, 5, 5, 6
+    assert not brute_is_associative(mul)
+    with pytest.raises(InvalidElementError, match="associativity"):
+        Group(mul, "loop", [2**d for d in range(11)])
+
+
+def test_supplied_generators_must_generate():
+    with pytest.raises(InvalidElementError, match="do not generate"):
+        Group(build("Cyclic(6)").mul, "C6", [2])
+    assert Group(build("Cyclic(6)").mul, "C6", [2, 3]).generators == (2, 3)
 
 
 def test_closure_generate_s4_from_transposition_and_cycle():
@@ -90,6 +157,14 @@ def test_semidirect_rejects_non_automorphism():
     bad = np.array([0, 0, 1, 2], dtype=np.int64)
     with pytest.raises(NotAutomorphismError):
         semidirect_product(a, b, {1: bad}, BUDGET)
+
+
+def test_semidirect_rejects_action_that_is_not_a_homomorphism():
+    a = build("Cyclic(5)")
+    b = build("Cyclic(2)")
+    doubling = np.array([0, 2, 4, 1, 3], dtype=np.int64)  # x -> 2x has order 4, not dividing 2
+    with pytest.raises(ActionInconsistentError):
+        semidirect_product(a, b, {1: doubling}, BUDGET)
 
 
 def test_d4_semi_s3_satisfies_its_presentation():
@@ -212,7 +287,8 @@ def test_extract_subgroup_as_group():
     a4 = next(s for s in lat.subgroups if s.order == 12)
     child, members = extract_subgroup_as_group(s4, a4.members)
     assert child.order == 12
-    assert minimal_generators(child)
+    assert child.generators
+    assert close_under_product(child.mul, child.generators, cutoff_to_full=False).size == 12
     assert order_fingerprint(child).order_counts == ((1, 1), (2, 3), (3, 8))
 
 
