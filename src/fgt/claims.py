@@ -986,34 +986,29 @@ def _theorem3_sweep(budget: Budget, result: ClaimResult) -> None:
 
 
 def _power_action_formulas(spec: GroupSpec, g: Group, budget: Budget):
+    """The whole table against the product rule, and every (a^s)^w against the conjugation rule.
+
+    Element a^s a_1^f_1 ... a_k^f_k has the mixed-radix index of its digits
+    (s, f_1, ..., f_k) over (q, m_1, ..., m_k).  With r_i = -t_i mod m_i,
+    (s, f)(s', u) = (s + s', u_i + r_i^s' f_i) and (a^s)^w = (s, k_i (1 - r_i^s))
+    for w = (0, k).
+    """
     p, alpha, *factors = spec.params
     q = p**alpha
     moduli = [pi**ai for pi, ai, _ in factors]
-    twists = [(t, m) for (_, _, t), m in zip(factors, moduli)]
-
-    def encode(s, exps):
-        idx = s % q
-        for e, m in zip(exps, moduli):
-            idx = idx * m + (e % m)
-        return idx
-
-    def conjugation_holds(sample):
-        s, ks = sample[0], sample[1:]
-        w = encode(0, ks)
-        a_s = encode(s, [0] * len(moduli))
-        lhs = int(g.mul[g.mul[g.inv[w], a_s], w])  # (a^s)^w
-        return lhs == encode(s, [k * (1 - pow(-t % m, s, m)) for k, (t, m) in zip(ks, twists)])
-
-    def product_holds(pair):
-        width = 1 + len(moduli)
-        s1, f = pair[0], pair[1:width]
-        s2, u = pair[width], pair[width + 1:]
-        lhs = int(g.mul[encode(s1, f), encode(s2, u)])
-        return lhs == encode(s1 + s2, [ui + pow(-t % m, s2, m) * fi for fi, ui, (t, m) in zip(f, u, twists)])
-
-    samples = itertools.islice(itertools.product(range(1, q), *[range(m) for m in moduli]), 100)
-    pairs = itertools.islice(itertools.product(range(q), *[range(m) for m in moduli], repeat=2), 100)
-    ok = all(map(conjugation_holds, samples)) and all(map(product_holds, pairs))
+    dims = (q, *moduli)
+    s, *f = np.indices(dims).reshape(len(dims), -1)
+    powers = [np.array([pow(-t % m, e, m) for e in range(q)]) for (_, _, t), m in zip(factors, moduli)]
+    product = np.ravel_multi_index(
+        (s[:, None] + s, *(fi + r[s] * fi[:, None] for fi, r in zip(f, powers))), dims, mode="wrap"
+    )
+    kernel = np.arange(g.order // q)  # w = (0, k): the digit s is the leading one
+    tops = kernel.size * np.arange(q)  # a^s
+    conjugated = g.mul[g.mul[g.inv[kernel], tops[:, None]], kernel]
+    expected = np.ravel_multi_index(
+        (np.arange(q)[:, None], *(fi[kernel] * (1 - r[:, None]) for fi, r in zip(f, powers))), dims, mode="wrap"
+    )
+    ok = np.array_equal(g.mul, product) and np.array_equal(conjugated, expected)
     yield None if ok else _witness(spec, detail="table disagrees with twist-power formula")
 
 

@@ -216,9 +216,11 @@ def fitting_chain(g: Group, budget: Budget = DEFAULT_BUDGET) -> SeriesReport:
     """Ascending chain of Fitting-subgroup preimages; terminates at G for solvable g."""
     terms = [np.array([0], dtype=np.intp)]
     while terms[-1].size < g.order:
-        q, hom = quotient_group(g, terms[-1], budget)
-        step = fitting_subgroup(q, budget)
-        lifted = _preimage(hom.map, step.members, g.order)
+        if terms[-1].size == 1:  # G/1 would be a copy of G with a lattice of its own
+            lifted = fitting_subgroup(g, budget).members
+        else:
+            q, hom = quotient_group(g, terms[-1], budget)
+            lifted = _preimage(hom.map, fitting_subgroup(q, budget).members, g.order)
         if lifted.size == terms[-1].size:
             break
         terms.append(lifted)
@@ -260,31 +262,9 @@ def is_dedekind(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
     return bool(all_subgroups(g, budget).normal.all())
 
 
-_SUPERSOLVABLE_MEMO: dict[tuple, bool] = {}
-
-
 def is_supersolvable(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """Recursive: trivial, or some prime-order normal subgroup has a supersolvable quotient.
-
-    Memoized on the order profile of the group, which repeated quotient
-    towers hit over and over.
-    """
-    if g.order == 1:
-        return True
-    key = order_fingerprint(g).key()
-    hit = _SUPERSOLVABLE_MEMO.get(key)
-    if hit is not None:
-        return hit
-    lattice = all_subgroups(g, budget)
-    result = False
-    for n in lattice.normal_subgroups():
-        if is_prime(n.order):
-            q, _ = quotient_group(g, n.members, budget)
-            if is_supersolvable(q, budget):
-                result = True
-                break
-    _SUPERSOLVABLE_MEMO[key] = result
-    return result
+    """Huppert's criterion: every maximal subgroup has prime index (Math. Z. 60, 1954)."""
+    return all(is_prime(g.order // m.order) for m in all_subgroups(g, budget).maximal_subgroups())
 
 
 def is_p_nilpotent(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -333,15 +313,7 @@ def fitting_subgroup(g: Group, budget: Budget = DEFAULT_BUDGET) -> Subgroup:
 def fitting_height(g: Group, budget: Budget = DEFAULT_BUDGET) -> int:
     if not is_solvable(g):
         raise NotApplicableError("Fitting height is only defined here for solvable groups")
-    height = 0
-    cur = g
-    while cur.order > 1:
-        f = fitting_subgroup(cur, budget)
-        height += 1
-        if f.order == cur.order:
-            break
-        cur, _ = quotient_group(cur, f.members, budget)
-    return height
+    return len(fitting_chain(g, budget).terms) - 1
 
 
 def frattini_subgroup(g: Group, budget: Budget = DEFAULT_BUDGET) -> Subgroup:
@@ -483,18 +455,21 @@ def is_nsn_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
 
 
 def is_t_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """Every subnormal subgroup is normal.
+    """Every subnormal subgroup is normal: no non-normal H is normal in its closure H^G.
 
-    A proper subgroup with full normal closure lies in no proper normal
-    subgroup, so it is not subnormal; only the other non-normal classes
-    need the subnormal chain.
+    H is normal in H^G exactly when H^G lies in N_G(H), that is when the
+    meet of the class record equals the closure.  Such an H is subnormal
+    (H <| H^G <| G).  Conversely, if H <| H_{k-1} <| ... <| H_1 <| G is a
+    subnormal series and H is not normal in G, let H_i be its last term
+    that is not normal in G; then H_i <| H_{i-1} <| G, so H_i^G <= H_{i-1}
+    normalizes H_i.
     """
     lattice = all_subgroups(g, budget)
     for i in lattice.rep_indices:
-        if lattice.normal[i] or lattice.class_sizes(i).closure == g.order:
-            continue
-        if is_subnormal(g, lattice.subgroups[i]):
-            return False
+        if not lattice.normal[i]:
+            sizes = lattice.class_sizes(i)
+            if sizes.meet == sizes.closure:
+                return False
     return True
 
 

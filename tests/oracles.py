@@ -143,17 +143,38 @@ def brute_is_subnormal(mul: np.ndarray, inv: np.ndarray, members: set[int]) -> b
         current = nxt
 
 
-def maximal_prime_index_oracle(group, lattice) -> bool:
-    """Supersolvability via the prime-index-maximal-subgroup criterion."""
-    from fgt.predicates import is_solvable, primes_of
+def recursive_is_supersolvable(group, budget) -> bool:
+    """Trivial, or some normal subgroup of prime order has a supersolvable quotient.
 
-    if not is_solvable(group):
-        return False
-    for m in lattice.maximal_subgroups():
-        index = group.order // m.order
-        if len(primes_of(index)) != 1 or index != primes_of(index)[0]:
-            return False
-    return True
+    The definition by a normal series with cyclic factors, unrolled one
+    prime-order normal subgroup at a time; every quotient gets its own
+    lattice, nothing is memoized.
+    """
+    from fgt.fields import is_prime
+    from fgt.groups import quotient_group
+    from fgt.lattice import all_subgroups
+
+    if group.order == 1:
+        return True
+    return any(
+        is_prime(n.order) and recursive_is_supersolvable(quotient_group(group, n.members, budget)[0], budget)
+        for n in all_subgroups(group, budget).normal_subgroups()
+    )
+
+
+def quotient_walk_fitting_height(group, budget) -> int:
+    """Steps G -> G/F(G) -> (G/F(G))/F(G/F(G)) -> ... down to the trivial group.
+
+    For solvable input only: F(G) is trivial just when G is, so each step shrinks the group.
+    """
+    from fgt.groups import quotient_group
+    from fgt.predicates import fitting_subgroup
+
+    height = 0
+    while group.order > 1:
+        group, _ = quotient_group(group, fitting_subgroup(group, budget).members, budget)
+        height += 1
+    return height
 
 
 def brute_is_associative(mul: np.ndarray) -> bool:

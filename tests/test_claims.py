@@ -1,12 +1,14 @@
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from fgt.catalog import GroupSpec, parse_spec
+from fgt.catalog import GroupSpec, build_group, parse_spec
 from fgt.claims import (
     STATEMENTS,
+    _power_action_formulas,
     ClaimResult,
     claim_registry,
     counterexample_search,
@@ -153,6 +155,20 @@ def test_counterexample_search_rejects_bad_expressions():
         counterexample_search("pnc and __import__('os')", [parse_spec("Sym(3)")], BUDGET)
     with pytest.raises(UnknownClaimError):
         counterexample_search("unknown_flag", [parse_spec("Sym(3)")], BUDGET)
+
+
+def test_power_action_formulas_read_the_whole_table():
+    spec = parse_spec("PowerAction(2,1,(5,3,1))")
+    g = build_group(spec, BUDGET)
+    assert list(_power_action_formulas(spec, g, BUDGET)) == [None]
+    # one wrong product, in the very last entry of the table
+    mul = g.mul.copy()
+    n = g.order
+    mul[n - 1, n - 1] = (mul[n - 1, n - 1] + 1) % n
+    altered = SimpleNamespace(mul=mul, inv=g.inv, order=n)
+    assert list(_power_action_formulas(spec, altered, BUDGET)) == [
+        {"group": spec.to_string(), "detail": "table disagrees with twist-power formula"}
+    ]
 
 
 def test_emit_report_json_schema_and_markdown():

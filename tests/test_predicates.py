@@ -1,15 +1,25 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_is_subnormal, brute_normal_closure, brute_normalizer, maximal_prime_index_oracle
+from oracles import (
+    brute_is_subnormal,
+    brute_normal_closure,
+    brute_normalizer,
+    quotient_walk_fitting_height,
+    recursive_is_supersolvable,
+)
 
 from fgt.catalog import build_group, parse_spec, standard_catalog
+from fgt.claims import _pa_spec, _power_action_universe
 from fgt.config import Budget
 from fgt.errors import NotApplicableError, NotSolvableError
 from fgt.groups import order_fingerprint
-from fgt.lattice import Subgroup, all_subgroups, conjugate_subgroup, subgroup_from_generators
+from fgt.lattice import Subgroup, all_subgroups, conjugate_subgroup, is_subnormal, subgroup_from_generators
 from fgt.predicates import (
     classify_group,
     commutator_subgroup,
@@ -149,16 +159,23 @@ def test_classify_known_examples():
     assert profile.on and profile.pnc and profile.nsn
 
 
-def test_supersolvable_examples_and_huppert_oracle():
+def _catalog_and_power_action_groups():
+    """The catalog, then every fifth power-action spec of the theorem-3 sweep (orders up to 400)."""
+    specs = list(standard_catalog()) + [_pa_spec(pa) for pa in _power_action_universe(400)[0][::5]]
+    return [(spec.to_string(), build_group(spec, BUDGET)) for spec in specs]
+
+
+def test_supersolvable_examples_and_quotient_recursion_oracle():
     assert is_supersolvable(build("Dicyclic(2)"), BUDGET)
     assert is_supersolvable(build("C2sqSemiC4"), BUDGET)
     assert not is_supersolvable(build("Alt(4)"), BUDGET)
-    # independent route: solvable with all maximal subgroups of prime index
-    for spec in ("Cyclic(12)", "Sym(3)", "Sym(4)", "Alt(4)", "Dihedral(6)", "SL2(3)",
-                 "Modular(3,2)", "C2sqSemiC4", "IrreducibleFrobenius(5,2,3)", "Dicyclic(5)"):
-        g = build(spec)
-        lat = all_subgroups(g, BUDGET)
-        assert is_supersolvable(g, BUDGET) == maximal_prime_index_oracle(g, lat), spec
+    # independent route: the definition, one prime-order normal subgroup at a time
+    verdicts = set()
+    for spec, g in _catalog_and_power_action_groups():
+        expected = recursive_is_supersolvable(g, BUDGET)
+        verdicts.add(expected)
+        assert is_supersolvable(g, BUDGET) == expected, spec
+    assert verdicts == {True, False}
 
 
 def test_nilpotent_solvable_metabelian_examples():
@@ -256,6 +273,15 @@ def test_fitting_chain_matches_fitting_height():
     assert not a5_chain.terminated  # F(A5) = 1, the chain stalls immediately
 
 
+def test_fitting_height_matches_quotient_walk():
+    checked = 0
+    for spec, g in _catalog_and_power_action_groups():
+        if is_solvable(g):
+            checked += 1
+            assert fitting_height(g, BUDGET) == quotient_walk_fitting_height(g, BUDGET), spec
+    assert checked >= 100
+
+
 def test_generalized_fitting_examples():
     comps, layer, fstar, klass = generalized_fitting(build("Sym(4)"), BUDGET)
     assert comps == [] and fstar.order == 4 and klass == 1
@@ -322,6 +348,29 @@ def test_t_group_examples():
     assert is_t_group(build("Sym(3)"), BUDGET)
     assert is_t_group(build("Dicyclic(2)"), BUDGET)
     assert not is_t_group(build("Dihedral(4)"), BUDGET)
+
+
+def test_t_group_matches_subnormal_chain_walk():
+    """H normal in H^G for no non-normal class, against walking each class's normal-closure chain."""
+    verdicts = set()
+    for spec in standard_catalog():
+        g = build_group(spec, BUDGET)
+        lat = all_subgroups(g, BUDGET)
+        expected = not any(
+            not lat.normal[i] and is_subnormal(g, lat.subgroups[i]) for i in lat.rep_indices
+        )
+        verdicts.add(expected)
+        assert is_t_group(g, BUDGET) == expected, spec.to_string()
+    assert verdicts == {True, False}
+
+
+def test_classify_group_over_the_catalog_is_byte_identical_to_recorded_digest():
+    # recorded from the code that tested supersolvability by quotient recursion
+    # and T-groups by subnormal chain walks
+    doc = json.dumps([[spec.to_string(), classify_group(build_group(spec)).to_json()] for spec in standard_catalog()])
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "d0345d964f1c3480537f1e8ee9ce9b2f74283569b07e245aeb551457486134ea"
+    )
 
 
 def test_pnc_witness_in_s4_is_recorded():
