@@ -4,7 +4,7 @@
 S4 is the known failure; S3, S5 and S6 come out PNC.  --extended adds S7
 (order 5040, at the raised order cap), which is not PNC either: a subgroup
 of order 12 has normal closure A7 and a normalizer of order 72 inside A7.
-S7 took 259 s and 308 MB peak RSS in one run on a 2-core VM.
+S7 took 18 s and 305 MB peak RSS in one run on a 2-core VM.
 """
 
 import argparse

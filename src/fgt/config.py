@@ -25,7 +25,11 @@ def _default_order_cap() -> int:
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits for group construction and lattice enumeration."""
+    """Resource limits for group construction and lattice enumeration.
+
+    ``max_join_attempts`` bounds the joins ``all_subgroups`` actually computes,
+    after it has dropped those that give a conjugate or a copy of a known join.
+    """
 
     order_cap: int = field(default_factory=_default_order_cap)
     max_subgroups: int = DEFAULT_MAX_SUBGROUPS

@@ -9,6 +9,7 @@ witness selection downstream is deterministic.
 from __future__ import annotations
 
 import json
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -160,9 +161,17 @@ class SubgroupLattice:
         return [self.subgroups[i] for i in np.flatnonzero(self.inside[:, j])] + [self.subgroups[j]]
 
     def maximal_inside(self, j: int) -> np.ndarray:
-        """Indices of the maximal subgroups of subgroup j (the lattice covers below j)."""
+        """Indices of the maximal subgroups of subgroup j (the lattice covers below j).
+
+        Tested in row blocks of ``below``: one (below x below) block would copy
+        (S-1)^2 bytes when j is the whole group.
+        """
         below = np.flatnonzero(self.inside[:, j])
-        return below[~self.inside[np.ix_(below, below)].any(axis=1)]
+        covered = np.zeros(below.size, dtype=bool)
+        for start in range(0, below.size, 1024):
+            rows = below[start : start + 1024]
+            covered[start : start + 1024] = self.inside[np.ix_(rows, below)].any(axis=1)
+        return below[~covered]
 
 
 def _proper_containment(subgroups: list[Subgroup]) -> np.ndarray:
@@ -194,12 +203,21 @@ def _key_of(n: int, members: np.ndarray) -> bytes:
 
 
 def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
-    """Every subgroup of g: cyclic seeds, then pairwise joins until fixpoint.
+    """Every subgroup of g: cyclic seeds, then joins with cyclic subgroups until fixpoint.
 
-    Joins are only computed against one representative per conjugacy class;
-    a join of a conjugate is the matching conjugate of a join, so closing
-    each new subgroup's conjugation orbit keeps the enumeration complete
-    while cutting the join count by the typical class size.
+    Each new subgroup's conjugacy class is added whole, so joins are only
+    computed for one representative H per class: a join of a conjugate is the
+    matching conjugate of a join.  H is joined with a cyclic subgroup C = <x>
+    not inside it, up to three reductions (Neubueser's cyclic extension method,
+    Holt-Eick-O'Brien, *Handbook of Computational Group Theory*, 2005):
+
+    - one C per N_G(H)-orbit: for y in N_G(H), <H, C^y> = <H, C>^y, a conjugate already added;
+    - one C per coset xH: for h in H, <H, x> = <H, xh>;
+    - when x normalizes H, the join is the product set H<x> and needs no closure
+      (the Dimino coset step, Butler, *Fundamental Algorithms for Permutation
+      Groups*, LNCS 559, 1991).
+
+    ``budget.max_join_attempts`` counts the joins left after these reductions.
     """
     cached = g._cache.get(("lattice", budget.max_subgroups, budget.max_join_attempts))
     if cached is not None:
@@ -234,21 +252,24 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
                     queue.append(cm)
 
     orbit_add(np.array([0], dtype=np.intp))
+    # cyclic[c] = <cyc_gen[c]>, its least generator; cyc_of[x] = c when <x> = cyclic[c]
     cyclic: list[np.ndarray] = []
-    seen_cyc = set()
+    cyc_gen: list[int] = []
+    cyc_of = np.full(n, -1, dtype=np.int32)
     for x in range(1, n):
+        if cyc_of[x] >= 0:
+            continue
         powers = [0]
         cur = x
         while cur != 0:
             powers.append(cur)
             cur = int(mul[cur, x])
-        members = np.unique(np.array(powers, dtype=np.intp))
-        key = _key_of(n, members)
-        if key not in seen_cyc:
-            seen_cyc.add(key)
-            cyclic.append(members)
-            orbit_add(members)
-    cyc_sets = [frozenset(c.tolist()) for c in cyclic]
+        # x^k generates <x> exactly when k is prime to the order of x
+        cyc_of[[p for k, p in enumerate(powers) if math.gcd(k, len(powers)) == 1]] = len(cyclic)
+        cyclic.append(np.unique(np.array(powers, dtype=np.intp)))
+        cyc_gen.append(x)
+        orbit_add(cyclic[-1])
+    cyc_gen = np.array(cyc_gen, dtype=np.intp)
 
     join_attempts = 0
     head = 0
@@ -257,17 +278,31 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
         head += 1
         if base.size == n:
             continue
-        base_set = frozenset(base.tolist())
-        for cyc, cyc_set in zip(cyclic, cyc_sets):
-            if cyc_set <= base_set:
-                continue
+        in_base = np.zeros(n, dtype=bool)
+        in_base[base] = True
+        cand = np.flatnonzero(~in_base[cyc_gen])
+        norm = normalizer_members(g, base)
+        # keep the least index of each N_G(H)-orbit, in row blocks of N_G(H)
+        xs = cyc_gen[cand]
+        least = cand.astype(np.int32)
+        for start in range(0, norm.size, 256):
+            least = np.minimum(least, cyc_of[conj[norm[start : start + 256, None], xs]].min(axis=0))
+        cand = cand[least == cand]
+        # keep the first of each coset xH, named by its least member
+        first = np.unique(mul[cyc_gen[cand][:, None], base].min(axis=1), return_index=True)[1]
+        cand = cand[np.sort(first)]
+        in_norm = np.zeros(n, dtype=bool)
+        in_norm[norm] = True
+        for c in cand:
             join_attempts += 1
             if join_attempts > budget.max_join_attempts:
                 raise BudgetExceededError(
                     f"join budget {budget.max_join_attempts} exceeded", partial=len(found)
                 )
-            joined = close_under_product(mul, np.concatenate([base, cyc]))
-            orbit_add(joined)
+            if in_norm[cyc_gen[c]]:
+                orbit_add(product_set(mul, base, cyclic[c]))
+            else:
+                orbit_add(close_under_product(mul, np.concatenate([base, cyclic[c]])))
 
     subs = [Subgroup(g, m) for m in found.values()]
     subs.sort(key=lambda s: s.sort_key())
@@ -369,6 +404,16 @@ def second_maximal_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> list[
     return [lattice.subgroups[i] for i in np.flatnonzero(second)]
 
 
+def product_set(mul: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product set AB = {xy : x in A, y in B} as a sorted index array.
+
+    It is the subgroup <A, B> when one factor normalizes the other.
+    """
+    mask = np.zeros(mul.shape[0], dtype=bool)
+    mask[mul[a[:, None], b]] = True
+    return np.flatnonzero(mask)
+
+
 def subgroup_product(g: Group, a: Subgroup, b: Subgroup) -> tuple[int, bool]:
     """Size of the product set AB, and whether it is all of G.
 
@@ -380,7 +425,7 @@ def subgroup_product(g: Group, a: Subgroup, b: Subgroup) -> tuple[int, bool]:
         meet = np.intersect1d(a.members, b.members, assume_unique=True)
         size = a.order * b.order // meet.size
     else:
-        size = int(np.unique(g.mul[np.ix_(a.members, b.members)]).size)
+        size = product_set(g.mul, a.members, b.members).size
     return size, size == g.order
 
 

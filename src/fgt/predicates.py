@@ -196,7 +196,8 @@ def upper_p_series(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> SeriesR
     take_p_part = False
     stalled = 0
     while terms[-1].size < g.order and stalled < 2:
-        q, hom = quotient_group(g, terms[-1], budget)
+        # G/1 would be a copy of G with a lattice of its own
+        q, hom = (g, None) if terms[-1].size == 1 else quotient_group(g, terms[-1], budget)
         if take_p_part:
             step = p_core_members(q, p, budget)
         else:
@@ -205,7 +206,7 @@ def upper_p_series(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> SeriesR
             for n in lat.normal_subgroups():
                 if n.order % p != 0:
                     step = close_under_product(q.mul, np.union1d(step, n.members), cutoff_to_full=False)
-        lifted = _preimage(hom.map, step, g.order)
+        lifted = step if hom is None else _preimage(hom.map, step, g.order)
         stalled = stalled + 1 if lifted.size == terms[-1].size else 0
         terms.append(lifted)
         take_p_part = not take_p_part
@@ -339,7 +340,7 @@ def p_length(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> int:
     for n in lattice.normal_subgroups():
         if n.order % p != 0:
             core = close_under_product(g.mul, np.union1d(core, n.members), cutoff_to_full=False)
-    reduced, _ = quotient_group(g, core, budget)
+    reduced = g if core.size == 1 else quotient_group(g, core, budget)[0]
     if reduced.order == 1:
         return 0
     opart = p_core_members(reduced, p, budget)

@@ -106,6 +106,43 @@ def brute_closure(mul: np.ndarray, seed, cutoff_to_full: bool = True) -> np.ndar
         cur = new
 
 
+def all_joins_subgroups(mul: np.ndarray, generators) -> frozenset[frozenset[int]]:
+    """Every subgroup, by joining each class representative with every cyclic subgroup not inside it.
+
+    The enumeration without the normalizer-orbit, coset and product-set
+    reductions: each new subgroup's conjugacy class (under ``generators``) is
+    added whole, and every join is a ``brute_closure``.
+    """
+    n = int(mul.shape[0])
+    inv = np.argmin(mul, axis=1)  # mul[x, inv[x]] is the identity, index 0
+    found: set[frozenset[int]] = set()
+    reps: list[frozenset[int]] = []
+
+    def orbit_add(sub: frozenset[int]):
+        if sub in found:
+            return
+        found.add(sub)
+        reps.append(sub)
+        queue = [sub]
+        while queue:
+            cur = queue.pop()
+            for s in generators:
+                image = frozenset(int(mul[mul[inv[s], x], s]) for x in cur)
+                if image not in found:
+                    found.add(image)
+                    queue.append(image)
+
+    orbit_add(frozenset([0]))
+    cyclic = sorted({frozenset(brute_closure(mul, [x]).tolist()) for x in range(1, n)}, key=sorted)
+    for c in cyclic:
+        orbit_add(c)
+    for base in reps:  # grows while it is walked
+        for c in cyclic:
+            if not c <= base:
+                orbit_add(frozenset(brute_closure(mul, list(base | c)).tolist()))
+    return frozenset(found)
+
+
 def brute_normalizer(mul: np.ndarray, inv: np.ndarray, members: set[int]) -> set[int]:
     n = int(mul.shape[0])
     out = set()
@@ -175,6 +212,25 @@ def quotient_walk_fitting_height(group, budget) -> int:
         group, _ = quotient_group(group, fitting_subgroup(group, budget).members, budget)
         height += 1
     return height
+
+
+def quotient_walk_p_length(group, p: int, budget) -> int:
+    """p-length by building G/O_p'(G) and then its quotient by O_p, even when O_p'(G) is trivial."""
+    from fgt.groups import close_under_product, quotient_group
+    from fgt.lattice import all_subgroups
+    from fgt.predicates import p_core_members
+
+    if group.order % p != 0:
+        return 0
+    core = np.array([0], dtype=np.intp)
+    for n in all_subgroups(group, budget).normal_subgroups():
+        if n.order % p != 0:
+            core = close_under_product(group.mul, np.union1d(core, n.members), cutoff_to_full=False)
+    reduced, _ = quotient_group(group, core, budget)
+    if reduced.order == 1:
+        return 0
+    after_p, _ = quotient_group(reduced, p_core_members(reduced, p, budget), budget)
+    return 1 + quotient_walk_p_length(after_p, p, budget)
 
 
 def brute_is_associative(mul: np.ndarray) -> bool:

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from fgt.catalog import build_group, parse_spec
 from fgt.cli import main
+from fgt.config import Budget
+from fgt.lattice import all_subgroups, lattice_to_json
 
 
 # `fgt lattice <spec>` stdout digests: the benchmark's recorded set, plus
@@ -133,3 +136,12 @@ def test_lattice_output_is_byte_identical_to_recorded_digest(capsys, spec):
     code, out, _ = run_cli(capsys, "lattice", spec)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_DIGESTS[spec]
+
+
+def test_sym7_lattice_is_byte_identical_to_recorded_digest():
+    # 11 300 subgroups in 96 classes, recorded when every representative was
+    # joined with every cyclic subgroup not inside it
+    budget = Budget(order_cap=5040)
+    doc = lattice_to_json(all_subgroups(build_group(parse_spec("Sym(7)"), budget), budget))
+    digest = hashlib.sha256(doc.encode()).hexdigest()
+    assert digest == "eeb70b5e0bb6ad46dc51dc56ffa59e0aec3430f659afab7ad93fce41860e9c89"

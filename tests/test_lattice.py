@@ -3,9 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_normal_closure, brute_normalizer, exhaustive_subgroups
+from oracles import (
+    all_joins_subgroups,
+    brute_closure,
+    brute_normal_closure,
+    brute_normalizer,
+    exhaustive_subgroups,
+)
 
 from fgt.catalog import build_group, parse_spec, standard_catalog
+from fgt.claims import _pa_spec, _power_action_universe
 from fgt.config import Budget
 from fgt.errors import BudgetExceededError, ConsistencyError
 from fgt.groups import order_fingerprint
@@ -24,6 +31,8 @@ from fgt.lattice import (
     normal_closure,
     normal_subgroups,
     normalizer,
+    normalizer_members,
+    product_set,
     second_maximal_subgroups,
     subgroup_from_generators,
     subgroup_join,
@@ -60,6 +69,26 @@ def test_subgroup_counts_match_exhaustive_oracle(spec, count):
     oracle = exhaustive_subgroups(g.mul)
     assert len(oracle) == count
     assert lattice_sets(g) == oracle
+
+
+def test_reduced_joins_match_joining_every_cyclic_subgroup():
+    """The catalog, then every fifth power-action spec of the theorem-3 sweep (orders up to 400)."""
+    specs = list(standard_catalog()) + [_pa_spec(pa) for pa in _power_action_universe(400)[0][::5]]
+    for spec in specs:
+        g = build_group(spec, BUDGET)
+        assert lattice_sets(g) == all_joins_subgroups(g.mul, g.generators), spec.to_string()
+
+
+@pytest.mark.parametrize("spec", ["Sym(4)", "GU2_3", "Direct(Cyclic(3),ElementaryAbelian(2,5))"])
+def test_product_set_is_the_join_when_c_normalizes_h(spec):
+    g = build(spec)
+    subgroups = all_subgroups(g, BUDGET).subgroups
+    rng = np.random.default_rng(0)
+    for i in rng.choice(len(subgroups), size=40):
+        h = subgroups[i].members
+        x = rng.choice(normalizer_members(g, h))
+        c = brute_closure(g.mul, [x])
+        assert np.array_equal(product_set(g.mul, h, c), brute_closure(g.mul, np.concatenate([h, c]))), (i, x)
 
 
 def test_exhaustive_oracle_agreement_order_20_24():
@@ -253,8 +282,9 @@ def test_budget_exhaustion_raises_with_partial_count():
     with pytest.raises(BudgetExceededError) as err:
         all_subgroups(build("Sym(4)"), Budget(max_subgroups=3))
     assert err.value.partial is not None
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as err:
         all_subgroups(build("Sym(4)"), Budget(max_join_attempts=2))
+    assert err.value.partial is not None
 
 
 def test_lattice_json_is_deterministic_and_well_formed():

@@ -11,6 +11,7 @@ from oracles import (
     brute_normal_closure,
     brute_normalizer,
     quotient_walk_fitting_height,
+    quotient_walk_p_length,
     recursive_is_supersolvable,
 )
 
@@ -280,6 +281,16 @@ def test_fitting_height_matches_quotient_walk():
             checked += 1
             assert fitting_height(g, BUDGET) == quotient_walk_fitting_height(g, BUDGET), spec
     assert checked >= 100
+
+
+def test_p_length_matches_quotient_walk():
+    checked = 0
+    for spec, g in _catalog_and_power_action_groups():
+        if is_solvable(g):
+            for p in primes_of(g.order):
+                checked += 1
+                assert p_length(g, p, BUDGET) == quotient_walk_p_length(g, p, BUDGET), (spec, p)
+    assert checked >= 200
 
 
 def test_generalized_fitting_examples():
