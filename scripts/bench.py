@@ -4,15 +4,18 @@
     python3 scripts/bench.py --base HEAD --pairs 10 --out BENCH_7.json
 
 The checkout is the working tree, so ``--base HEAD`` measures uncommitted
-changes and ``--base HEAD~1`` the last commit.  The base commit is exported with ``git archive`` into a temporary directory,
-which is removed on exit.  For every pair and workload, ``fgtbench/run.py
---trace 0`` runs once in each tree, one run at a time, the base first in
-even pairs and the checkout first in odd ones, so a slow phase of the
-machine falls on both sides.  Each tree runs its own ``fgtbench``.
+changes and ``--base HEAD~1`` the last commit.  The base commit is
+exported with ``git archive`` into a temporary directory, which is removed
+on exit.  For every pair and workload, ``fgtbench/run.py --trace 0`` runs
+once in each tree, one run at a time, the base first in even pairs and the
+checkout first in odd ones, so a slow phase of the machine falls on both
+sides.  Each tree runs its own ``fgtbench``.
 
-The JSON written holds every pair's end-to-end metrics, the per-side
-medians, the checkout's median over the base's, and ``wc -l
-src/fgt/*.py`` on both sides.  Nothing under ``fgtbench/`` is changed.
+Every workload runs with the benchmark's own defaults for seed and run
+length.  The JSON written holds every pair's end-to-end metrics, the
+per-side medians, the checkout's median over the base's, and the
+``src/fgt`` line count of both sides (``fgtbench/layers.py``'s
+``src_lines``).  Nothing under ``fgtbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "fgtbench"))
+from layers import src_lines  # noqa: E402
+
 WORKLOADS = ("claims", "lattice", "construct")
 METRICS = ("wall_s", "setup_s", "cpu_s", "peak_rss_mb")
 
@@ -45,14 +51,9 @@ def export(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
-def src_lines(tree: Path) -> int:
-    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "fgt").glob("*.py"))
-
-
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(tree: Path, workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "fgtbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "fgtbench/run.py", "--workload", workload, "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -72,9 +73,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", default="HEAD", help="commit to compare against (default: HEAD)")
     ap.add_argument("--pairs", type=int, default=3, help="base/checkout run pairs per workload")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=36.0, help="fgtbench --seconds for each run")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = ap.parse_args(argv)
     # On SIGTERM unwind, so the temporary directory is removed.
@@ -84,20 +82,20 @@ def main(argv=None) -> int:
         "base": git("rev-parse", args.base),
         "checkout": {"head": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "src"))},
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(), "platform": platform.platform()},
-        "args": {"pairs": args.pairs, "seed": args.seed, "seconds": args.seconds},
+        "args": {"pairs": args.pairs},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="fgt-bench-base-") as tmp:
         base = Path(tmp)
         export(args.base, base)
         doc["src_fgt_lines"] = {"base": src_lines(base), "checkout": src_lines(ROOT)}
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             pairs = []
             for i in range(args.pairs):
                 order = ("base", "checkout") if i % 2 == 0 else ("checkout", "base")
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = bench(base if side == "base" else ROOT, workload, args.seed, args.seconds)
+                    pair[side] = bench(base if side == "base" else ROOT, workload)
                     wall = pair[side]["wall_s"]
                     print(f"{workload} pair {i} {side}: wall_s={wall:.3f}", file=sys.stderr, flush=True)
                 pairs.append(pair)

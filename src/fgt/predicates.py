@@ -183,6 +183,17 @@ def _preimage(hom_map, target_members, order: int) -> np.ndarray:
     return np.flatnonzero(target[np.asarray(hom_map, dtype=np.intp)]).astype(np.intp)
 
 
+def _quotient_by(g: Group, normal_members: np.ndarray, budget: Budget):
+    """G/N and a function taking members of a subgroup of G/N to those of its preimage in G.
+
+    When N = 1 this is G itself: G/1 would be a copy of G with a lattice of its own.
+    """
+    if normal_members.size == 1:
+        return g, lambda members: members
+    q, hom = quotient_group(g, normal_members, budget)
+    return q, lambda members: _preimage(hom.map, members, g.order)
+
+
 def upper_p_series(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> SeriesReport:
     """Ascending series 1 <= O_p' <= O_p',p <= ... pulled back to subgroups of g.
 
@@ -196,8 +207,7 @@ def upper_p_series(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> SeriesR
     take_p_part = False
     stalled = 0
     while terms[-1].size < g.order and stalled < 2:
-        # G/1 would be a copy of G with a lattice of its own
-        q, hom = (g, None) if terms[-1].size == 1 else quotient_group(g, terms[-1], budget)
+        q, lift = _quotient_by(g, terms[-1], budget)
         if take_p_part:
             step = p_core_members(q, p, budget)
         else:
@@ -206,7 +216,7 @@ def upper_p_series(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> SeriesR
             for n in lat.normal_subgroups():
                 if n.order % p != 0:
                     step = close_under_product(q.mul, np.union1d(step, n.members), cutoff_to_full=False)
-        lifted = step if hom is None else _preimage(hom.map, step, g.order)
+        lifted = lift(step)
         stalled = stalled + 1 if lifted.size == terms[-1].size else 0
         terms.append(lifted)
         take_p_part = not take_p_part
@@ -217,11 +227,8 @@ def fitting_chain(g: Group, budget: Budget = DEFAULT_BUDGET) -> SeriesReport:
     """Ascending chain of Fitting-subgroup preimages; terminates at G for solvable g."""
     terms = [np.array([0], dtype=np.intp)]
     while terms[-1].size < g.order:
-        if terms[-1].size == 1:  # G/1 would be a copy of G with a lattice of its own
-            lifted = fitting_subgroup(g, budget).members
-        else:
-            q, hom = quotient_group(g, terms[-1], budget)
-            lifted = _preimage(hom.map, fitting_subgroup(q, budget).members, g.order)
+        q, lift = _quotient_by(g, terms[-1], budget)
+        lifted = lift(fitting_subgroup(q, budget).members)
         if lifted.size == terms[-1].size:
             break
         terms.append(lifted)
@@ -340,7 +347,7 @@ def p_length(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> int:
     for n in lattice.normal_subgroups():
         if n.order % p != 0:
             core = close_under_product(g.mul, np.union1d(core, n.members), cutoff_to_full=False)
-    reduced = g if core.size == 1 else quotient_group(g, core, budget)[0]
+    reduced, _ = _quotient_by(g, core, budget)
     if reduced.order == 1:
         return 0
     opart = p_core_members(reduced, p, budget)
