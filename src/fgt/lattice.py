@@ -81,49 +81,24 @@ class ClassSizes(NamedTuple):
 
 
 class SubgroupLattice:
-    def __init__(self, group: Group, subgroups: list[Subgroup], budget: Budget):
+    def __init__(self, group: Group, subgroups: list[Subgroup], orbit: np.ndarray, budget: Budget):
+        """``orbit[i]`` labels the conjugacy class of ``subgroups[i]``, which are sorted by (order, bitset)."""
         self.group = group
-        self.subgroups = subgroups  # sorted by (order, bitset)
+        self.subgroups = subgroups
         self.budget = budget
         self.index_by_key = {s.key: i for i, s in enumerate(subgroups)}
-        self.normal = np.zeros(len(subgroups), dtype=bool)
-        self.class_id = np.full(len(subgroups), -1, dtype=np.int64)
-        self._annotate()
+        # class ids rank the orbits by their first index, so the first index of each id is its representative
+        _, first, inverse = np.unique(orbit, return_index=True, return_inverse=True)
+        self.class_id = np.argsort(np.argsort(first))[inverse]
+        _, reps, self.class_size = np.unique(self.class_id, return_index=True, return_counts=True)
+        self.rep_indices = reps.tolist()
+        self.normal = self.class_size[self.class_id] == 1
         # inside[i, j]: subgroup i is a proper subgroup of subgroup j
         self.inside = _proper_containment(subgroups)
         # the whole group sorts last: i is maximal when only the whole group contains it
         self.maximal = self.inside[:, -1] & ~self.inside[:, :-1].any(axis=1)
-        # class ids follow the sort order, so the first index of each id is its representative
-        self.rep_indices = np.unique(self.class_id, return_index=True)[1].tolist()
         self._class_sizes: dict[int, ClassSizes] = {}
 
-    def _annotate(self):
-        g = self.group
-        conj = g.conj_table()
-        # conjugacy classes, iterating in sorted order so class ids are canonical
-        next_class = 0
-        for i, sub in enumerate(self.subgroups):
-            if self.class_id[i] != -1:
-                continue
-            orbit = [i]
-            self.class_id[i] = next_class
-            queue = [sub.members]
-            seen = {sub.key}
-            while queue:
-                mem = queue.pop()
-                for gen in g.generators:
-                    conjugated = np.sort(conj[gen][mem])
-                    j = self.index_by_key.get(_key_of(g.order, conjugated))
-                    if j is None:
-                        raise ConsistencyError("lattice not closed under conjugation")
-                    if self.subgroups[j].key not in seen:
-                        seen.add(self.subgroups[j].key)
-                        self.class_id[j] = next_class
-                        orbit.append(j)
-                        queue.append(self.subgroups[j].members)
-            if len(orbit) == 1:
-                self.normal[orbit[0]] = True
-            next_class += 1
     def subgroup_index(self, sub: Subgroup) -> int:
         idx = self.index_by_key.get(sub.key)
         if idx is None:
@@ -136,16 +111,25 @@ class SubgroupLattice:
     def class_sizes(self, i: int) -> ClassSizes:
         """Normalizer, normal closure and meet orders of subgroup i's class, computed on first use.
 
-        Threads racing on one class both compute it and store equal values.
+        |N_G(H)| = |G| / |class of H| by orbit-stabilizer, and H^G is the
+        least normal subgroup containing H: the first normal index above i,
+        since the sort is by order.  Threads racing on one class both compute
+        it and store equal values.
         """
         cid = int(self.class_id[i])
         sizes = self._class_sizes.get(cid)
         if sizes is None:
-            sizes = self._class_sizes[cid] = normality_sizes(self.group, self.subgroups[i].members)
+            g = self.group
+            h = self.subgroups[i]
+            closure = h if self.normal[i] else self.subgroups[np.flatnonzero(self.inside[i] & self.normal)[0]]
+            # the members of H^G that conjugate H onto itself
+            in_h = h.mask()
+            meet = int(in_h[g.conj_table()[closure.members[:, None], h.members]].all(axis=1).sum())
+            sizes = self._class_sizes[cid] = ClassSizes(g.order // int(self.class_size[cid]), closure.order, meet)
         return sizes
 
     def conjugacy_class_size(self, i: int) -> int:
-        return int((self.class_id == self.class_id[i]).sum())
+        return int(self.class_size[self.class_id[i]])
 
     def normal_subgroups(self) -> list[Subgroup]:
         return [s for i, s in enumerate(self.subgroups) if self.normal[i]]
@@ -174,12 +158,17 @@ class SubgroupLattice:
         return below[~covered]
 
 
+_BLOCK_BYTES = 1 << 20
+
+
 def _proper_containment(subgroups: list[Subgroup]) -> np.ndarray:
     """Boolean matrix of proper inclusion, tested on the packed member bitsets.
 
-    Only larger subgroups whose order the smaller one divides are tested;
-    the bitsets are padded to whole 64-bit words so each row test is one
-    vectorized AND over a few words per candidate.
+    Subgroups of one order sit in one index range, so only pairs of orders
+    a < b with a | b are tested, a block of rows of order a against every
+    column of order b.  The bitsets are padded to whole 64-bit words, and each
+    block's temporary of rows x columns x words is held under
+    ``_BLOCK_BYTES``, so a large lattice gains no large transient array.
     """
     count = len(subgroups)
     inside = np.zeros((count, count), dtype=bool)
@@ -190,9 +179,16 @@ def _proper_containment(subgroups: list[Subgroup]) -> np.ndarray:
     packed = packed.view(np.uint64)
     outside = ~packed
     orders = np.array([s.order for s in subgroups])
-    for i in range(count):
-        larger = np.flatnonzero((orders > orders[i]) & (orders % orders[i] == 0))
-        inside[i, larger] = ~(packed[i] & outside[larger]).any(axis=1)
+    sizes, starts = np.unique(orders, return_index=True)
+    ends = np.append(starts[1:], count)
+    for a, a_start, a_end in zip(sizes, starts, ends):
+        for b, b_start, b_end in zip(sizes, starts, ends):
+            if b <= a or b % a:
+                continue
+            step = max(1, _BLOCK_BYTES // ((b_end - b_start) * width))
+            for lo in range(a_start, a_end, step):
+                hi = min(lo + step, a_end)
+                inside[lo:hi, b_start:b_end] = ~(packed[lo:hi, None] & outside[None, b_start:b_end]).any(axis=2)
     return inside
 
 
@@ -226,30 +222,24 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     mul = g.mul
     conj = g.conj_table()
     found: dict[bytes, np.ndarray] = {}
-    reps: list[np.ndarray] = []
-
-    def _add_single(members: np.ndarray, key: bytes):
-        if len(found) >= budget.max_subgroups:
-            raise BudgetExceededError(
-                f"subgroup budget {budget.max_subgroups} exceeded", partial=len(found)
-            )
-        found[key] = members
+    orbit_of: list[int] = []  # the orbit of each subgroup in found
+    reps: list[tuple[np.ndarray, int]] = []  # each orbit's first subgroup and its size
 
     def orbit_add(members: np.ndarray):
-        key = _key_of(n, members)
-        if key in found:
-            return
-        _add_single(members, key)
-        reps.append(members)
+        start = len(found)
         queue = [members]
         while queue:
             mem = queue.pop()
-            for c in g.generators:
-                cm = np.sort(conj[c][mem])
-                k2 = _key_of(n, cm)
-                if k2 not in found:
-                    _add_single(cm, k2)
-                    queue.append(cm)
+            key = _key_of(n, mem)
+            if key in found:
+                continue
+            if len(found) >= budget.max_subgroups:
+                raise BudgetExceededError(f"subgroup budget {budget.max_subgroups} exceeded", partial=len(found))
+            found[key] = mem
+            orbit_of.append(len(reps))
+            queue.extend(np.sort(conj[c][mem]) for c in g.generators)
+        if len(found) > start:
+            reps.append((members, len(found) - start))
 
     orbit_add(np.array([0], dtype=np.intp))
     # cyclic[c] = <cyc_gen[c]>, its least generator; cyc_of[x] = c when <x> = cyclic[c]
@@ -274,7 +264,7 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     join_attempts = 0
     head = 0
     while head < len(reps):
-        base = reps[head]
+        base, orbit_size = reps[head]
         head += 1
         if base.size == n:
             continue
@@ -282,6 +272,9 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
         in_base[base] = True
         cand = np.flatnonzero(~in_base[cyc_gen])
         norm = normalizer_members(g, base)
+        # orbit-stabilizer: an orbit cut short or two classes walked as one breaks it
+        if norm.size * orbit_size != n:
+            raise ConsistencyError("conjugacy orbit does not match the normalizer")
         # keep the least index of each N_G(H)-orbit, in row blocks of N_G(H)
         xs = cyc_gen[cand]
         least = cand.astype(np.int32)
@@ -305,8 +298,8 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
                 orbit_add(close_under_product(mul, np.concatenate([base, cyclic[c]])))
 
     subs = [Subgroup(g, m) for m in found.values()]
-    subs.sort(key=lambda s: s.sort_key())
-    lattice = SubgroupLattice(g, subs, budget)
+    order = sorted(range(len(subs)), key=lambda t: subs[t].sort_key())
+    lattice = SubgroupLattice(g, [subs[t] for t in order], np.array(orbit_of)[order], budget)
     g._cache[("lattice", budget.max_subgroups, budget.max_join_attempts)] = lattice
     return lattice
 

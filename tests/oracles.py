@@ -143,6 +143,37 @@ def all_joins_subgroups(mul: np.ndarray, generators) -> frozenset[frozenset[int]
     return frozenset(found)
 
 
+def bfs_class_ids(group, subgroups) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugacy class ids and normality of ``subgroups`` (sorted), by a conjugation BFS under the generators.
+
+    Classes are numbered in the order of their first subgroup in the list, and
+    a subgroup is normal when its class has no other member.  Conjugates are
+    computed from the table and its inverses, not from the conjugation table.
+    """
+    mul, inv = group.mul, group.inv
+    index = {frozenset(s.members.tolist()): i for i, s in enumerate(subgroups)}
+    class_id = np.full(len(subgroups), -1, dtype=np.int64)
+    normal = np.zeros(len(subgroups), dtype=bool)
+    next_class = 0
+    for i in range(len(subgroups)):
+        if class_id[i] != -1:
+            continue
+        class_id[i] = next_class
+        orbit = [i]
+        queue = [i]
+        while queue:
+            members = subgroups[queue.pop()].members
+            for s in group.generators:
+                j = index[frozenset(mul[mul[inv[s], members], s].tolist())]
+                if class_id[j] == -1:
+                    class_id[j] = next_class
+                    orbit.append(j)
+                    queue.append(j)
+        normal[i] = len(orbit) == 1
+        next_class += 1
+    return class_id, normal
+
+
 def brute_normalizer(mul: np.ndarray, inv: np.ndarray, members: set[int]) -> set[int]:
     n = int(mul.shape[0])
     out = set()

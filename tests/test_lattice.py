@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_joins_subgroups,
+    bfs_class_ids,
     brute_closure,
     brute_normal_closure,
     brute_normalizer,
@@ -15,7 +16,7 @@ from fgt.catalog import build_group, parse_spec, standard_catalog
 from fgt.claims import _pa_spec, _power_action_universe
 from fgt.config import Budget
 from fgt.errors import BudgetExceededError, ConsistencyError
-from fgt.groups import order_fingerprint
+from fgt.groups import Group, order_fingerprint
 from fgt.lattice import (
     Subgroup,
     all_subgroups,
@@ -31,6 +32,7 @@ from fgt.lattice import (
     normal_closure,
     normal_subgroups,
     normalizer,
+    normality_sizes,
     normalizer_members,
     product_set,
     second_maximal_subgroups,
@@ -44,6 +46,8 @@ from fgt.lattice import (
 
 BUDGET = Budget()
 SMALL_CATALOG = [s.to_string() for s in standard_catalog() if build_group(s, BUDGET).order <= 24]
+# the catalog, then every fifth power-action spec of the theorem-3 sweep (orders up to 400): 132 groups
+SWEEP_SPECS = list(standard_catalog()) + [_pa_spec(pa) for pa in _power_action_universe(400)[0][::5]]
 
 
 def build(text):
@@ -72,11 +76,37 @@ def test_subgroup_counts_match_exhaustive_oracle(spec, count):
 
 
 def test_reduced_joins_match_joining_every_cyclic_subgroup():
-    """The catalog, then every fifth power-action spec of the theorem-3 sweep (orders up to 400)."""
-    specs = list(standard_catalog()) + [_pa_spec(pa) for pa in _power_action_universe(400)[0][::5]]
-    for spec in specs:
+    for spec in SWEEP_SPECS:
         g = build_group(spec, BUDGET)
         assert lattice_sets(g) == all_joins_subgroups(g.mul, g.generators), spec.to_string()
+
+
+def test_class_ids_and_normality_match_conjugation_bfs():
+    """The classes recorded by the enumeration's orbit walk, against a second conjugation BFS."""
+    for spec in SWEEP_SPECS:
+        g = build_group(spec, BUDGET)
+        lat = all_subgroups(g, BUDGET)
+        class_id, normal = bfs_class_ids(g, lat.subgroups)
+        assert np.array_equal(lat.class_id, class_id), spec.to_string()
+        assert np.array_equal(lat.normal, normal), spec.to_string()
+
+
+def test_class_sizes_match_iterated_normal_closure():
+    """Class records read from the lattice, against normalizer and normal closure from the members alone."""
+    for spec in SWEEP_SPECS:
+        g = build_group(spec, BUDGET)
+        lat = all_subgroups(g, BUDGET)
+        for i in lat.rep_indices:
+            assert lat.class_sizes(i) == normality_sizes(g, lat.subgroups[i].members), (spec.to_string(), i)
+
+
+def test_non_generating_conjugators_raise_typed_error():
+    """Orbits walked under one element of Sym(4) are cut short; the orbit-stabilizer check catches it."""
+    g = build("Sym(4)")
+    fresh = Group(g.mul, g.label, g.generators)
+    fresh.generators = (g.generators[0],)
+    with pytest.raises(ConsistencyError):
+        all_subgroups(fresh, BUDGET)
 
 
 @pytest.mark.parametrize("spec", ["Sym(4)", "GU2_3", "Direct(Cyclic(3),ElementaryAbelian(2,5))"])
