@@ -123,8 +123,7 @@ class SubgroupLattice:
             h = self.subgroups[i]
             closure = h if self.normal[i] else self.subgroups[np.flatnonzero(self.inside[i] & self.normal)[0]]
             # the members of H^G that conjugate H onto itself
-            in_h = h.mask()
-            meet = int(in_h[g.conj_table()[closure.members[:, None], h.members]].all(axis=1).sum())
+            meet = int(h.mask()[g.conj_table()[closure.members[:, None], h.members]].all(axis=1).sum())
             sizes = self._class_sizes[cid] = ClassSizes(g.order // int(self.class_size[cid]), closure.order, meet)
         return sizes
 
@@ -225,21 +224,28 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     orbit_of: list[int] = []  # the orbit of each subgroup in found
     reps: list[tuple[np.ndarray, int]] = []  # each orbit's first subgroup and its size
 
+    def _add(members: np.ndarray) -> bool:
+        key = _key_of(n, members)
+        if key in found:
+            return False
+        if len(found) >= budget.max_subgroups:
+            raise BudgetExceededError(f"subgroup budget {budget.max_subgroups} exceeded", partial=len(found))
+        found[key] = members
+        orbit_of.append(len(reps))
+        return True
+
     def orbit_add(members: np.ndarray):
-        start = len(found)
+        if not _add(members):
+            return
+        start = len(found) - 1
         queue = [members]
         while queue:
             mem = queue.pop()
-            key = _key_of(n, mem)
-            if key in found:
-                continue
-            if len(found) >= budget.max_subgroups:
-                raise BudgetExceededError(f"subgroup budget {budget.max_subgroups} exceeded", partial=len(found))
-            found[key] = mem
-            orbit_of.append(len(reps))
-            queue.extend(np.sort(conj[c][mem]) for c in g.generators)
-        if len(found) > start:
-            reps.append((members, len(found) - start))
+            for c in g.generators:
+                cm = np.sort(conj[c][mem])
+                if _add(cm):
+                    queue.append(cm)
+        reps.append((members, len(found) - start))
 
     orbit_add(np.array([0], dtype=np.intp))
     # cyclic[c] = <cyc_gen[c]>, its least generator; cyc_of[x] = c when <x> = cyclic[c]
