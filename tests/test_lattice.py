@@ -31,8 +31,8 @@ from fgt.lattice import (
     maximal_subgroups,
     normal_closure,
     normal_subgroups,
-    normalizer,
     normality_sizes,
+    normalizer,
     normalizer_members,
     product_set,
     second_maximal_subgroups,
