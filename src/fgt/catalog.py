@@ -28,8 +28,8 @@ from .fields import (
     field_make,
     field_mul,
     field_neg,
+    frobenius,
     is_prime,
-    mat_conj_transpose,
     mat_identity,
     mat_mul,
     multiplicative_generator,
@@ -39,7 +39,7 @@ from .groups import (
     Group,
     automorphism_from_generator_images,
     direct_product,
-    generate_matrix_group,
+    generate_group,
     generate_permutation_group,
     semidirect_product,
 )
@@ -261,7 +261,7 @@ def build_sl2(q: int, budget: Budget) -> Group:
     if f.k > 1:
         c = multiplicative_generator(f)
         gens += [Matrix2(f, (one, c, 0, one)), Matrix2(f, (one, 0, c, one))]
-    g = generate_matrix_group(gens, f"SL(2,{q})", budget)
+    g = generate_group(mat_identity(f), gens, mat_mul, f"SL(2,{q})", budget)
     if g.order != expected:
         raise ActionInconsistentError(f"SL(2,{q}) closure has order {g.order}, expected {expected}")
     return g
@@ -296,26 +296,40 @@ def build_psl2(q: int, budget: Budget) -> Group:
     return g
 
 
-def unitary_matrices_gf9() -> list[Matrix2]:
-    """All M over GF(9) with M * conj-transpose(M) = 1, in entry-lex order."""
-    f = field_make(3, 2)
-    ident = mat_identity(f)
-    out = []
-    for code in range(9**4):
-        entries = (code // 729, code // 81 % 9, code // 9 % 9, code % 9)
-        m = Matrix2(f, entries)
-        if mat_mul(m, mat_conj_transpose(m)) == ident:
-            out.append(m)
-    return out
-
-
 def build_gu2_3(budget: Budget) -> Group:
+    """GU(2,3): the 2x2 matrices M over GF(9) with M * conj-transpose(M) = 1.
+
+    All 9^4 entry tuples are filtered at once through GF(9) add, multiply and
+    Frobenius tables.  The identity is element 0 and the other matrices follow
+    in entry-lex order; the generators are all of them in entry-lex order, so
+    this is the numbering a breadth-first closure over them gives.
+    """
     _cap_check(96, budget)
-    elems = unitary_matrices_gf9()
-    g = generate_matrix_group(elems, "GU(2,3)", budget)
-    if g.order != 96:
-        raise ActionInconsistentError(f"GU(2,3) filter produced order {g.order}, expected 96")
-    return g
+    f = field_make(3, 2)
+    add = np.array([[field_add(f, x, y) for y in range(9)] for x in range(9)])
+    mul = np.array([[field_mul(f, x, y) for y in range(9)] for x in range(9)])
+    bar = np.array([frobenius(f, x) for x in range(9)])
+
+    def times(x, y):
+        """Entry-lex codes of the products x y, each matrix given as its four entry arrays."""
+        return (
+            add[mul[x[0], y[0]], mul[x[1], y[2]]] * 729
+            + add[mul[x[0], y[1]], mul[x[1], y[3]]] * 81
+            + add[mul[x[2], y[0]], mul[x[3], y[2]]] * 9
+            + add[mul[x[2], y[1]], mul[x[3], y[3]]]
+        )
+
+    codes = np.arange(9**4)
+    a, b, c, d = entries = (codes // 729, codes // 81 % 9, codes // 9 % 9, codes % 9)
+    identity = 729 + 1
+    lex = np.flatnonzero(times(entries, (bar[a], bar[c], bar[b], bar[d])) == identity)
+    if lex.size != 96:
+        raise ActionInconsistentError(f"GU(2,3) filter produced order {lex.size}, expected 96")
+    elems = np.append(identity, lex[lex != identity])
+    index = np.zeros(codes.size, dtype=np.intp)
+    index[elems] = np.arange(elems.size)
+    table = times([e[elems, None] for e in entries], [e[None, elems] for e in entries])
+    return Group(index[table], "GU(2,3)", index[lex])
 
 
 def build_power_action(spec: PowerActionSpec, budget: Budget) -> Group:

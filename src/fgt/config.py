@@ -29,6 +29,8 @@ class Budget:
 
     ``max_join_attempts`` bounds the joins ``all_subgroups`` actually computes,
     after it has dropped those that give a conjugate or a copy of a known join.
+    A lattice read off a parent group's lattice computes no joins, so only
+    ``max_subgroups`` can stop it.
     """
 
     order_cap: int = field(default_factory=_default_order_cap)

@@ -22,7 +22,7 @@ from .errors import (
     NotAutomorphismError,
     NotNormalError,
 )
-from .fields import mat_mul, perm_compose
+from .fields import perm_compose
 
 
 def _validate_table(mul: np.ndarray, generators) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -237,6 +237,12 @@ def _table_from_bfs(right: np.ndarray) -> np.ndarray:
     return mul
 
 
+def generate_group(identity, generators, mul_fn, label: str, budget: Budget = DEFAULT_BUDGET, spec=None) -> Group:
+    """The group that ``generators`` generate under ``mul_fn``, numbered by breadth-first discovery from ``identity``."""
+    right = _right_table(identity, list(generators), mul_fn, budget.order_cap)
+    return Group(_table_from_bfs(right), label, right[0], spec=spec)
+
+
 def generate_permutation_group(generators, label: str, budget: Budget = DEFAULT_BUDGET, spec=None) -> Group:
     if not generators:
         raise InvalidElementError("empty generator list")
@@ -244,22 +250,7 @@ def generate_permutation_group(generators, label: str, budget: Budget = DEFAULT_
     for g in generators:
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise InvalidElementError(f"not a permutation of degree {degree}: {g}")
-    identity = tuple(range(degree))
-    right = _right_table(identity, [tuple(g) for g in generators], perm_compose, budget.order_cap)
-    return Group(_table_from_bfs(right), label, right[0], spec=spec)
-
-
-def generate_matrix_group(generators, label: str, budget: Budget = DEFAULT_BUDGET, spec=None) -> Group:
-    if not generators:
-        raise InvalidElementError("empty generator list")
-    field = generators[0].field
-    for g in generators:
-        if g.field != field:
-            raise InvalidElementError("generators over different fields")
-    from .fields import mat_identity
-
-    right = _right_table(mat_identity(field), list(generators), mat_mul, budget.order_cap)
-    return Group(_table_from_bfs(right), label, right[0], spec=spec)
+    return generate_group(tuple(range(degree)), [tuple(g) for g in generators], perm_compose, label, budget, spec)
 
 
 # --- products and quotients ---------------------------------------------------

@@ -29,6 +29,16 @@ class Subgroup:
         self.members = m
         self._key = None
 
+    @classmethod
+    def _sorted(cls, parent: Group, members: np.ndarray, key: bytes) -> Subgroup:
+        """A subgroup from ``members`` already sorted and duplicate-free, with its packed ``key``; unchecked."""
+        sub = cls.__new__(cls)
+        sub.parent = parent
+        sub.members = members.astype(np.intp, copy=False)
+        sub.members.setflags(write=False)
+        sub._key = key
+        return sub
+
     @property
     def order(self) -> int:
         return int(self.members.size)
@@ -81,8 +91,11 @@ class ClassSizes(NamedTuple):
 
 
 class SubgroupLattice:
-    def __init__(self, group: Group, subgroups: list[Subgroup], orbit: np.ndarray, budget: Budget):
-        """``orbit[i]`` labels the conjugacy class of ``subgroups[i]``, which are sorted by (order, bitset)."""
+    def __init__(self, group: Group, subgroups: list[Subgroup], orbit: np.ndarray, budget: Budget, inside=None):
+        """``orbit[i]`` labels the conjugacy class of ``subgroups[i]``, which are sorted by (order, bitset).
+
+        ``inside`` is the proper-containment matrix when the caller already has it.
+        """
         self.group = group
         self.subgroups = subgroups
         self.budget = budget
@@ -94,7 +107,7 @@ class SubgroupLattice:
         self.rep_indices = reps.tolist()
         self.normal = self.class_size[self.class_id] == 1
         # inside[i, j]: subgroup i is a proper subgroup of subgroup j
-        self.inside = _proper_containment(subgroups)
+        self.inside = _proper_containment(subgroups) if inside is None else inside
         # the whole group sorts last: i is maximal when only the whole group contains it
         self.maximal = self.inside[:, -1] & ~self.inside[:, :-1].any(axis=1)
         self._class_sizes: dict[int, ClassSizes] = {}
@@ -213,10 +226,20 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
       Groups*, LNCS 559, 1991).
 
     ``budget.max_join_attempts`` counts the joins left after these reductions.
+
+    A group made by ``subgroup_as_group(G, H)`` while G holds a lattice is not
+    enumerated: its lattice is read off G's (``_restricted_lattice``).
     """
-    cached = g._cache.get(("lattice", budget.max_subgroups, budget.max_join_attempts))
+    cache_key = ("lattice", budget.max_subgroups, budget.max_join_attempts)
+    cached = g._cache.get(cache_key)
     if cached is not None:
         return cached
+    embedding = g._cache.get("embedding")
+    if embedding is not None:
+        parent_lattice = _cached_lattice(embedding[0])
+        if parent_lattice is not None:
+            lattice = g._cache[cache_key] = _restricted_lattice(g, parent_lattice, embedding[1], budget)
+            return lattice
     n = g.order
     mul = g.mul
     conj = g.conj_table()
@@ -262,7 +285,7 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
             cur = int(mul[cur, x])
         # x^k generates <x> exactly when k is prime to the order of x
         cyc_of[[p for k, p in enumerate(powers) if math.gcd(k, len(powers)) == 1]] = len(cyclic)
-        cyclic.append(np.unique(np.array(powers, dtype=np.intp)))
+        cyclic.append(np.sort(np.array(powers, dtype=np.intp)))
         cyc_gen.append(x)
         orbit_add(cyclic[-1])
     cyc_gen = np.array(cyc_gen, dtype=np.intp)
@@ -303,10 +326,71 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
             else:
                 orbit_add(close_under_product(mul, np.concatenate([base, cyclic[c]])))
 
-    subs = [Subgroup(g, m) for m in found.values()]
+    # every member array found is sorted and duplicate-free, and its key is the one packed above
+    subs = [Subgroup._sorted(g, m, key) for key, m in found.items()]
     order = sorted(range(len(subs)), key=lambda t: subs[t].sort_key())
-    lattice = SubgroupLattice(g, [subs[t] for t in order], np.array(orbit_of)[order], budget)
-    g._cache[("lattice", budget.max_subgroups, budget.max_join_attempts)] = lattice
+    lattice = g._cache[cache_key] = SubgroupLattice(g, [subs[t] for t in order], np.array(orbit_of)[order], budget)
+    return lattice
+
+
+def _cached_lattice(g: Group) -> SubgroupLattice | None:
+    """Any lattice ``g`` already holds: a lattice that was built is complete, whatever its budget."""
+    return next((v for k, v in list(g._cache.items()) if isinstance(k, tuple) and k[0] == "lattice"), None)
+
+
+def _packed_keys(rows: np.ndarray, cols: np.ndarray, count: int, n: int) -> list[bytes]:
+    """``Subgroup.key`` of each of ``count`` member sets of an order-n group, given as (row, member) pairs."""
+    mask = np.zeros((count, n), dtype=bool)
+    mask[rows, cols] = True
+    return [row.tobytes() for row in np.packbits(mask, axis=1)]
+
+
+def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup, budget: Budget) -> SubgroupLattice:
+    """The lattice of g = ``subgroup_as_group(G, H)``, read off the interval [1, H] of G's lattice.
+
+    Element i of g is element ``H.members[i]`` of G.  That map is increasing,
+    so it keeps the (order, bitset) sort: two subsets of H first differ at an
+    element of H, and their images first differ at its image.  The subgroups
+    of g are thus G's subgroups inside H, in G's order, with G's containment.
+    Only the classes are new: H-conjugacy classes are the orbits of the
+    permutations that g's generators induce on the subgroups, each conjugate
+    matched to its index by key.  No joins are computed.
+    """
+    j = parent.subgroup_index(h)
+    idx = np.append(np.flatnonzero(parent.inside[:, j]), j)
+    count, n = idx.size, g.order
+    if count > budget.max_subgroups:
+        raise BudgetExceededError(f"subgroup budget {budget.max_subgroups} exceeded", partial=budget.max_subgroups)
+    pos = np.zeros(parent.group.order, dtype=np.intp)
+    pos[h.members] = np.arange(n)
+    sizes = [parent.subgroups[i].order for i in idx]
+    rows = np.repeat(np.arange(count), sizes)
+    flat = pos[np.concatenate([parent.subgroups[i].members for i in idx])]
+    keys = _packed_keys(rows, flat, count, n)
+    subgroups = [Subgroup._sorted(g, m, key) for m, key in zip(np.split(flat, np.cumsum(sizes)[:-1]), keys)]
+    index_by_key = {key: i for i, key in enumerate(keys)}
+    conj = g.conj_table()
+    perms = []
+    for c in g.generators:
+        perm = np.array([index_by_key.get(key, -1) for key in _packed_keys(rows, conj[c][flat], count, n)])
+        if (perm < 0).any():
+            raise ConsistencyError("a conjugate subgroup is missing from the parent lattice")
+        perms.append(perm)
+    # orbit labels: each subgroup's least index reachable under the generators
+    orbit = np.arange(count)
+    while True:
+        label = orbit
+        for perm in perms:
+            label = np.minimum(label, label[perm])
+        label = label[label]
+        if np.array_equal(label, orbit):
+            break
+        orbit = label
+    lattice = SubgroupLattice(g, subgroups, orbit, budget, inside=parent.inside[np.ix_(idx, idx)])
+    # orbit-stabilizer: a wrong permutation or two classes merged as one breaks it
+    for i in lattice.rep_indices:
+        if normalizer_members(g, subgroups[i].members).size * lattice.conjugacy_class_size(i) != n:
+            raise ConsistencyError("conjugacy orbit does not match the normalizer")
     return lattice
 
 

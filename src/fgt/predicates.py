@@ -360,6 +360,8 @@ def subgroup_as_group(g: Group, h: Subgroup) -> Group:
     child = g._cache.get(cache_key)
     if child is None:
         child, _ = extract_subgroup_as_group(g, h.members)
+        # all_subgroups(child) reads the child's lattice off g's when g holds one
+        child._cache["embedding"] = (g, h)
         g._cache[cache_key] = child
     return child
 

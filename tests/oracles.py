@@ -270,3 +270,38 @@ def brute_is_associative(mul: np.ndarray) -> bool:
         if not np.array_equal(mul[mul[x]], mul[x][mul]):
             return False
     return True
+
+
+def unitary_matrices_gf9():
+    """All M over GF(9) with M * conj-transpose(M) = 1, in entry-lex order, one scalar product each."""
+    from fgt.fields import Matrix2, field_make, mat_conj_transpose, mat_identity, mat_mul
+
+    f = field_make(3, 2)
+    ident = mat_identity(f)
+    out = []
+    for code in range(9**4):
+        m = Matrix2(f, (code // 729, code // 81 % 9, code // 9 % 9, code % 9))
+        if mat_mul(m, mat_conj_transpose(m)) == ident:
+            out.append(m)
+    return out
+
+
+def generate_matrix_group(generators, label: str):
+    """The group of 2x2 matrices that ``generators`` generate, numbered by breadth-first discovery.
+
+    Each element in turn is multiplied on the right by every generator, and
+    the table is filled with one matrix product per pair of elements.
+    """
+    from fgt.fields import mat_identity, mat_mul
+    from fgt.groups import Group
+
+    elems = [mat_identity(generators[0].field)]
+    index = {elems[0]: 0}
+    for x in elems:
+        for s in generators:
+            y = mat_mul(x, s)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    mul = np.array([[index[mat_mul(x, y)] for y in elems] for x in elems])
+    return Group(mul, label, [index[s] for s in generators])

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import generate_matrix_group, unitary_matrices_gf9
 
 from fgt.catalog import (
     GroupSpec,
@@ -14,7 +15,6 @@ from fgt.catalog import (
     parse_spec,
     spec_from_json,
     standard_catalog,
-    unitary_matrices_gf9,
     _build_uncached,
 )
 from fgt.config import Budget
@@ -156,12 +156,17 @@ def test_psl2_5_is_simple_of_order_60():
 
 
 def test_gu23_filter_count_is_independent_oracle():
+    """The vectorized GF(9) builder against a closure over the scalar unitary filter, one mat_mul at a time."""
     elems = unitary_matrices_gf9()
     assert len(elems) == 96
     g = build("GU2_3")
     assert g.order == 96
     # 2-part is 32, 3-part is 3
     assert sorted(primes_of(g.order)) == [2, 3]
+    oracle = generate_matrix_group(elems, "GU(2,3)")
+    assert g.mul.tobytes() == oracle.mul.tobytes()
+    assert g.generators == oracle.generators
+    assert g.label == oracle.label
 
 
 def test_power_action_consistency_validation():

@@ -16,7 +16,8 @@ from fgt.catalog import build_group, parse_spec, standard_catalog
 from fgt.claims import _pa_spec, _power_action_universe
 from fgt.config import Budget
 from fgt.errors import BudgetExceededError, ConsistencyError
-from fgt.groups import Group, order_fingerprint
+import fgt.lattice
+from fgt.groups import Group, extract_subgroup_as_group, order_fingerprint
 from fgt.lattice import (
     Subgroup,
     all_subgroups,
@@ -43,6 +44,7 @@ from fgt.lattice import (
     sylow_subgroups,
     trivial_subgroup,
 )
+from fgt.predicates import subgroup_as_group
 
 BUDGET = Budget()
 SMALL_CATALOG = [s.to_string() for s in standard_catalog() if build_group(s, BUDGET).order <= 24]
@@ -98,6 +100,68 @@ def test_class_sizes_match_iterated_normal_closure():
         lat = all_subgroups(g, BUDGET)
         for i in lat.rep_indices:
             assert lat.class_sizes(i) == normality_sizes(g, lat.subgroups[i].members), (spec.to_string(), i)
+
+
+# the restricted-lattice sweep covers the SWEEP_SPECS groups up to this order: 2 556 subgroups of 105 groups
+RESTRICTION_MAX_ORDER = 200
+
+
+def test_restricted_lattices_match_fresh_enumeration(monkeypatch):
+    """Lattices of subgroup_as_group children, read off the parent lattice, against enumerating each child.
+
+    The fresh child comes from extract_subgroup_as_group and carries no
+    embedding, so it is enumerated.  Each parent is a fresh copy of the
+    catalog group, so no child lattice is cached from an earlier test.
+    """
+    calls = {"restricted": 0, "closures": 0}
+    restrict, close = fgt.lattice._restricted_lattice, fgt.lattice.close_under_product
+
+    def counted_restrict(*args):
+        calls["restricted"] += 1
+        return restrict(*args)
+
+    def counted_close(*args, **kwargs):
+        calls["closures"] += 1
+        return close(*args, **kwargs)
+
+    monkeypatch.setattr(fgt.lattice, "_restricted_lattice", counted_restrict)
+    monkeypatch.setattr(fgt.lattice, "close_under_product", counted_close)
+    children = restricted_closures = 0
+    for spec in SWEEP_SPECS:
+        built = build_group(spec, BUDGET)
+        if built.order > RESTRICTION_MAX_ORDER:
+            continue
+        g = Group(built.mul, built.label, built.generators)
+        for s in all_subgroups(g, BUDGET).subgroups:
+            child = subgroup_as_group(g, s)
+            before = calls["closures"]
+            lat = all_subgroups(child, BUDGET)
+            restricted_closures += calls["closures"] - before
+            children += 1
+            fresh = all_subgroups(extract_subgroup_as_group(g, s.members, child.label)[0], BUDGET)
+            where = (spec.to_string(), s.order)
+            assert lattice_to_json(lat) == lattice_to_json(fresh), where
+            for i in range(len(lat.subgroups)):
+                assert lat.class_sizes(i) == fresh.class_sizes(i), where
+                assert lat.conjugacy_class_size(i) == fresh.conjugacy_class_size(i), where
+    assert children == calls["restricted"] == 2556
+    assert restricted_closures == 0 < calls["closures"]
+
+
+def test_restricted_lattice_over_budget_raises_like_enumeration():
+    """Under a subgroup budget below the child's count, restriction fails as enumeration does."""
+    built = build("Sym(4)")
+    g = Group(built.mul, built.label, built.generators)
+    a4 = all_subgroups(g, BUDGET).subgroups_of_order(12)[0]
+    child = subgroup_as_group(g, a4)
+    fresh, _ = extract_subgroup_as_group(g, a4.members)
+    tight = Budget(max_subgroups=9)  # A4 has 10 subgroups
+    with pytest.raises(BudgetExceededError) as restricted:
+        all_subgroups(child, tight)
+    with pytest.raises(BudgetExceededError) as enumerated:
+        all_subgroups(fresh, tight)
+    assert restricted.value.partial == enumerated.value.partial == 9
+    assert len(all_subgroups(child, Budget(max_subgroups=10)).subgroups) == 10
 
 
 def test_non_generating_conjugators_raise_typed_error():
