@@ -34,7 +34,8 @@ class Subgroup:
         """A subgroup from ``members`` already sorted and duplicate-free, with its packed ``key``; unchecked."""
         sub = cls.__new__(cls)
         sub.parent = parent
-        sub.members = members.astype(np.intp, copy=False)
+        # a copy, so that no subgroup keeps alive the buffer its members were cut from
+        sub.members = members.astype(np.intp)
         sub.members.setflags(write=False)
         sub._key = key
         return sub
