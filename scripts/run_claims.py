@@ -17,7 +17,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--report", default="claims_report.json")
     parser.add_argument("--order-cap", type=int, default=None)
-    parser.add_argument("--parallelism", type=int, default=1)
+    parser.add_argument("--parallelism", type=int, default=1, help="worker processes")
     args = parser.parse_args()
 
     budget = Budget() if args.order_cap is None else Budget(order_cap=args.order_cap)

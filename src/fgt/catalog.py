@@ -530,31 +530,6 @@ def _cap_check(order: int, budget: Budget):
 
 # --- spec dispatch ---------------------------------------------------------------
 
-_INT = "int"
-
-_CONSTRUCTORS: dict[str, tuple] = {
-    # name: (param kinds, builder)
-    "Cyclic": ((_INT,), lambda p, b: build_cyclic(p[0], b)),
-    "ElementaryAbelian": ((_INT, _INT), lambda p, b: build_elementary_abelian(p[0], p[1], b)),
-    "Dihedral": ((_INT,), lambda p, b: build_dihedral(p[0], b)),
-    "Dicyclic": ((_INT,), lambda p, b: build_dicyclic(p[0], b)),
-    "Quaternion": ((_INT,), lambda p, b: _build_quaternion(p[0], b)),
-    "Sym": ((_INT,), lambda p, b: build_symmetric(p[0], b)),
-    "Alt": ((_INT,), lambda p, b: build_alternating(p[0], b)),
-    "Modular": ((_INT, _INT), lambda p, b: build_modular(p[0], p[1], b)),
-    "HeisenbergLike": ((_INT, _INT), lambda p, b: build_heisenberg_like(p[0], p[1], b)),
-    "SL2": ((_INT,), lambda p, b: build_sl2(p[0], b)),
-    "PSL2": ((_INT,), lambda p, b: build_psl2(p[0], b)),
-    "GU2_3": ((), lambda p, b: build_gu2_3(b)),
-    "C2sqSemiC4": ((), lambda p, b: build_c2sq_semi_c4(b)),
-    "D4SemiS3": ((), lambda p, b: build_d4_semi_s3(b)),
-    "C5xC3SemiD4": ((), lambda p, b: build_c5xc3_semi_d4(b)),
-    "C5SemiQ8": ((), lambda p, b: build_c5_semi_q8(b)),
-    "PowerAction": (None, None),  # variadic, handled specially
-    "IrreducibleFrobenius": ((_INT, _INT, _INT), lambda p, b: build_irreducible_frobenius(p[0], p[1], p[2], b)),
-    "Direct": (None, None),  # variadic specs
-}
-
 
 def _build_quaternion(order: int, budget: Budget) -> Group:
     if order < 8 or order > 16 or order & (order - 1):
@@ -563,18 +538,40 @@ def _build_quaternion(order: int, budget: Budget) -> Group:
     return Group(g.mul, f"Q{order}", g.generators)
 
 
-_BUILD_CACHE: dict[tuple[GroupSpec, int], Group] = {}
+# name: (integer parameter names, builder(*params, budget)); Direct and PowerAction take nested params
+_CONSTRUCTORS: dict[str, tuple] = {
+    "Cyclic": (("n",), build_cyclic),
+    "ElementaryAbelian": (("p", "k"), build_elementary_abelian),
+    "Dihedral": (("n",), build_dihedral),
+    "Dicyclic": (("n",), build_dicyclic),
+    "Quaternion": (("order",), _build_quaternion),
+    "Sym": (("n",), build_symmetric),
+    "Alt": (("n",), build_alternating),
+    "Modular": (("p", "n"), build_modular),
+    "HeisenbergLike": (("p", "n"), build_heisenberg_like),
+    "SL2": (("q",), build_sl2),
+    "PSL2": (("q",), build_psl2),
+    "GU2_3": ((), build_gu2_3),
+    "C2sqSemiC4": ((), build_c2sq_semi_c4),
+    "D4SemiS3": ((), build_d4_semi_s3),
+    "C5xC3SemiD4": ((), build_c5xc3_semi_d4),
+    "C5SemiQ8": ((), build_c5_semi_q8),
+    "IrreducibleFrobenius": (("q", "k", "p"), build_irreducible_frobenius),
+}
+
+
+_BUILD_CACHE: dict[GroupSpec, Group] = {}
 
 
 def build_group(spec: GroupSpec, budget: Budget = DEFAULT_BUDGET) -> Group:
-    key = (spec, budget.order_cap)
-    cached = _BUILD_CACHE.get(key)
-    if cached is not None:
+    cached = _BUILD_CACHE.get(spec)
+    # exact: a builder succeeds under cap c iff the group's order is at most c, as no intermediate group is larger
+    if cached is not None and cached.order <= budget.order_cap:
         return cached
     g = _build_uncached(spec, budget)
     if g.spec is None:
         g.spec = spec
-    _BUILD_CACHE[key] = g
+    _BUILD_CACHE[spec] = g
     return g
 
 
@@ -599,10 +596,10 @@ def _build_uncached(spec: GroupSpec, budget: Budget) -> Group:
     entry = _CONSTRUCTORS.get(name)
     if entry is None:
         raise UnknownConstructorError(f"unknown constructor {name!r}")
-    kinds, builder = entry
-    if len(spec.params) != len(kinds) or not all(isinstance(p, int) for p in spec.params):
-        raise UnknownConstructorError(f"{name} takes {len(kinds)} integer parameter(s)")
-    return builder(list(spec.params), budget)
+    names, builder = entry
+    if len(spec.params) != len(names) or not all(isinstance(p, int) for p in spec.params):
+        raise UnknownConstructorError(f"{name} takes {len(names)} integer parameter(s)")
+    return builder(*spec.params, budget)
 
 
 # --- spec string grammar ---------------------------------------------------------
@@ -685,22 +682,6 @@ class _SpecParser:
 
 # --- JSON form -------------------------------------------------------------------
 
-_PARAM_NAMES = {
-    "Cyclic": ("n",),
-    "ElementaryAbelian": ("p", "k"),
-    "Dihedral": ("n",),
-    "Dicyclic": ("n",),
-    "Quaternion": ("order",),
-    "Sym": ("n",),
-    "Alt": ("n",),
-    "Modular": ("p", "n"),
-    "HeisenbergLike": ("p", "n"),
-    "SL2": ("q",),
-    "PSL2": ("q",),
-    "IrreducibleFrobenius": ("q", "k", "p"),
-}
-
-
 def _params_to_json(spec: GroupSpec) -> dict:
     if spec.constructor == "Direct":
         return {"factors": [p.to_json() for p in spec.params]}
@@ -712,7 +693,7 @@ def _params_to_json(spec: GroupSpec) -> dict:
                 {"prime": t[0], "exp": t[1], "twist": t[2]} for t in spec.params[2:]
             ],
         }
-    names = _PARAM_NAMES.get(spec.constructor, ())
+    names, _ = _CONSTRUCTORS.get(spec.constructor, ((), None))
     return {name: value for name, value in zip(names, spec.params)}
 
 
@@ -726,7 +707,7 @@ def spec_from_json(doc: dict) -> GroupSpec:
     if name == "PowerAction":
         triples = tuple((t["prime"], t["exp"], t["twist"]) for t in params["factors"])
         return GroupSpec(name, (params["p"], params["alpha"], *triples))
-    names = _PARAM_NAMES.get(name, ())
+    names, _ = _CONSTRUCTORS.get(name, ((), None))
     return GroupSpec(name, tuple(int(params[k]) for k in names))
 
 

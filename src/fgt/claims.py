@@ -192,15 +192,8 @@ def _must_hold_result(claim_id, checked, counterexamples, skipped, notes):
     return ClaimResult(claim_id, verdict, checked, counterexamples, skipped, list(notes))
 
 
-_PROFILE_CACHE: dict[str, tuple] = {}
-
-
 def _reference_profile(spec_text: str) -> tuple:
-    key = _PROFILE_CACHE.get(spec_text)
-    if key is None:
-        key = order_fingerprint(build_group(parse_spec(spec_text))).key()
-        _PROFILE_CACHE[spec_text] = key
-    return key
+    return order_fingerprint(build_group(parse_spec(spec_text))).key()
 
 
 def _profile_key(g: Group, members=None) -> tuple:
@@ -570,12 +563,12 @@ def on_structural(g: Group, budget: Budget) -> bool:
         # generator of the cyclic Sylow, and <x^p> = O_p(G)
         x = int(sylow.members[np.argmax(orders[sylow.members] == sylow.order)])
         xp = g.power(x, p)
-        xp_gen = close_under_product(g.mul, np.array([0, xp], dtype=np.intp), cutoff_to_full=False)
+        xp_gen = close_under_product(g.mul, np.array([0, xp], dtype=np.intp))
         if not np.array_equal(xp_gen, p_core_members(g, p, budget)):
             continue
         h1 = np.array([0], dtype=np.intp)
         for nq in other_sylows:
-            h1 = close_under_product(g.mul, np.union1d(h1, nq.members), cutoff_to_full=False)
+            h1 = close_under_product(g.mul, np.union1d(h1, nq.members))
         good = True
         for w in h1:
             if w == 0:
@@ -693,7 +686,7 @@ def _component_lemma(spec: GroupSpec, g: Group, budget: Budget):
             continue  # factors must commute elementwise
         derived_g = derived_subgroup_members(g)
         da, db = commutator_subgroup(g, a, a), commutator_subgroup(g, b, b)
-        rhs = close_under_product(g.mul, np.union1d(da.members, db.members), cutoff_to_full=False)
+        rhs = close_under_product(g.mul, np.union1d(da.members, db.members))
         escapes = not np.isin(derived_g, rhs, assume_unique=True).all()
         yield _witness(spec, detail=f"G' (size {derived_g.size}) escapes A'B' (size {rhs.size})") if escapes else None
 
@@ -757,7 +750,7 @@ def _has_non_pnc_a4(big: Group, budget: Budget) -> bool:
 
 
 def _order_p_generated(g: Group, x: int) -> np.ndarray:
-    return close_under_product(g.mul, np.array([0, x], dtype=np.intp), cutoff_to_full=False)
+    return close_under_product(g.mul, np.array([0, x], dtype=np.intp))
 
 
 def _central_p_lift(spec: GroupSpec, g: Group, budget: Budget):
@@ -909,32 +902,19 @@ def _run_gu23_remarks(budget: Budget) -> ClaimResult:
 
 
 def _wreath_c4_c2(budget: Budget) -> Group:
-    cached = _REF_GROUPS.get("wreath")
-    if cached is None:
-        c4 = build_cyclic(4, budget)
-        base = direct_product(c4, c4, budget)
-        swap = np.array([(i % 4) * 4 + i // 4 for i in range(16)], dtype=np.int64)
-        c2 = build_cyclic(2, budget)
-        cached = semidirect_product(base, c2, {1: swap}, budget, label="C4wrC2")
-        _REF_GROUPS["wreath"] = cached
-    return cached
+    c4 = build_cyclic(4, budget)
+    base = direct_product(c4, c4, budget)
+    swap = np.array([(i % 4) * 4 + i // 4 for i in range(16)], dtype=np.int64)
+    return semidirect_product(base, build_cyclic(2, budget), {1: swap}, budget, label="C4wrC2")
 
 
 def _central_product_c4_d4(budget: Budget) -> Group:
-    cached = _REF_GROUPS.get("central-product")
-    if cached is None:
-        c4 = build_cyclic(4, budget)
-        d4 = build_dihedral(4, budget)
-        prod = direct_product(c4, d4, budget)
-        # central C2 generated by (c^2, z): c^2 is index 2 in C4, z = a^2 is index 2 in D4
-        anti = 2 * 8 + 2
-        cached, _ = quotient_group(prod, np.array([0, anti], dtype=np.intp), budget)
-        cached.label = "C4oD4"
-        _REF_GROUPS["central-product"] = cached
-    return cached
-
-
-_REF_GROUPS: dict[str, Group] = {}
+    prod = direct_product(build_cyclic(4, budget), build_dihedral(4, budget), budget)
+    # central C2 generated by (c^2, z): c^2 is index 2 in C4, z = a^2 is index 2 in D4
+    anti = 2 * 8 + 2
+    quot, _ = quotient_group(prod, np.array([0, anti], dtype=np.intp), budget)
+    quot.label = "C4oD4"
+    return quot
 
 
 def _valuation_side(factors) -> bool:
@@ -1422,14 +1402,16 @@ def run_claim(claim_id: str, budget: Budget = DEFAULT_BUDGET) -> ClaimResult:
 
 
 def run_all_claims(budget: Budget = DEFAULT_BUDGET, parallelism: int = 1) -> list[ClaimResult]:
+    """Every registered claim, sorted by id; ``parallelism`` > 1 runs them in that many worker processes."""
     ids = [c.id for c in claim_registry()]
     if parallelism <= 1:
         results = [run_claim(i, budget) for i in ids]
     else:
-        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(lambda i: run_claim(i, budget), ids))
+        # each worker owns its caches; a claim's BudgetExceededError is re-raised here
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            results = list(pool.map(run_claim, ids, itertools.repeat(budget)))
     return sorted(results, key=lambda r: r.claim_id)
 
 

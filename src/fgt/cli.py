@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"maximum group order (hard limit {MAX_ORDER_CAP}; env FGT_ORDER_CAP)")
     common.add_argument("--max-subgroups", type=int, default=None, help="lattice subgroup budget")
     common.add_argument("--max-joins", type=int, default=None, help="lattice join-attempt budget")
-    common.add_argument("--parallelism", type=int, default=1, help="claim fan-out workers")
+    common.add_argument("--parallelism", type=int, default=1, help="worker processes for check --all")
 
     parser = argparse.ArgumentParser(prog="fgt", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -157,7 +157,8 @@ def close_under_product(mul: np.ndarray, seed, cutoff_to_full: bool = True) -> n
     every seed element and keeps the products not yet marked.  In a finite
     group the multiplicative closure is already a subgroup.  When the marked
     set passes n/2 the answer must be the whole group (Lagrange), which
-    short-circuits the common case of joins that collapse to G.
+    short-circuits the common case of joins that collapse to G.  Validation
+    passes ``cutoff_to_full=False``, as its table is not yet known to be a group.
     """
     n = mul.shape[0]
     seeds = np.asarray(seed, dtype=np.intp).ravel()
@@ -457,7 +458,7 @@ def order_fingerprint(g: Group, members=None) -> OrderProfile:
     else:
         center_order = int((block == block.T).all(axis=1).sum())
     comms = commutators(g, members, members)
-    derived = close_under_product(g.mul, comms, cutoff_to_full=False)
+    derived = close_under_product(g.mul, comms)
     return OrderProfile(
         int(members.size),
         tuple((int(v), int(c)) for v, c in zip(values, counts)),

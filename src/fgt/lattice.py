@@ -71,7 +71,7 @@ class Subgroup:
 
 
 def subgroup_from_generators(g: Group, gens) -> Subgroup:
-    members = close_under_product(g.mul, np.asarray(list(gens) + [0], dtype=np.intp), cutoff_to_full=False)
+    members = close_under_product(g.mul, np.asarray(list(gens) + [0], dtype=np.intp))
     return Subgroup(g, members)
 
 
@@ -127,8 +127,7 @@ class SubgroupLattice:
 
         |N_G(H)| = |G| / |class of H| by orbit-stabilizer, and H^G is the
         least normal subgroup containing H: the first normal index above i,
-        since the sort is by order.  Threads racing on one class both compute
-        it and store equal values.
+        since the sort is by order.
         """
         cid = int(self.class_id[i])
         sizes = self._class_sizes.get(cid)
@@ -336,7 +335,7 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
 
 def _cached_lattice(g: Group) -> SubgroupLattice | None:
     """Any lattice ``g`` already holds: a lattice that was built is complete, whatever its budget."""
-    return next((v for k, v in list(g._cache.items()) if isinstance(k, tuple) and k[0] == "lattice"), None)
+    return next((v for k, v in g._cache.items() if isinstance(k, tuple) and k[0] == "lattice"), None)
 
 
 def _packed_keys(rows: np.ndarray, cols: np.ndarray, count: int, n: int) -> list[bytes]:
@@ -411,12 +410,12 @@ def normal_closure_members(g: Group, members, within=None) -> np.ndarray:
     """Smallest subgroup containing ``members`` normalized by ``within`` (default G)."""
     conj = g.conj_table()
     conjugators = np.asarray(g.generators if within is None else within, dtype=np.intp)
-    cur = close_under_product(g.mul, np.asarray(members, dtype=np.intp), cutoff_to_full=False)
+    cur = close_under_product(g.mul, np.asarray(members, dtype=np.intp))
     while True:
         spread = np.unique(conj[conjugators][:, cur])
         if np.isin(spread, cur, assume_unique=True).all():
             return cur
-        cur = close_under_product(g.mul, np.union1d(cur, spread), cutoff_to_full=False)
+        cur = close_under_product(g.mul, np.union1d(cur, spread))
 
 
 def normality_sizes(g: Group, members) -> ClassSizes:

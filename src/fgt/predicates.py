@@ -131,7 +131,7 @@ def is_normally_embedded(g: Group, h: Subgroup, budget: Budget = DEFAULT_BUDGET)
 
 def commutator_subgroup(g: Group, a: Subgroup, b: Subgroup) -> Subgroup:
     values = commutators(g, a.members, b.members)
-    return Subgroup(g, close_under_product(g.mul, values, cutoff_to_full=False))
+    return Subgroup(g, close_under_product(g.mul, values))
 
 
 # --- series ---------------------------------------------------------------------
@@ -151,7 +151,7 @@ def derived_series(g: Group) -> SeriesReport:
     terms = [np.arange(g.order, dtype=np.intp)]
     while True:
         cur = terms[-1]
-        nxt = close_under_product(g.mul, commutators(g, cur, cur), cutoff_to_full=False)
+        nxt = close_under_product(g.mul, commutators(g, cur, cur))
         if nxt.size == cur.size:
             return SeriesReport("derived", terms, terminated=cur.size == 1)
         terms.append(nxt)
@@ -164,7 +164,7 @@ def lower_central_series(g: Group) -> SeriesReport:
     terms = [whole]
     while True:
         cur = terms[-1]
-        nxt = close_under_product(g.mul, commutators(g, cur, whole), cutoff_to_full=False)
+        nxt = close_under_product(g.mul, commutators(g, cur, whole))
         if nxt.size == cur.size:
             return SeriesReport("lowerCentral", terms, terminated=cur.size == 1)
         terms.append(nxt)
@@ -174,7 +174,7 @@ def lower_central_series(g: Group) -> SeriesReport:
 
 def derived_subgroup_members(g: Group) -> np.ndarray:
     whole = np.arange(g.order, dtype=np.intp)
-    return close_under_product(g.mul, commutators(g, whole, whole), cutoff_to_full=False)
+    return close_under_product(g.mul, commutators(g, whole, whole))
 
 
 def _preimage(hom_map, target_members, order: int) -> np.ndarray:
@@ -215,7 +215,7 @@ def upper_p_series(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> SeriesR
             lat = all_subgroups(q, budget)
             for n in lat.normal_subgroups():
                 if n.order % p != 0:
-                    step = close_under_product(q.mul, np.union1d(step, n.members), cutoff_to_full=False)
+                    step = close_under_product(q.mul, np.union1d(step, n.members))
         lifted = lift(step)
         stalled = stalled + 1 if lifted.size == terms[-1].size else 0
         terms.append(lifted)
@@ -314,7 +314,7 @@ def fitting_subgroup(g: Group, budget: Budget = DEFAULT_BUDGET) -> Subgroup:
     members = np.array([0], dtype=np.intp)
     for p in primes_of(g.order):
         core = p_core_members(g, p, budget)
-        members = close_under_product(g.mul, np.union1d(members, core), cutoff_to_full=False)
+        members = close_under_product(g.mul, np.union1d(members, core))
     return Subgroup(g, members)
 
 
@@ -346,7 +346,7 @@ def p_length(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> int:
     core = np.array([0], dtype=np.intp)
     for n in lattice.normal_subgroups():
         if n.order % p != 0:
-            core = close_under_product(g.mul, np.union1d(core, n.members), cutoff_to_full=False)
+            core = close_under_product(g.mul, np.union1d(core, n.members))
     reduced, _ = _quotient_by(g, core, budget)
     if reduced.order == 1:
         return 0
@@ -378,7 +378,7 @@ def generalized_fitting(g: Group, budget: Budget = DEFAULT_BUDGET):
     for s in lattice.subgroups:
         if s.order == 1:
             continue
-        derived = close_under_product(g.mul, commutators(g, s.members, s.members), cutoff_to_full=False)
+        derived = close_under_product(g.mul, commutators(g, s.members, s.members))
         if derived.size != s.order:
             continue  # not perfect
         if not is_subnormal(g, s):
@@ -392,14 +392,10 @@ def generalized_fitting(g: Group, budget: Budget = DEFAULT_BUDGET):
             components.append(s)
     layer_members = np.array([0], dtype=np.intp)
     for c in components:
-        layer_members = close_under_product(
-            g.mul, np.union1d(layer_members, c.members), cutoff_to_full=False
-        )
+        layer_members = close_under_product(g.mul, np.union1d(layer_members, c.members))
     layer = Subgroup(g, layer_members)
     fit = fitting_subgroup(g, budget)
-    fstar_members = close_under_product(
-        g.mul, np.union1d(layer.members, fit.members), cutoff_to_full=False
-    )
+    fstar_members = close_under_product(g.mul, np.union1d(layer.members, fit.members))
     fstar = Subgroup(g, fstar_members)
     child = subgroup_as_group(g, fstar)
     nilp, klass = is_nilpotent(child, budget)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import generate_matrix_group, unitary_matrices_gf9
 
+from fgt import catalog
 from fgt.catalog import (
     GroupSpec,
     PowerActionSpec,
@@ -247,6 +248,22 @@ def test_c2sq_semi_c4_reproduces_normalizer_data():
 def test_budget_exceeded_is_typed():
     with pytest.raises(BudgetExceededError):
         build_group(GroupSpec("Sym", (7,)), Budget(order_cap=1200))
+
+
+def test_one_group_per_spec_under_every_cap_that_fits(monkeypatch):
+    monkeypatch.setattr(catalog, "_BUILD_CACHE", {})
+    for spec in standard_catalog():
+        g = build_group(spec, Budget())
+        n = g.order
+        if n == 1:
+            continue
+        assert build_group(spec, Budget(order_cap=n)) is g
+        with pytest.raises(BudgetExceededError) as cached:
+            build_group(spec, Budget(order_cap=n - 1))
+        monkeypatch.setattr(catalog, "_BUILD_CACHE", {})
+        with pytest.raises(BudgetExceededError) as fresh:
+            build_group(spec, Budget(order_cap=n - 1))
+        assert str(cached.value) == str(fresh.value)
 
 
 def test_sym7_builds_with_raised_cap():

@@ -13,8 +13,10 @@ from fgt.claims import (
     claim_registry,
     counterexample_search,
     emit_report,
+    run_all_claims,
     run_claim,
 )
+from fgt.cli import main
 from fgt.config import Budget
 from fgt.errors import UnknownClaimError
 
@@ -235,3 +237,18 @@ def test_claim_output_is_byte_identical_to_recorded_digest(claim_id):
     budget = HEAVY_CLAIM_BUDGET if claim_id in ("theorem3-valuations", "sn-probe") else BUDGET
     doc = run_claim(claim_id, budget).to_json(timing=False)
     assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == GOLDEN["claims"][claim_id]
+
+
+# sha256 of the timing-free report of run_all_claims(Budget()), run serially.
+REPORT_SHA256 = "a94c6f77f572e3fe7f462139ca0fac3872751b250c5c628ed6ad5fe6a710a529"
+
+
+def test_two_worker_processes_give_the_serial_report():
+    report = emit_report(run_all_claims(BUDGET, parallelism=2), "json", timing=False)
+    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256
+
+
+def test_budget_error_in_a_worker_process_exits_3(capsys):
+    # simple-second-maximal builds PSL(2,8), of order 504
+    assert main(["check", "--all", "--order-cap", "150", "--parallelism", "2"]) == 3
+    assert "group order 504 exceeds cap 150" in capsys.readouterr().err
