@@ -29,6 +29,7 @@ from .fields import (
     field_mul,
     field_neg,
     frobenius,
+    is_irreducible,
     is_prime,
     mat_identity,
     mat_mul,
@@ -414,7 +415,7 @@ def build_irreducible_frobenius(q: int, k: int, p: int, budget: Budget) -> Group
 def _companion_of_order(q: int, k: int, p: int):
     for code in range(q**k):
         coeffs = [(code // q**d) % q for d in range(k)]  # constant term first
-        if not _poly_irreducible_low_degree(coeffs + [1], q):
+        if not is_irreducible(tuple(coeffs + [1]), q):
             continue
         mat = np.zeros((k, k), dtype=np.int64)
         for r in range(1, k):
@@ -427,17 +428,6 @@ def _companion_of_order(q: int, k: int, p: int):
         if np.array_equal(cur, np.eye(k, dtype=np.int64)):
             return mat
     return None
-
-
-def _poly_irreducible_low_degree(coeffs, q: int) -> bool:
-    # degree 2 or 3: irreducible iff no roots
-    for x in range(q):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % q
-        if acc == 0:
-            return False
-    return True
 
 
 def build_c2sq_semi_c4(budget: Budget) -> Group:

@@ -54,7 +54,9 @@ from .lattice import (
     normal_closure_members,
     normalizer_members,
     second_maximal_subgroups,
+    subgroup_from_generators,
     subgroup_product,
+    sylow_subgroups,
 )
 from .predicates import (
     classify_group,
@@ -366,12 +368,6 @@ SYMMETRIC = Universe.of_specs("symmetric groups S3..S7", lambda budget: _family(
 # --- structural shape checks -------------------------------------------------------
 
 
-def _sylow_rep(g: Group, budget: Budget, p: int) -> Subgroup:
-    lat = all_subgroups(g, budget)
-    target = p_part(g.order, p)
-    return next(s for s in lat.subgroups if s.order == target)
-
-
 def _is_cyclic_members(g: Group, members) -> bool:
     return bool((g.element_orders()[members] == len(members)).any())
 
@@ -387,12 +383,9 @@ def _is_elementary_abelian_members(g: Group, members) -> bool:
 
 
 def _sylow_normal(g: Group, budget: Budget, p: int) -> Subgroup | None:
-    lat = all_subgroups(g, budget)
-    target = p_part(g.order, p)
-    for i, s in enumerate(lat.subgroups):
-        if s.order == target and lat.normal[i]:
-            return s
-    return None
+    """The Sylow p-subgroup when there is only one, that is when it is normal."""
+    sylows = sylow_subgroups(g, p, budget)
+    return sylows[0] if len(sylows) == 1 else None
 
 
 def _all_maximals_satisfy(g: Group, budget: Budget, pred) -> bool:
@@ -448,7 +441,7 @@ def shape_minimal_nonabelian_pq(g: Group, budget: Budget, force_p2: bool = False
         normal_sylow = _sylow_normal(g, budget, p)
         if normal_sylow is None or not _is_elementary_abelian_members(g, normal_sylow.members):
             continue
-        if _is_cyclic_members(g, _sylow_rep(g, budget, q).members):
+        if _is_cyclic_members(g, sylow_subgroups(g, q, budget)[0].members):
             return True
     return False
 
@@ -463,9 +456,9 @@ def shape_supersolvable_pq(g: Group, budget: Budget) -> bool:
         return False
     if vp_valuation(g.order, q) != 2:
         return False
-    if not _is_cyclic_members(g, _sylow_rep(g, budget, p).members):
+    if not _is_cyclic_members(g, sylow_subgroups(g, p, budget)[0].members):
         return False
-    if not _is_elementary_abelian_members(g, _sylow_rep(g, budget, q).members):
+    if not _is_elementary_abelian_members(g, sylow_subgroups(g, q, budget)[0].members):
         return False
     return p_core_members(g, q, budget).size > 1
 
@@ -486,7 +479,7 @@ def shape_irreducible_frobenius(g: Group, budget: Budget) -> bool:
         return False
     if not _is_elementary_abelian_members(g, sylow_q.members):
         return False
-    if not _is_cyclic_members(g, _sylow_rep(g, budget, p).members):
+    if not _is_cyclic_members(g, sylow_subgroups(g, p, budget)[0].members):
         return False
     # irreducible: no proper nontrivial normal subgroup inside the q-kernel
     lat = all_subgroups(g, budget)
@@ -509,7 +502,7 @@ def shape_central_extension_pq(g: Group, budget: Budget) -> bool:
     sylow_p = _sylow_normal(g, budget, p)
     if sylow_p is None or not _is_elementary_abelian_members(g, sylow_p.members):
         return False
-    if not _is_cyclic_members(g, _sylow_rep(g, budget, q).members):
+    if not _is_cyclic_members(g, sylow_subgroups(g, q, budget)[0].members):
         return False
     if derived_subgroup_members(g).size != p:
         return False
@@ -536,6 +529,16 @@ THM2_SHAPES = [
 ]
 
 
+def _exponent(g: Group, w: int, image: int) -> int | None:
+    """The m with 0 <= m < o(w) and w^m = image, or None when image is not a power of w."""
+    cur = 0
+    for m in range(int(g.element_orders()[w])):
+        if cur == image:
+            return m
+        cur = int(g.mul[cur, w])
+    return None
+
+
 def on_structural(g: Group, budget: Budget) -> bool:
     """Structural side of the ON characterization (non-Dedekind branch)."""
     if g.order == 1:
@@ -543,44 +546,26 @@ def on_structural(g: Group, budget: Budget) -> bool:
     conj = g.conj_table()
     orders = g.element_orders()
     for p in primes_of(g.order):
-        sylow = _sylow_rep(g, budget, p)
+        sylow = sylow_subgroups(g, p, budget)[0]
         if not _is_cyclic_members(g, sylow.members):
             continue
         if normalizer_members(g, sylow.members).size != sylow.order:
             continue
-        other_sylows = []
-        ok = True
-        for q in primes_of(g.order):
-            if q == p:
-                continue
-            nq = _sylow_normal(g, budget, q)
-            if nq is None or not is_abelian(subgroup_as_group(g, nq)):
-                ok = False
-                break
-            other_sylows.append(nq)
-        if not ok:
+        others = [_sylow_normal(g, budget, q) for q in primes_of(g.order) if q != p]
+        if any(nq is None or not is_abelian(subgroup_as_group(g, nq)) for nq in others):
             continue
         # generator of the cyclic Sylow, and <x^p> = O_p(G)
         x = int(sylow.members[np.argmax(orders[sylow.members] == sylow.order)])
-        xp = g.power(x, p)
-        xp_gen = close_under_product(g.mul, np.array([0, xp], dtype=np.intp))
-        if not np.array_equal(xp_gen, p_core_members(g, p, budget)):
+        if not np.array_equal(subgroup_from_generators(g, [g.power(x, p)]).members, p_core_members(g, p, budget)):
             continue
-        h1 = np.array([0], dtype=np.intp)
-        for nq in other_sylows:
-            h1 = close_under_product(g.mul, np.union1d(h1, nq.members))
+        # the other Sylow subgroups are normal, so their join is the normal p-complement
+        h1 = next(s for s in all_subgroups(g, budget).normal_subgroups() if s.order == g.order // sylow.order)
         good = True
-        for w in h1:
+        for w in h1.members:
             if w == 0:
                 continue
-            image = int(conj[g.inv[x], w])  # w^x
-            powers = {}
-            cur, e = 0, 0
+            m = _exponent(g, w, int(conj[g.inv[x], w]))  # w^x = w^m
             ow = int(orders[w])
-            for e in range(ow):
-                powers[cur] = e
-                cur = int(g.mul[cur, w])
-            m = powers.get(image)
             if m is None or math.gcd(m, ow) != 1 or math.gcd(m - 1, ow) != 1:
                 good = False
                 break
@@ -749,10 +734,6 @@ def _has_non_pnc_a4(big: Group, budget: Budget) -> bool:
     )
 
 
-def _order_p_generated(g: Group, x: int) -> np.ndarray:
-    return close_under_product(g.mul, np.array([0, x], dtype=np.intp))
-
-
 def _central_p_lift(spec: GroupSpec, g: Group, budget: Budget):
     """One instance per prime p with a central x of order p and |G|_p = p."""
     orders = g.element_orders()
@@ -761,16 +742,16 @@ def _central_p_lift(spec: GroupSpec, g: Group, budget: Budget):
         o = int(orders[x])
         if is_prime(o) and p_part(g.order, o) == o and o not in seen_p:
             seen_p.add(o)
-            gen = _order_p_generated(g, x)
-            q, _ = quotient_group(g, gen, budget)
+            gen = subgroup_from_generators(g, [x])
+            q, _ = quotient_group(g, gen.members, budget)
             lhs, rhs = is_pnc_group(g, budget), is_pnc_group(q, budget)
-            yield _witness(spec, detail=f"x index {x}, p = {gen.size}"), lhs, rhs
+            yield _witness(spec, detail=f"x index {x}, p = {gen.order}"), lhs, rhs
 
 
 def _central_c2_needs_hypothesis(g: Group, budget: Budget) -> bool:
     centre = centralizer_members(g, np.arange(g.order))
     x = int(centre[np.argmax(g.element_orders()[centre] == 2)])
-    q, _ = quotient_group(g, _order_p_generated(g, x), budget)
+    q, _ = quotient_group(g, subgroup_from_generators(g, [x]).members, budget)
     return (not is_pnc_group(g, budget)) and is_pnc_group(q, budget) and p_part(g.order, 2) > 2
 
 
@@ -1090,14 +1071,8 @@ def _hall_dedekind_hypothesis(g: Group, budget: Budget) -> Subgroup | None:
             if a == 0 or not good:
                 continue
             oa = int(orders[a])
-            powers = {}
-            cur = 0
-            for e in range(oa):
-                powers[cur] = e
-                cur = int(g.mul[cur, a])
             for d in comp.members:
-                image = int(conj[g.inv[d], a])  # a^d
-                n = powers.get(image)
+                n = _exponent(g, a, int(conj[g.inv[d], a]))  # a^d = a^n
                 if n is None or math.gcd(n, oa) != 1:
                     good = False
                     break

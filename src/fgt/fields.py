@@ -82,7 +82,7 @@ def _poly_has_root(coeffs: tuple[int, ...], p: int) -> bool:
     return False
 
 
-def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
+def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     # Degree <= 3 only: irreducible iff there is no root in GF(p).
     deg = len(coeffs) - 1
     if deg == 1:
@@ -101,7 +101,7 @@ def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
             coeffs.append(c % p)
             c //= p
         coeffs.append(1)
-        if _is_irreducible(tuple(coeffs), p):
+        if is_irreducible(tuple(coeffs), p):
             return tuple(coeffs)
     raise UnsupportedExtensionError(f"no irreducible modulus found for GF({p}^{k})")
 
@@ -118,7 +118,7 @@ def field_make(p: int, k: int) -> FieldSpec:
         modulus: tuple[int, ...] = (0, 1)
     elif (p, k) in FIXED_MODULI:
         modulus = FIXED_MODULI[(p, k)]
-        if not _is_irreducible(modulus, p):  # pragma: no cover - fixed table is checked in tests
+        if not is_irreducible(modulus, p):  # pragma: no cover - fixed table is checked in tests
             raise UnsupportedExtensionError(f"fixed modulus for GF({p}^{k}) is reducible")
     else:
         modulus = _first_irreducible(p, k)

@@ -126,15 +126,15 @@ class SubgroupLattice:
         """Normalizer, normal closure and meet orders of subgroup i's class, computed on first use.
 
         |N_G(H)| = |G| / |class of H| by orbit-stabilizer, and H^G is the
-        least normal subgroup containing H: the first normal index above i,
-        since the sort is by order.
+        least normal subgroup containing H: ``normal_above(i)[0]``, since the
+        sort is by order.
         """
         cid = int(self.class_id[i])
         sizes = self._class_sizes.get(cid)
         if sizes is None:
             g = self.group
             h = self.subgroups[i]
-            closure = h if self.normal[i] else self.subgroups[np.flatnonzero(self.inside[i] & self.normal)[0]]
+            closure = self.subgroups[self.normal_above(i)[0]]
             # the members of H^G that conjugate H onto itself
             meet = int(h.mask()[g.conj_table()[closure.members[:, None], h.members]].all(axis=1).sum())
             sizes = self._class_sizes[cid] = ClassSizes(g.order // int(self.class_size[cid]), closure.order, meet)
@@ -142,6 +142,12 @@ class SubgroupLattice:
 
     def conjugacy_class_size(self, i: int) -> int:
         return int(self.class_size[self.class_id[i]])
+
+    def normal_above(self, i: int) -> np.ndarray:
+        """Indices of the normal subgroups that contain subgroup i (i itself when normal), in sort order."""
+        above = self.inside[i] & self.normal
+        above[i] = self.normal[i]
+        return np.flatnonzero(above)
 
     def normal_subgroups(self) -> list[Subgroup]:
         return [s for i, s in enumerate(self.subgroups) if self.normal[i]]

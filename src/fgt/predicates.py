@@ -21,16 +21,17 @@ from .groups import (
     commutators,
     extract_subgroup_as_group,
     order_fingerprint,
-    quotient_group,
 )
 from .lattice import (
     ClassSizes,
     Subgroup,
+    SubgroupLattice,
     all_subgroups,
     centralizer_members,
     is_subnormal,
     normality_sizes,
     normalizer_members,
+    sylow_subgroups,
 )
 
 
@@ -177,62 +178,66 @@ def derived_subgroup_members(g: Group) -> np.ndarray:
     return close_under_product(g.mul, commutators(g, whole, whole))
 
 
-def _preimage(hom_map, target_members, order: int) -> np.ndarray:
-    target = np.zeros(max(hom_map) + 1, dtype=bool)
-    target[np.asarray(target_members, dtype=np.intp)] = True
-    return np.flatnonzero(target[np.asarray(hom_map, dtype=np.intp)]).astype(np.intp)
+def _core_above(lattice: SubgroupLattice, i: int, p: int, p_power: bool) -> int:
+    """The largest normal M above N = subgroup i with |M : N| a power of p, or prime to p when not ``p_power``.
 
-
-def _quotient_by(g: Group, normal_members: np.ndarray, budget: Budget):
-    """G/N and a function taking members of a subgroup of G/N to those of its preimage in G.
-
-    When N = 1 this is G itself: G/1 would be a copy of G with a lattice of its own.
+    M is the preimage of O_p(G/N), or of O_p'(G/N): the normal subgroups of
+    G/N are the M/N with M normal in G above N (correspondence theorem), and
+    the largest normal p-subgroup (p'-subgroup) contains every other one.
     """
-    if normal_members.size == 1:
-        return g, lambda members: members
-    q, hom = quotient_group(g, normal_members, budget)
-    return q, lambda members: _preimage(hom.map, members, g.order)
+    base = lattice.subgroups[i].order
+    for j in lattice.normal_above(i)[::-1]:
+        index = lattice.subgroups[j].order // base
+        if p_part(index, p) == (index if p_power else 1):
+            return int(j)
+
+
+def _least_normal_above(lattice: SubgroupLattice, indices) -> int:
+    """The least normal subgroup containing every subgroup in ``indices``.
+
+    It is their join whenever that join is normal, as it is for normal
+    subgroups and for the components of G, which conjugation permutes.
+    """
+    above = lattice.normal_above(0)
+    for i in indices:
+        above = np.intersect1d(above, lattice.normal_above(i), assume_unique=True)
+    return int(above[0])
+
+
+def _fitting_above(lattice: SubgroupLattice, i: int) -> int:
+    """The preimage of F(G/N) for N = subgroup i: the join of the preimages of each O_p(G/N)."""
+    index = lattice.group.order // lattice.subgroups[i].order
+    return _least_normal_above(lattice, [i] + [_core_above(lattice, i, p, True) for p in primes_of(index)])
 
 
 def upper_p_series(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> SeriesReport:
-    """Ascending series 1 <= O_p' <= O_p',p <= ... pulled back to subgroups of g.
+    """Ascending series 1 <= O_p' <= O_p',p <= ... up to G, read off the lattice of g.
 
     Terms alternate p'-core and p-core steps, starting with O_p'; the term at
-    even index i >= 2 is a p-step.  Stops at G, or when a full p'+p round
-    makes no progress (which cannot happen for solvable input).
+    even index i >= 2 is a p-step.  Each term is the preimage of the core of
+    G/N, N the term before.  A p'-step leaves O_p'(G/M) = 1, so in a solvable
+    group the p-step after it grows until G is reached (Hall-Higman, 1956).
     """
     if not is_solvable(g):
         raise NotSolvableError("upper p-series computed for solvable groups only")
-    terms = [np.array([0], dtype=np.intp)]
-    take_p_part = False
-    stalled = 0
-    while terms[-1].size < g.order and stalled < 2:
-        q, lift = _quotient_by(g, terms[-1], budget)
-        if take_p_part:
-            step = p_core_members(q, p, budget)
-        else:
-            step = np.array([0], dtype=np.intp)
-            lat = all_subgroups(q, budget)
-            for n in lat.normal_subgroups():
-                if n.order % p != 0:
-                    step = close_under_product(q.mul, np.union1d(step, n.members))
-        lifted = lift(step)
-        stalled = stalled + 1 if lifted.size == terms[-1].size else 0
-        terms.append(lifted)
-        take_p_part = not take_p_part
-    return SeriesReport(f"upperPSeries({p})", terms, terminated=terms[-1].size == g.order)
+    lattice = all_subgroups(g, budget)
+    terms = [0]
+    while lattice.subgroups[terms[-1]].order < g.order:
+        terms.append(_core_above(lattice, terms[-1], p, p_power=len(terms) % 2 == 0))
+    return SeriesReport(f"upperPSeries({p})", [lattice.subgroups[i].members for i in terms], terminated=True)
 
 
 def fitting_chain(g: Group, budget: Budget = DEFAULT_BUDGET) -> SeriesReport:
     """Ascending chain of Fitting-subgroup preimages; terminates at G for solvable g."""
-    terms = [np.array([0], dtype=np.intp)]
-    while terms[-1].size < g.order:
-        q, lift = _quotient_by(g, terms[-1], budget)
-        lifted = lift(fitting_subgroup(q, budget).members)
-        if lifted.size == terms[-1].size:
+    lattice = all_subgroups(g, budget)
+    terms = [0]
+    while lattice.subgroups[terms[-1]].order < g.order:
+        nxt = _fitting_above(lattice, terms[-1])
+        if nxt == terms[-1]:
             break
-        terms.append(lifted)
-    return SeriesReport("fittingChain", terms, terminated=terms[-1].size == g.order)
+        terms.append(nxt)
+    members = [lattice.subgroups[i].members for i in terms]
+    return SeriesReport("fittingChain", members, terminated=members[-1].size == g.order)
 
 
 def is_abelian(g: Group) -> bool:
@@ -249,13 +254,9 @@ def is_metabelian(g: Group) -> bool:
 
 
 def is_nilpotent(g: Group, budget: Budget = DEFAULT_BUDGET) -> tuple[bool, int | None]:
-    """All Sylow subgroups normal; class read off the lower central series."""
-    lattice = all_subgroups(g, budget)
-    for p in primes_of(g.order):
-        target = p_part(g.order, p)
-        idxs = [i for i, s in enumerate(lattice.subgroups) if s.order == target]
-        if not any(lattice.normal[i] for i in idxs):
-            return False, None
+    """All Sylow subgroups normal, that is each the only one; class read off the lower central series."""
+    if any(len(sylow_subgroups(g, p, budget)) > 1 for p in primes_of(g.order)):
+        return False, None
     series = lower_central_series(g)
     return True, len(series.terms) - 1
 
@@ -284,8 +285,7 @@ def is_p_nilpotent(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> bool:
 def satisfies_cp(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> bool:
     """Every subgroup of a Sylow p-subgroup P is normal in N_G(P)."""
     lattice = all_subgroups(g, budget)
-    target = p_part(g.order, p)
-    sylow = next(s for s in lattice.subgroups if s.order == target)
+    sylow = sylow_subgroups(g, p, budget)[0]
     norm = normalizer_members(g, sylow.members)
     conj = g.conj_table()
     for t in lattice.subgroups_inside(sylow):
@@ -299,23 +299,15 @@ def satisfies_cp(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> bool:
 
 
 def p_core_members(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> np.ndarray:
-    """O_p(G) as the intersection of the Sylow p-subgroups."""
+    """O_p(G): the largest normal p-subgroup."""
     lattice = all_subgroups(g, budget)
-    target = p_part(g.order, p)
-    sylows = [s for s in lattice.subgroups if s.order == target]
-    members = sylows[0].members
-    for s in sylows[1:]:
-        members = np.intersect1d(members, s.members, assume_unique=True)
-    return members
+    return lattice.subgroups[_core_above(lattice, 0, p, p_power=True)].members
 
 
 def fitting_subgroup(g: Group, budget: Budget = DEFAULT_BUDGET) -> Subgroup:
     """F(G): join of the p-cores over the primes dividing |G|."""
-    members = np.array([0], dtype=np.intp)
-    for p in primes_of(g.order):
-        core = p_core_members(g, p, budget)
-        members = close_under_product(g.mul, np.union1d(members, core))
-    return Subgroup(g, members)
+    lattice = all_subgroups(g, budget)
+    return lattice.subgroups[_fitting_above(lattice, 0)]
 
 
 def fitting_height(g: Group, budget: Budget = DEFAULT_BUDGET) -> int:
@@ -336,23 +328,10 @@ def frattini_subgroup(g: Group, budget: Budget = DEFAULT_BUDGET) -> Subgroup:
 
 
 def p_length(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Number of p-terms in the upper p-series 1 <= O_p' <= O_p',p <= ..."""
+    """Number of p-steps in the upper p-series 1 <= O_p' <= O_p',p <= ..., each of which grows."""
     if not is_solvable(g):
         raise NotSolvableError("p-length computed for solvable groups only")
-    if g.order % p != 0:
-        return 0
-    lattice = all_subgroups(g, budget)
-    # O_p'(G): the largest normal subgroup of order prime to p
-    core = np.array([0], dtype=np.intp)
-    for n in lattice.normal_subgroups():
-        if n.order % p != 0:
-            core = close_under_product(g.mul, np.union1d(core, n.members))
-    reduced, _ = _quotient_by(g, core, budget)
-    if reduced.order == 1:
-        return 0
-    opart = p_core_members(reduced, p, budget)
-    after_p, _ = quotient_group(reduced, opart, budget)
-    return 1 + p_length(after_p, p, budget)
+    return (len(upper_p_series(g, p, budget).terms) - 1) // 2
 
 
 def subgroup_as_group(g: Group, h: Subgroup) -> Group:
@@ -374,8 +353,8 @@ def generalized_fitting(g: Group, budget: Budget = DEFAULT_BUDGET):
     fstar_class is None when F* is not nilpotent.
     """
     lattice = all_subgroups(g, budget)
-    components: list[Subgroup] = []
-    for s in lattice.subgroups:
+    components: list[int] = []
+    for i, s in enumerate(lattice.subgroups):
         if s.order == 1:
             continue
         derived = close_under_product(g.mul, commutators(g, s.members, s.members))
@@ -387,19 +366,15 @@ def generalized_fitting(g: Group, budget: Budget = DEFAULT_BUDGET):
         centre = centralizer_members(child, np.arange(child.order))
         if centre.size == child.order:
             continue  # abelian, not quasisimple
-        quot, _ = quotient_group(child, centre, budget)
-        if is_simple(quot, budget):
-            components.append(s)
-    layer_members = np.array([0], dtype=np.intp)
-    for c in components:
-        layer_members = close_under_product(g.mul, np.union1d(layer_members, c.members))
-    layer = Subgroup(g, layer_members)
-    fit = fitting_subgroup(g, budget)
-    fstar_members = close_under_product(g.mul, np.union1d(layer.members, fit.members))
-    fstar = Subgroup(g, fstar_members)
+        # s/Z(s) is simple when Z(s) and s are the only normal subgroups of s above Z(s)
+        child_lattice = all_subgroups(child, budget)
+        if child_lattice.normal_above(child_lattice.subgroup_index(Subgroup(child, centre))).size == 2:
+            components.append(i)
+    layer = _least_normal_above(lattice, components)
+    fstar = lattice.subgroups[_least_normal_above(lattice, [layer, _fitting_above(lattice, 0)])]
     child = subgroup_as_group(g, fstar)
     nilp, klass = is_nilpotent(child, budget)
-    return components, layer, fstar, (klass if nilp else None)
+    return [lattice.subgroups[i] for i in components], lattice.subgroups[layer], fstar, (klass if nilp else None)
 
 
 # --- group classes -----------------------------------------------------------------

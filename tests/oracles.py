@@ -7,6 +7,7 @@ genuine two-route check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -245,11 +246,55 @@ def quotient_walk_fitting_height(group, budget) -> int:
     return height
 
 
+def sylow_intersection_core(group, p: int, budget) -> np.ndarray:
+    """O_p(G) as the intersection of the Sylow p-subgroups, picked from the lattice by order."""
+    from fgt.lattice import all_subgroups
+
+    target = 1
+    while group.order % (target * p) == 0:
+        target *= p
+    members = [s.members for s in all_subgroups(group, budget).subgroups if s.order == target]
+    return functools.reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), members)
+
+
+def quotient_walk_upper_p_series(group, p: int, budget) -> list[np.ndarray]:
+    """Terms 1 <= O_p' <= O_p',p <= ... up to G, each pulled back from a quotient group G/N built for its N.
+
+    For solvable input only, where every p-step grows.  O_p'(G/N) is the
+    join of the normal subgroups of order prime to p, O_p(G/N) the
+    intersection of the Sylow p-subgroups.
+    """
+    from fgt.groups import quotient_group
+    from fgt.lattice import all_subgroups
+
+    terms = [np.zeros(1, dtype=np.intp)]
+    while terms[-1].size < group.order:
+        quotient, hom = quotient_group(group, terms[-1], budget)
+        if len(terms) % 2 == 0:
+            step = sylow_intersection_core(quotient, p, budget)
+        else:
+            coprime = [n.members for n in all_subgroups(quotient, budget).normal_subgroups() if n.order % p]
+            step = brute_closure(quotient.mul, np.concatenate(coprime), cutoff_to_full=False)
+        in_step = np.zeros(quotient.order, dtype=bool)
+        in_step[step] = True
+        terms.append(np.flatnonzero(in_step[np.asarray(hom.map)]))
+    return terms
+
+
+def latin_square(mul: np.ndarray) -> bool:
+    """Every row and every column of the table is a permutation of 0..n-1, by sorting both axes."""
+    n = mul.shape[0]
+    ar = np.arange(n)
+    return bool(
+        np.array_equal(np.sort(mul, axis=1), np.broadcast_to(ar, (n, n)))
+        and np.array_equal(np.sort(mul, axis=0), np.broadcast_to(ar[:, None], (n, n)))
+    )
+
+
 def quotient_walk_p_length(group, p: int, budget) -> int:
     """p-length by building G/O_p'(G) and then its quotient by O_p, even when O_p'(G) is trivial."""
     from fgt.groups import close_under_product, quotient_group
     from fgt.lattice import all_subgroups
-    from fgt.predicates import p_core_members
 
     if group.order % p != 0:
         return 0
@@ -260,7 +305,7 @@ def quotient_walk_p_length(group, p: int, budget) -> int:
     reduced, _ = quotient_group(group, core, budget)
     if reduced.order == 1:
         return 0
-    after_p, _ = quotient_group(reduced, p_core_members(reduced, p, budget), budget)
+    after_p, _ = quotient_group(reduced, sylow_intersection_core(reduced, p, budget), budget)
     return 1 + quotient_walk_p_length(after_p, p, budget)
 
 

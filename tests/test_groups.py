@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_closure, brute_is_associative
+from oracles import brute_closure, brute_is_associative, latin_square
 
 from fgt.catalog import build_cyclic, build_dihedral, build_group, parse_spec, standard_catalog
 from fgt.config import Budget
@@ -44,6 +44,50 @@ def test_table_validation_catches_broken_tables():
     mul = np.array([[1, 0], [0, 1]])  # identity not at index 0
     with pytest.raises(InvalidElementError):
         Group(mul, "broken", [1])
+
+
+def test_table_entry_out_of_range_is_rejected():
+    mul = np.array(build("Cyclic(4)").mul, dtype=np.int64)
+    mul[2, 3] = 4
+    with pytest.raises(InvalidElementError, match="out of range"):
+        Group(mul, "broken", [1])
+
+
+_SMALL_TABLES = [build(text).mul for text in
+                 ("Cyclic(1)", "Cyclic(2)", "Cyclic(3)", "Cyclic(4)", "ElementaryAbelian(2,2)", "Cyclic(5)")]
+
+
+@st.composite
+def _tables_with_identity(draw):
+    """A table with 0 as two-sided identity: a relabelled small group with a few cells overwritten, or random cells."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(_SMALL_TABLES)).astype(np.int64)
+        n = base.shape[0]
+        relabel = np.array([0] + draw(st.permutations(range(1, n))), dtype=np.int64)
+        mul = np.empty_like(base)
+        mul[np.ix_(relabel, relabel)] = relabel[base]
+        if n > 1:
+            cells = st.tuples(st.integers(1, n - 1), st.integers(1, n - 1), st.integers(0, n - 1))
+            for r, c, v in draw(st.lists(cells, max_size=2)):
+                mul[r, c] = v
+        return mul
+    n = draw(st.integers(1, 5))
+    mul = np.zeros((n, n), dtype=np.int64)
+    mul[0] = mul[:, 0] = np.arange(n)
+    for r in range(1, n):
+        mul[r, 1:] = draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1))
+    return mul
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_with_identity())
+def test_validation_accepts_exactly_the_associative_latin_squares(mul):
+    try:
+        Group(mul, "table", [])
+        accepted = True
+    except InvalidElementError:
+        accepted = False
+    assert accepted == (latin_square(mul) and brute_is_associative(mul))
 
 
 def _intercalate_swap(mul: np.ndarray, k: int) -> np.ndarray:

@@ -12,17 +12,21 @@ from oracles import (
     brute_normalizer,
     quotient_walk_fitting_height,
     quotient_walk_p_length,
+    quotient_walk_upper_p_series,
     recursive_is_supersolvable,
+    sylow_intersection_core,
 )
 
 from fgt.catalog import build_group, parse_spec, standard_catalog
 from fgt.claims import _pa_spec, _power_action_universe
+from fgt import groups, predicates
 from fgt.config import Budget
 from fgt.errors import NotApplicableError, NotSolvableError
 from fgt.groups import order_fingerprint
 from fgt.lattice import Subgroup, all_subgroups, conjugate_subgroup, is_subnormal, subgroup_from_generators
 from fgt.predicates import (
     classify_group,
+    fitting_chain,
     commutator_subgroup,
     fitting_height,
     fitting_subgroup,
@@ -44,11 +48,13 @@ from fgt.predicates import (
     is_solvable,
     is_supersolvable,
     is_t_group,
+    p_core_members,
     p_length,
     pnc_witness,
     primes_of,
     satisfies_cp,
     subgroup_as_group,
+    upper_p_series,
     vp_valuation,
 )
 
@@ -447,3 +453,42 @@ def test_class_sizes_and_group_classes_match_brute_oracles():
         first_bad = next((lat.subgroups[i] for i, ok in zip(lat.rep_indices, nc) if not ok), None)
         assert witness == first_bad, spec
     assert checked >= 20
+
+
+def test_series_and_cores_never_build_quotient_groups(monkeypatch):
+    """Every term is read off the group's own lattice, by correspondence."""
+    solvable = [(spec.to_string(), g) for spec in standard_catalog() if is_solvable(g := build_group(spec, BUDGET))]
+
+    def no_quotients(*args, **kwargs):
+        raise AssertionError("quotient_group called")
+
+    for module in (groups, predicates):
+        monkeypatch.setattr(module, "quotient_group", no_quotients, raising=False)
+    for spec, g in solvable:
+        fitting_height(g, BUDGET)
+        fitting_chain(g, BUDGET)
+        generalized_fitting(g, BUDGET)
+        for p in primes_of(g.order):
+            p_length(g, p, BUDGET)
+            upper_p_series(g, p, BUDGET)
+    assert len(solvable) >= 40
+
+
+def _catalog_and_power_action_groups_to_150():
+    specs = list(standard_catalog()) + [_pa_spec(pa) for pa in _power_action_universe(150)[0]]
+    return [(spec.to_string(), build_group(spec, BUDGET)) for spec in specs]
+
+
+def test_p_cores_and_upper_p_series_match_the_quotient_walk():
+    series = 0
+    for spec, g in _catalog_and_power_action_groups_to_150():
+        solvable = is_solvable(g)
+        for p in primes_of(g.order):
+            assert np.array_equal(p_core_members(g, p, BUDGET), sylow_intersection_core(g, p, BUDGET)), (spec, p)
+            if solvable:
+                series += 1
+                terms = upper_p_series(g, p, BUDGET).terms
+                expected = quotient_walk_upper_p_series(g, p, BUDGET)
+                assert len(terms) == len(expected), (spec, p)
+                assert all(np.array_equal(a, b) for a, b in zip(terms, expected)), (spec, p)
+    assert series >= 300
