@@ -13,9 +13,9 @@ sides.  Each tree runs its own ``fgtbench``.
 
 Every workload runs with the benchmark's own defaults for seed and run
 length.  The JSON written holds every pair's end-to-end metrics, the
-per-side medians, the checkout's median over the base's, and the
-``src/fgt`` line count of both sides (``fgtbench/layers.py``'s
-``src_lines``).  Nothing under ``fgtbench/`` is changed.
+per-side medians and interquartile ranges, the checkout's median over
+the base's, and the ``src/fgt`` line count of both sides
+(``fgtbench/layers.py``'s ``src_lines``).  Nothing under ``fgtbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -69,6 +69,16 @@ def medians(runs: list[dict]) -> dict:
     return {name: statistics.median(r[name] for r in runs) for name in METRICS}
 
 
+def iqrs(runs: list[dict]) -> dict:
+    """Distance between the quartiles of each metric, the spread a median change must exceed (0 for one run)."""
+    out = {}
+    for name in METRICS:
+        values = [r[name] for r in runs]
+        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
+        out[name] = q3 - q1
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", default="HEAD", help="commit to compare against (default: HEAD)")
@@ -103,6 +113,7 @@ def main(argv=None) -> int:
             doc["workloads"][workload] = {
                 "pairs": pairs,
                 "median": med,
+                "iqr": {side: iqrs([p[side] for p in pairs]) for side in ("base", "checkout")},
                 "checkout_over_base": {m: med["checkout"][m] / med["base"][m] for m in METRICS},
             }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -126,30 +126,50 @@ def _multiplicative_order(a: int, m: int) -> int:
 # --- formula-built tables -------------------------------------------------------
 
 
-def _cyclic_table(n: int) -> np.ndarray:
-    i = np.arange(n)
-    return (i[:, None] + i[None, :]) % n
+def _cyclic_extension(q: int, factors) -> np.ndarray:
+    """Cayley table of a cyclic extension <a> over a product of cyclic groups <b_i>.
+
+    Each factor (m, r, c) is a cyclic group <b> with b^m = 1, a^-1 b a = b^r,
+    and a^q is the product of the b_i^c_i (Hoelder's theorem; D. J. S.
+    Robinson, A Course in the Theory of Groups, 1996).  Element
+    a^s b_1^e_1 ... b_k^e_k has the mixed-radix index of (s, e_1, ..., e_k),
+    s most significant, and
+    (s, e)(s', e') = (s + s' mod q, e_i r_i^s' + e'_i + c_i floor((s + s')/q) mod m_i).
+    """
+    weight = math.prod(m for m, _, _ in factors)
+    idx = np.arange(q * weight)
+    s = idx // weight
+    mul = s[:, None] + s[None, :]
+    carry = mul // q if any(c for _, _, c in factors) else None
+    mul %= q
+    mul *= weight
+    for m, r, c in factors:
+        weight //= m
+        e = idx // weight % m
+        rpow = np.array([pow(r % m, t, m) for t in range(q)])
+        term = e[:, None] * rpow[s]
+        term += e
+        if c:
+            term += c * carry
+        term %= m
+        term *= weight
+        mul += term
+    return mul
 
 
 def build_cyclic(n: int, budget: Budget) -> Group:
     if n < 1:
         raise InvalidElementError("cyclic order must be >= 1")
     _cap_check(n, budget)
-    return Group(_cyclic_table(n), f"C{n}", [1] if n > 1 else [])
+    return Group(_cyclic_extension(n, []), f"C{n}", [1] if n > 1 else [])
 
 
 def build_elementary_abelian(p: int, k: int, budget: Budget) -> Group:
     if not is_prime(p) or k < 1:
         raise InvalidElementError("need a prime p and k >= 1")
-    n = p**k
-    _cap_check(n, budget)
-    i = np.arange(n)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for d in range(k):
-        di = (i // p**d) % p
-        mul += ((di[:, None] + di[None, :]) % p) * p**d
+    _cap_check(p**k, budget)
     gens = [p**d for d in range(k)]
-    return Group(mul, f"C{p}^{k}", gens)
+    return Group(_cyclic_extension(p, [(p, 1, 0)] * (k - 1)), f"C{p}^{k}", gens)
 
 
 def build_dihedral(n: int, budget: Budget) -> Group:
@@ -157,16 +177,8 @@ def build_dihedral(n: int, budget: Budget) -> Group:
     if n < 1:
         raise InvalidElementError("dihedral parameter must be >= 1")
     _cap_check(2 * n, budget)
-    j = np.arange(n)
-    i = np.arange(2)
-    i1 = np.repeat(i, n)[:, None]
-    j1 = np.tile(j, 2)[:, None]
-    i2 = np.repeat(i, n)[None, :]
-    j2 = np.tile(j, 2)[None, :]
-    sign = np.where(i2 == 1, -1, 1)
-    mul = ((i1 + i2) % 2) * n + (j1 * sign + j2) % n
     gens = [1, n] if n > 1 else [n]
-    return Group(mul, f"D{n}", gens)
+    return Group(_cyclic_extension(2, [(n, -1, 0)]), f"D{n}", gens)
 
 
 def build_dicyclic(n: int, budget: Budget) -> Group:
@@ -174,17 +186,7 @@ def build_dicyclic(n: int, budget: Budget) -> Group:
     if n < 1:
         raise InvalidElementError("dicyclic parameter must be >= 1")
     _cap_check(4 * n, budget)
-    two_n = 2 * n
-    j = np.arange(two_n)
-    i = np.arange(2)
-    i1 = np.repeat(i, two_n)[:, None]
-    j1 = np.tile(j, 2)[:, None]
-    i2 = np.repeat(i, two_n)[None, :]
-    j2 = np.tile(j, 2)[None, :]
-    sign = np.where(i2 == 1, -1, 1)
-    carry = (i1 + i2) // 2  # a^2 = b^n
-    mul = ((i1 + i2) % 2) * two_n + (j1 * sign + j2 + carry * n) % two_n
-    return Group(mul, f"Dic{n}", [two_n, 1])
+    return Group(_cyclic_extension(2, [(2 * n, -1, n)]), f"Dic{n}", [2 * n, 1])
 
 
 def build_symmetric(n: int, budget: Budget) -> Group:
@@ -219,38 +221,21 @@ def build_modular(p: int, n: int, budget: Budget) -> Group:
         raise InvalidElementError("Modular(p,n) needs prime p and n >= 2")
     pn = p**n
     _cap_check(p * pn, budget)
-    m = 1 + p ** (n - 1)
-    mpow = [pow(m, i, pn) for i in range(p)]
-    i_idx = np.arange(p)
-    j_idx = np.arange(pn)
-    i1 = np.repeat(i_idx, pn)[:, None]
-    j1 = np.tile(j_idx, p)[:, None]
-    i2 = np.repeat(i_idx, pn)[None, :]
-    j2 = np.tile(j_idx, p)[None, :]
-    mp = np.array(mpow)[i2]
-    mul = ((i1 + i2) % p) * pn + (j1 * mp + j2) % pn
-    return Group(mul, f"Mod({p},{n})", [1, pn])
+    return Group(_cyclic_extension(p, [(pn, 1 + p ** (n - 1), 0)]), f"Mod({p},{n})", [1, pn])
 
 
 def build_heisenberg_like(p: int, n: int, budget: Budget) -> Group:
-    """Order p^(n+2):  <a, b, x | a^(p^n) = b^p = x^p = 1, [x,a] = b central>."""
+    """Order p^(n+2):  <a, b, x | a^(p^n) = b^p = x^p = 1, [x,a] = b central>.
+
+    The split extension (C_{p^n} x C_p) : C_p where x maps (a, b) to (a, a + b).
+    """
     if not is_prime(p) or n < 1:
         raise InvalidElementError("HeisenbergLike(p,n) needs prime p and n >= 1")
-    pn = p**n
-    size = pn * p * p
-    _cap_check(size, budget)
-    idx = np.arange(size)
-    a1 = (idx // (p * p))[:, None]
-    b1 = ((idx // p) % p)[:, None]
-    x1 = (idx % p)[:, None]
-    a2 = (idx // (p * p))[None, :]
-    b2 = ((idx // p) % p)[None, :]
-    x2 = (idx % p)[None, :]
-    a = (a1 + a2) % pn
-    b = (b1 + b2 + x1 * a2) % p
-    x = (x1 + x2) % p
-    mul = a * p * p + b * p + x
-    return Group(mul, f"Heis({p},{n})", [p * p, p, 1])
+    _cap_check(p**n * p * p, budget)
+    base = direct_product(build_cyclic(p**n, budget), build_cyclic(p, budget), budget)
+    a, b = np.divmod(np.arange(base.order), p)
+    shear = a * p + (a + b) % p
+    return semidirect_product(base, build_cyclic(p, budget), {1: shear}, budget, label=f"Heis({p},{n})")
 
 
 def build_sl2(q: int, budget: Budget) -> Group:
@@ -334,40 +319,15 @@ def build_gu2_3(budget: Budget) -> Group:
 
 
 def build_power_action(spec: PowerActionSpec, budget: Budget) -> Group:
-    n = spec.order
-    _cap_check(n, budget)
-    q = spec.p**spec.alpha
-    moduli = [p_i**a_i for p_i, a_i, _ in spec.factors]
-    a_total = 1
-    for m in moduli:
-        a_total *= m
-    idx = np.arange(n)
-    s_part = idx // a_total
-    rem = idx % a_total
-    comps = []
-    divisor = a_total
-    for m in moduli:
-        divisor //= m
-        comps.append((rem // divisor) % m)
-    s1 = s_part[:, None]
-    s2 = s_part[None, :]
-    mul = ((s1 + s2) % q) * a_total
-    divisor = a_total
-    for (p_i, a_i, t_i), m, comp in zip(spec.factors, moduli, comps):
-        divisor //= m
-        tpow = np.array([pow(-t_i % m, s, m) for s in range(q)])
-        e1 = comp[:, None]
-        e2 = comp[None, :]
-        mul += ((e1 * tpow[s2] + e2) % m) * divisor
-    gens = [a_total]  # the acting generator a
-    divisor = a_total
-    for m in moduli:
-        divisor //= m
-        gens.append(divisor)
+    _cap_check(spec.order, budget)
+    factors = [(p_i**a_i, -t_i, 0) for p_i, a_i, t_i in spec.factors]
+    gens = [spec.order // spec.p**spec.alpha]  # the acting generator a
+    for m, _, _ in factors:
+        gens.append(gens[-1] // m)
     label = f"PA[{spec.p}^{spec.alpha}" + "".join(
         f";{p_i}^{a_i}@{t_i}" for p_i, a_i, t_i in spec.factors
     ) + "]"
-    return Group(mul, label, gens)
+    return Group(_cyclic_extension(spec.p**spec.alpha, factors), label, gens)
 
 
 def build_irreducible_frobenius(q: int, k: int, p: int, budget: Budget) -> Group:
@@ -382,34 +342,17 @@ def build_irreducible_frobenius(q: int, k: int, p: int, budget: Budget) -> Group
         raise InvalidElementError("need distinct primes q (kernel) and p (action)")
     if k < 2 or k > 3:
         raise InvalidElementError("supported kernel ranks: 2 <= k <= 3")
-    nv = q**k
-    _cap_check(nv * p, budget)
+    _cap_check(q**k * p, budget)
     mat = _companion_of_order(q, k, p)
     if mat is None:
         raise ActionInconsistentError(
             f"no irreducible degree-{k} action of order {p} exists over GF({q})"
         )
-    powers = [np.eye(k, dtype=np.int64)]
-    for _ in range(p - 1):
-        powers.append(powers[-1] @ mat % q)
-    digits = np.zeros((nv, k), dtype=np.int64)
-    idx = np.arange(nv)
-    for d in range(k):
-        digits[:, d] = (idx // q**d) % q
-    weights = q ** np.arange(k, dtype=np.int64)
-    n = nv * p
-    mul = np.zeros((n, n), dtype=np.int64)
-    i_idx = np.arange(p)
-    for i1 in range(p):
-        moved = digits @ powers[i1].T % q  # M^i1 applied to every v2
-        vsum = (digits[:, None, :] + moved[None, :, :]) % q  # (v1, v2, k)
-        vcode = vsum @ weights
-        block = vcode[:, :, None] * p + ((i1 + i_idx) % p)[None, None, :]
-        rows = np.arange(nv) * p + i1
-        cols = (np.arange(nv)[:, None] * p + i_idx[None, :]).reshape(-1)
-        mul[np.ix_(rows, cols)] = block.reshape(nv, nv * p)
-    gens = [q**d * p for d in range(k)] + [1]
-    return Group(mul, f"Frob({q}^{k}:{p})", gens)
+    kernel = build_elementary_abelian(q, k, budget)
+    weights = q ** np.arange(k)
+    digits = np.arange(kernel.order)[:, None] // weights % q  # coordinates of v, least significant first
+    action = digits @ mat.T % q @ weights  # the index of M v
+    return semidirect_product(kernel, build_cyclic(p, budget), {1: action}, budget, label=f"Frob({q}^{k}:{p})")
 
 
 def _companion_of_order(q: int, k: int, p: int):
@@ -433,32 +376,13 @@ def _companion_of_order(q: int, k: int, p: int):
 def build_c2sq_semi_c4(budget: Budget) -> Group:
     """C2^2 : C4 where the order-4 generator swaps the two coordinates.
 
-    The underlying data this group must reproduce: the C4 complement has
-    normalizer of C2 x C4 profile (order 8) and its normal closure lies
-    inside that normalizer.  Checked at construction; fails loudly if the
-    chosen action ever stops reproducing it.
+    The C4 complement has a normalizer of C2 x C4 profile (order 8), and its
+    normal closure lies inside that normalizer.
     """
     a = build_elementary_abelian(2, 2, budget)
     b = build_cyclic(4, budget)
     swap = np.array([0, 2, 1, 3], dtype=np.int64)  # (e1,e2) -> (e2,e1)
-    g = semidirect_product(a, b, {1: swap}, budget, label="C2^2:C4")
-    from .lattice import normal_closure_members, normalizer_members
-
-    complement = np.arange(4, dtype=np.intp)  # pairs (0, y)
-    norm = normalizer_members(g, complement)
-    closure = normal_closure_members(g, complement)
-    from .groups import order_fingerprint
-
-    profile = order_fingerprint(g, norm)
-    expected = (8, ((1, 1), (2, 3), (4, 4)), True)
-    got = (profile.order, profile.order_counts, profile.abelian)
-    closure_inside = bool(np.isin(closure, norm).all())
-    if got != expected or not closure_inside:
-        raise ActionInconsistentError(
-            "C2^2:C4 action does not reproduce the expected normalizer data; "
-            f"normalizer profile {got}, closure inside normalizer: {closure_inside}"
-        )
-    return g
+    return semidirect_product(a, b, {1: swap}, budget, label="C2^2:C4")
 
 
 def build_d4_semi_s3(budget: Budget) -> Group:
@@ -524,8 +448,8 @@ def _cap_check(order: int, budget: Budget):
 def _build_quaternion(order: int, budget: Budget) -> Group:
     if order < 8 or order > 16 or order & (order - 1):
         raise InvalidElementError("Quaternion(m) supports m in {8, 16}")
-    g = build_dicyclic(order // 4, budget)
-    return Group(g.mul, f"Q{order}", g.generators)
+    _cap_check(order, budget)
+    return Group(_cyclic_extension(2, [(order // 2, -1, order // 4)]), f"Q{order}", [order // 2, 1])
 
 
 # name: (integer parameter names, builder(*params, budget)); Direct and PowerAction take nested params

@@ -389,8 +389,9 @@ def _sylow_normal(g: Group, budget: Budget, p: int) -> Subgroup | None:
 
 
 def _all_maximals_satisfy(g: Group, budget: Budget, pred) -> bool:
+    """``pred`` on every maximal subgroup, tested on one per conjugacy class: ``pred`` is an isomorphism invariant."""
     lat = all_subgroups(g, budget)
-    return all(pred(subgroup_as_group(g, m)) for m in lat.maximal_subgroups())
+    return all(pred(subgroup_as_group(g, lat.subgroups[i])) for i in lat.rep_indices if lat.maximal[i])
 
 
 def _minimal_non_abelian(g: Group, budget: Budget) -> bool:
@@ -1168,10 +1169,19 @@ def _maximal_pnc_dichotomy(spec: GroupSpec, g: Group, budget: Budget):
     yield None if ok else _witness(spec, detail="gate holds but conclusion fails")
 
 
-def _second_maximals_not_solvable_pnc(g: Group, budget: Budget) -> list[Subgroup]:
-    return [
-        s for s in second_maximal_subgroups(g, budget) if not _is_solvable_pnc(subgroup_as_group(g, s), budget)
+def _second_maximals_not_solvable_pnc(g: Group, budget: Budget) -> tuple[list[Subgroup], int]:
+    """Class representatives of the second maximal subgroups that are not solvable PNC, and their number.
+
+    Both properties are invariant under conjugation, so the failing subgroups
+    form whole classes; each representative is its class's first member in sort order.
+    """
+    lat = all_subgroups(g, budget)
+    second = {lat.subgroup_index(s) for s in second_maximal_subgroups(g, budget)}
+    bad = [
+        i for i in lat.rep_indices
+        if i in second and not _is_solvable_pnc(subgroup_as_group(g, lat.subgroups[i]), budget)
     ]
+    return [lat.subgroups[i] for i in bad], sum(lat.conjugacy_class_size(i) for i in bad)
 
 
 def _run_simple_second_maximal(budget: Budget) -> ClaimResult:
@@ -1182,14 +1192,14 @@ def _run_simple_second_maximal(budget: Budget) -> ClaimResult:
     counterexamples, notes = [], []
     for q in (4, 5, 8):
         spec = GroupSpec("PSL2", (q,))
-        bad = _second_maximals_not_solvable_pnc(build_group(spec, budget), budget)
+        bad, _ = _second_maximals_not_solvable_pnc(build_group(spec, budget), budget)
         if bad:
             counterexamples.append(_witness(spec, bad[0], "second maximal not solvable PNC"))
     spec7 = GroupSpec("PSL2", (7,))
-    bad7 = _second_maximals_not_solvable_pnc(build_group(spec7, budget), budget)
+    bad7, count7 = _second_maximals_not_solvable_pnc(build_group(spec7, budget), budget)
     if bad7:
         notes.append(
-            f"excluded case: PSL(2,7) has {len(bad7)} second maximal subgroups that are not solvable PNC "
+            f"excluded case: PSL(2,7) has {count7} second maximal subgroups that are not solvable PNC "
             f"(first witness order {bad7[0].order})"
         )
     else:
@@ -1203,7 +1213,7 @@ def _run_nonsolvable_second_maximal(budget: Budget) -> ClaimResult:
         {"group": "SL2(243)", "reason": "order-budget: permanently skipped"},
     ]
     spec = GroupSpec("SL2", (5,))
-    bad = _second_maximals_not_solvable_pnc(build_group(spec, budget), budget)
+    bad, _ = _second_maximals_not_solvable_pnc(build_group(spec, budget), budget)
     counterexamples = [_witness(spec, b, "second maximal not solvable PNC") for b in bad[:1]]
     return _must_hold_result("nonsolvable-second-maximal", 1, counterexamples, skipped, [])
 

@@ -353,8 +353,11 @@ def generalized_fitting(g: Group, budget: Budget = DEFAULT_BUDGET):
     fstar_class is None when F* is not nilpotent.
     """
     lattice = all_subgroups(g, budget)
+    # a perfect P is P^(k) <= G^(k) for every k, so it lies in the solvable residual R
+    r = lattice.subgroup_index(Subgroup(g, derived_series(g).terms[-1]))
     components: list[int] = []
-    for i, s in enumerate(lattice.subgroups):
+    for i in np.append(np.flatnonzero(lattice.inside[:, r]), r).tolist():
+        s = lattice.subgroups[i]
         if s.order == 1:
             continue
         derived = close_under_product(g.mul, commutators(g, s.members, s.members))

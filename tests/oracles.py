@@ -350,3 +350,93 @@ def generate_matrix_group(generators, label: str):
                 elems.append(y)
     mul = np.array([[index[mat_mul(x, y)] for y in elems] for x in elems])
     return Group(mul, label, [index[s] for s in generators])
+
+
+def cyclic_extension_product(q: int, factors) -> np.ndarray:
+    """Table of <a, b_1, ..., b_k | a^q = prod b_i^c_i, b_i^m_i = 1, a^-1 b_i a = b_i^r_i, [b_i, b_j] = 1>.
+
+    ``factors`` lists the (m_i, r_i, c_i).  Element a^s b_1^e_1 ... b_k^e_k is
+    the tuple (s, e_1, ..., e_k), numbered in lexicographic order.  One product
+    at a time: a^s b^e a^t b^f = a^(s+t) (a^-t b^e a^t) b^f, where conjugation
+    by a^t raises each b_i to the power r_i^t, and a^(s+t) with s + t >= q
+    leaves a^q = prod b_i^c_i behind.
+    """
+    elems = list(itertools.product(range(q), *(range(m) for m, _, _ in factors)))
+    index = {x: i for i, x in enumerate(elems)}
+    mul = np.zeros((len(elems), len(elems)), dtype=np.int64)
+    for i, (s, *e) in enumerate(elems):
+        for j, (t, *f) in enumerate(elems):
+            wrap = (s + t) // q
+            digits = [(ei * pow(r, t, m) + fi + c * wrap) % m for ei, fi, (m, r, c) in zip(e, f, factors)]
+            mul[i, j] = index[((s + t) % q, *digits)]
+    return mul
+
+
+def heisenberg_product(p: int, n: int) -> np.ndarray:
+    """Table of <a, b, x | a^(p^n) = b^p = x^p = 1, x a x^-1 = a b, b central>.
+
+    Element a^i b^j x^k is (i, j, k), numbered in lexicographic order.  Moving
+    x^k past a^i' leaves b^(k i') behind, as x^k a x^-k = a b^k.
+    """
+    elems = list(itertools.product(range(p**n), range(p), range(p)))
+    index = {x: i for i, x in enumerate(elems)}
+    mul = np.zeros((len(elems), len(elems)), dtype=np.int64)
+    for u, (i, j, k) in enumerate(elems):
+        for v, (i2, j2, k2) in enumerate(elems):
+            mul[u, v] = index[((i + i2) % p**n, (j + j2 + k * i2) % p, (k + k2) % p)]
+    return mul
+
+
+def frobenius_product(q: int, p: int, matrix) -> np.ndarray:
+    """Table of GF(q)^k : <y>, y of order p acting by ``matrix``: y v y^-1 = M v.
+
+    Element (v, i) is the vector v times y^i, numbered sum_d v_d q^d * p + i
+    (first coordinate least significant).  (v, i)(w, j) = (v + M^i w, i + j).
+    """
+    k = len(matrix)
+
+    def apply(vec):
+        return tuple(sum(matrix[r][c] * vec[c] for c in range(k)) % q for r in range(k))
+
+    vectors = [tuple(code // q**d % q for d in range(k)) for code in range(q**k)]
+    elems = [(v, i) for v in vectors for i in range(p)]
+    index = {x: u for u, x in enumerate(elems)}
+    mul = np.zeros((len(elems), len(elems)), dtype=np.int64)
+    for u, (v, i) in enumerate(elems):
+        for w_index, (w, j) in enumerate(elems):
+            for _ in range(i):
+                w = apply(w)
+            mul[u, w_index] = index[(tuple((a + b) % q for a, b in zip(v, w)), (i + j) % p)]
+    return mul
+
+
+def all_subgroups_generalized_fitting(group, budget):
+    """Components, layer, F* and its class, testing every subgroup of G for perfection.
+
+    The scan ``generalized_fitting`` made before it looked only inside the
+    solvable residual.
+    """
+    from fgt.groups import close_under_product, commutators
+    from fgt.lattice import Subgroup, all_subgroups, centralizer_members, is_subnormal
+    from fgt.predicates import _fitting_above, _least_normal_above, is_nilpotent, subgroup_as_group
+
+    lattice = all_subgroups(group, budget)
+    components = []
+    for i, s in enumerate(lattice.subgroups):
+        if s.order == 1:
+            continue
+        if close_under_product(group.mul, commutators(group, s.members, s.members)).size != s.order:
+            continue  # not perfect
+        if not is_subnormal(group, s):
+            continue
+        child = subgroup_as_group(group, s)
+        centre = centralizer_members(child, np.arange(child.order))
+        if centre.size == child.order:
+            continue  # abelian, not quasisimple
+        child_lattice = all_subgroups(child, budget)
+        if child_lattice.normal_above(child_lattice.subgroup_index(Subgroup(child, centre))).size == 2:
+            components.append(i)
+    layer = _least_normal_above(lattice, components)
+    fstar = lattice.subgroups[_least_normal_above(lattice, [layer, _fitting_above(lattice, 0)])]
+    nilp, klass = is_nilpotent(subgroup_as_group(group, fstar), budget)
+    return [lattice.subgroups[i] for i in components], lattice.subgroups[layer], fstar, (klass if nilp else None)

@@ -1,11 +1,18 @@
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import generate_matrix_group, unitary_matrices_gf9
+from oracles import (
+    cyclic_extension_product,
+    frobenius_product,
+    generate_matrix_group,
+    heisenberg_product,
+    unitary_matrices_gf9,
+)
 
 from fgt import catalog
 from fgt.catalog import (
@@ -17,7 +24,9 @@ from fgt.catalog import (
     spec_from_json,
     standard_catalog,
     _build_uncached,
+    _companion_of_order,
 )
+from fgt.claims import _pa_spec, _power_action_universe
 from fgt.config import Budget
 from fgt.errors import ActionInconsistentError, BudgetExceededError, InvalidElementError, UnknownConstructorError
 from fgt.groups import element_order, order_fingerprint
@@ -82,6 +91,55 @@ CONSTRUCT_DIGESTS = {
 def test_built_table_is_byte_identical_to_recorded_digest(spec, budget):
     g = _build_uncached(parse_spec(spec), budget)
     assert hashlib.sha256(g.mul.tobytes()).hexdigest() == CONSTRUCT_DIGESTS[spec, budget]
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _presented_tables(family):
+    """(spec, table from the presentation) for each member of ``family``."""
+    if family in ("Cyclic", "Dihedral", "Dicyclic"):
+        for n in range(1, 41):
+            q, factors = {"Cyclic": (n, []), "Dihedral": (2, [(n, -1, 0)]), "Dicyclic": (2, [(2 * n, -1, n)])}[family]
+            yield f"{family}({n})", cyclic_extension_product(q, factors)
+    elif family == "Quaternion":
+        for order in (8, 16):
+            yield f"Quaternion({order})", cyclic_extension_product(2, [(order // 2, -1, order // 4)])
+    elif family == "ElementaryAbelian":
+        for p, k in itertools.product(SMALL_PRIMES, range(1, 9)):
+            if p**k <= 256:
+                yield f"ElementaryAbelian({p},{k})", cyclic_extension_product(p, [(p, 1, 0)] * (k - 1))
+    elif family == "Modular":
+        for p, n in itertools.product(SMALL_PRIMES, range(2, 8)):
+            if p ** (n + 1) <= 243:
+                yield f"Modular({p},{n})", cyclic_extension_product(p, [(p**n, 1 + p ** (n - 1), 0)])
+    elif family == "HeisenbergLike":
+        for p, n in itertools.product(SMALL_PRIMES, range(1, 7)):
+            if p ** (n + 2) <= 243:
+                yield f"HeisenbergLike({p},{n})", heisenberg_product(p, n)
+    elif family == "IrreducibleFrobenius":
+        for q, k, p in itertools.product(SMALL_PRIMES, (2, 3), SMALL_PRIMES):
+            mat = _companion_of_order(q, k, p) if q != p and q**k * p <= 200 else None
+            if mat is not None:
+                yield f"IrreducibleFrobenius({q},{k},{p})", frobenius_product(q, p, mat.tolist())
+    elif family == "PowerAction":
+        for pa in _power_action_universe(400)[0][::5]:
+            factors = [(p_i**a_i, -t_i, 0) for p_i, a_i, t_i in pa.factors]
+            yield _pa_spec(pa).to_string(), cyclic_extension_product(pa.p**pa.alpha, factors)
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["Cyclic", "Dihedral", "Dicyclic", "Quaternion", "ElementaryAbelian", "Modular", "HeisenbergLike",
+     "IrreducibleFrobenius", "PowerAction"],
+)
+def test_formula_tables_match_their_presentations(family):
+    """Every table the catalog computes by formula, against one product at a time from the presentation."""
+    checked = 0
+    for text, expected in _presented_tables(family):
+        assert np.array_equal(_build_uncached(parse_spec(text), BUDGET).mul, expected), text
+        checked += 1
+    assert checked >= 2, family
 
 
 def test_dihedral_4_has_two_elements_of_order_4():
@@ -232,7 +290,7 @@ def test_irreducible_frobenius_2_2_3_is_a4():
 
 
 def test_c2sq_semi_c4_reproduces_normalizer_data():
-    # construction itself asserts: N(C4-complement) has C2 x C4 profile, closure inside it
+    # the data this group must reproduce: N(C4-complement) has C2 x C4 profile, closure inside it
     g = build("C2sqSemiC4")
     assert g.order == 16
     from fgt.lattice import normal_closure_members, normalizer_members

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    all_subgroups_generalized_fitting,
     brute_is_subnormal,
     brute_normal_closure,
     brute_normalizer,
@@ -492,3 +493,12 @@ def test_p_cores_and_upper_p_series_match_the_quotient_walk():
                 assert len(terms) == len(expected), (spec, p)
                 assert all(np.array_equal(a, b) for a, b in zip(terms, expected)), (spec, p)
     assert series >= 300
+
+
+def test_generalized_fitting_matches_the_all_subgroups_scan():
+    """Components looked for inside the solvable residual only, against the scan over every subgroup."""
+    nonsolvable = 0
+    for spec, g in _catalog_and_power_action_groups_to_150():
+        nonsolvable += not is_solvable(g)
+        assert generalized_fitting(g, BUDGET) == all_subgroups_generalized_fitting(g, BUDGET), spec
+    assert nonsolvable >= 5
