@@ -27,10 +27,10 @@ def _default_order_cap() -> int:
 class Budget:
     """Resource limits for group construction and lattice enumeration.
 
-    ``max_join_attempts`` bounds the joins ``all_subgroups`` actually computes,
-    after it has dropped those that give a conjugate or a copy of a known join.
-    A lattice read off a parent group's lattice computes no joins, so only
-    ``max_subgroups`` can stop it.
+    ``max_join_attempts`` bounds the zuppo joins ``all_subgroups`` computes after
+    dropping those that give a conjugate or a copy of a known join; it is checked
+    before each class representative's batch.  A lattice read off a parent
+    group's lattice computes no joins, so only ``max_subgroups`` can stop it.
     """
 
     order_cap: int = field(default_factory=_default_order_cap)

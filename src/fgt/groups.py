@@ -155,7 +155,7 @@ class Group:
         return int(m[m[i[x], i[y]], m[x, y]])
 
 
-def close_under_product(mul: np.ndarray, seed, cutoff_to_full: bool = True) -> np.ndarray:
+def close_under_product(mul: np.ndarray, seed, cutoff_to_full: bool = True, start=None) -> np.ndarray:
     """Smallest subgroup (as a sorted index array) containing ``seed``.
 
     Breadth-first from the identity: each round multiplies the frontier by
@@ -164,13 +164,16 @@ def close_under_product(mul: np.ndarray, seed, cutoff_to_full: bool = True) -> n
     set passes n/2 the answer must be the whole group (Lagrange), which
     short-circuits the common case of joins that collapse to G.  Validation
     passes ``cutoff_to_full=False``, as its table is not yet known to be a group.
+
+    ``start``, the sorted members of a subgroup inside <seed>, begins the walk
+    marked instead of the identity; the seed then needs only generators.
     """
     n = mul.shape[0]
     seeds = np.asarray(seed, dtype=np.intp).ravel()
+    frontier = np.zeros(1, dtype=np.intp) if start is None else np.asarray(start, dtype=np.intp)
     mask = np.zeros(n, dtype=bool)
-    mask[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    size = 1
+    mask[frontier] = True
+    size = frontier.size
     while frontier.size:
         reached = np.zeros(n, dtype=bool)
         reached[mul[frontier[:, None], seeds]] = True

@@ -47,9 +47,7 @@ class Subgroup:
     @property
     def key(self) -> bytes:
         if self._key is None:
-            mask = np.zeros(self.parent.order, dtype=bool)
-            mask[self.members] = True
-            self._key = np.packbits(mask).tobytes()
+            self._key = _key_of(self.parent.order, self.members)
         return self._key
 
     def sort_key(self) -> tuple[int, bytes]:
@@ -217,21 +215,31 @@ def _key_of(n: int, members: np.ndarray) -> bytes:
 
 
 def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
-    """Every subgroup of g: cyclic seeds, then joins with cyclic subgroups until fixpoint.
+    """Every subgroup of g: cyclic seeds, then joins with zuppos until fixpoint.
 
     Each new subgroup's conjugacy class is added whole, so joins are only
     computed for one representative H per class: a join of a conjugate is the
-    matching conjugate of a join.  H is joined with a cyclic subgroup C = <x>
-    not inside it, up to three reductions (Neubueser's cyclic extension method,
-    Holt-Eick-O'Brien, *Handbook of Computational Group Theory*, 2005):
+    matching conjugate of a join.  H is joined only with zuppos, the cyclic
+    subgroups C = <x> of prime-power order, not inside it (Neubueser's cyclic
+    extension method, *Numer. Math.* 2, 1960; Holt-Eick-O'Brien, *Handbook of
+    Computational Group Theory*, 2005).  That is exact: a subgroup K is
+    generated by its zuppos (each element is the product of its prime-power
+    parts, which are its powers), so when a representative H is conjugate to
+    a maximal subgroup of K, some zuppo z of the matching conjugate K^y lies
+    outside H, and <H, z> = K^y.  Three reductions leave fewer joins:
 
-    - one C per N_G(H)-orbit: for y in N_G(H), <H, C^y> = <H, C>^y, a conjugate already added;
+    - one C per N_G(H)-orbit: for y in N_G(H), <H, C^y> = <H, C>^y, a conjugate
+      already added; conjugates of zuppos are zuppos;
     - one C per coset xH: for h in H, <H, x> = <H, xh>;
-    - when x normalizes H, the join is the product set H<x> and needs no closure
-      (the Dimino coset step, Butler, *Fundamental Algorithms for Permutation
-      Groups*, LNCS 559, 1991).
+    - when x normalizes H, the join is the product set H<x> (the Dimino coset
+      step, Butler, LNCS 559, 1991).  All of them are formed at once: a boolean
+      row per x marks its product set and ``np.packbits`` keys every row, in
+      row blocks held under ``_BLOCK_BYTES``.
 
-    ``budget.max_join_attempts`` counts the joins left after these reductions.
+    Other joins are closed from H's members under H's recorded generators and
+    x.  A normal H's class is itself: no conjugation walk, no normalizer.
+    ``budget.max_join_attempts`` counts the zuppo joins left after these
+    reductions and is checked before each representative's batch.
 
     A group made by ``subgroup_as_group(G, H)`` while G holds a lattice is not
     enumerated: its lattice is read off G's (``_restricted_lattice``).
@@ -249,12 +257,34 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     n = g.order
     mul = g.mul
     conj = g.conj_table()
-    found: dict[bytes, np.ndarray] = {}
-    orbit_of: list[int] = []  # the orbit of each subgroup in found
-    reps: list[tuple[np.ndarray, int]] = []  # each orbit's first subgroup and its size
+    gens = np.asarray(g.generators, dtype=np.intp)
+    # powers[x, k] = x^k, doubled in width (x^(w-1+j) = x^(w-1) x^j) until every x has met 1 again
+    powers = np.stack([np.zeros(n, dtype=mul.dtype), np.arange(n, dtype=mul.dtype)], axis=1)
+    while not (powers[:, 1:] == 0).any(axis=1).all():
+        powers = np.concatenate([powers, mul[powers[:, -1:], powers[:, 1:]]], axis=1)
+    orders = (powers[:, 1:] == 0).argmax(axis=1) + 1
+    # the powers of x of x's order generate <x>
+    least_gen = np.where(orders[powers] == orders[:, None], powers, n).min(axis=1)
+    # cyclic[c] = <cyc_gen[c]>, its least generator; cyc_of[x] = c when <x> = cyclic[c]
+    cyc_gen = np.flatnonzero(least_gen == np.arange(n))[1:]
+    cyc_of = np.searchsorted(cyc_gen, least_gen)
+    cyc_size = orders[cyc_gen]
+    cyclic = [np.sort(powers[x, :size]).astype(np.intp) for x, size in zip(cyc_gen, cyc_size)]
+    zuppo = np.array([_is_prime_power(int(size)) for size in cyc_size], dtype=bool)
+    # the seeds are 1 and the cyclic subgroups; their classes are the orbits of the generators' permutations
+    seeds = [np.zeros(1, dtype=np.intp)] + cyclic
+    if len(seeds) > budget.max_subgroups:
+        raise BudgetExceededError(f"subgroup budget {budget.max_subgroups} exceeded", partial=budget.max_subgroups)
+    cyc_class = _orbit_labels(cyc_of[conj[gens[:, None], cyc_gen]], len(cyclic))
+    label = np.append(0, 1 + cyc_class)  # the trivial subgroup is a class of its own
+    first, inverse, sizes = np.unique(label, return_index=True, return_inverse=True, return_counts=True)[1:]
+    rows = np.repeat(np.arange(len(seeds)), [1, *cyc_size])
+    found: dict[bytes, np.ndarray] = dict(zip(_packed_keys(rows, np.concatenate(seeds), len(seeds), n), seeds))
+    orbit_of: list[int] = inverse.tolist()  # the orbit of each subgroup in found
+    # each orbit's first subgroup, its size and generators
+    reps = [(seeds[i], int(size), [int(cyc_gen[i - 1])] if i else []) for i, size in zip(first, sizes)]
 
-    def _add(members: np.ndarray) -> bool:
-        key = _key_of(n, members)
+    def _add(members: np.ndarray, key: bytes) -> bool:
         if key in found:
             return False
         if len(found) >= budget.max_subgroups:
@@ -263,80 +293,96 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
         orbit_of.append(len(reps))
         return True
 
-    def orbit_add(members: np.ndarray):
-        if not _add(members):
+    def orbit_add(members: np.ndarray, key: bytes, generators: list[int]):
+        if not _add(members, key):
             return
         start = len(found) - 1
-        queue = [members]
+        inside = np.zeros(n, dtype=bool)
+        inside[members] = True
+        images = conj[gens[:, None], members]
+        queue = [] if inside[images].all() else [images]
         while queue:
-            mem = queue.pop()
-            for c in g.generators:
-                cm = np.sort(conj[c][mem])
-                if _add(cm):
-                    queue.append(cm)
-        reps.append((members, len(found) - start))
-
-    orbit_add(np.array([0], dtype=np.intp))
-    # cyclic[c] = <cyc_gen[c]>, its least generator; cyc_of[x] = c when <x> = cyclic[c]
-    cyclic: list[np.ndarray] = []
-    cyc_gen: list[int] = []
-    cyc_of = np.full(n, -1, dtype=np.int32)
-    for x in range(1, n):
-        if cyc_of[x] >= 0:
-            continue
-        powers = [0]
-        cur = x
-        while cur != 0:
-            powers.append(cur)
-            cur = int(mul[cur, x])
-        # x^k generates <x> exactly when k is prime to the order of x
-        cyc_of[[p for k, p in enumerate(powers) if math.gcd(k, len(powers)) == 1]] = len(cyclic)
-        cyclic.append(np.sort(np.array(powers, dtype=np.intp)))
-        cyc_gen.append(x)
-        orbit_add(cyclic[-1])
-    cyc_gen = np.array(cyc_gen, dtype=np.intp)
+            images = queue.pop()
+            rows = np.repeat(np.arange(gens.size), images.shape[1])
+            for image, image_key in zip(images, _packed_keys(rows, images.ravel(), gens.size, n)):
+                if image_key not in found:
+                    image = np.sort(image)
+                    _add(image, image_key)
+                    queue.append(conj[gens[:, None], image])
+        reps.append((members, len(found) - start, generators))
 
     join_attempts = 0
     head = 0
     while head < len(reps):
-        base, orbit_size = reps[head]
+        base, orbit_size, base_gens = reps[head]
         head += 1
-        if base.size == n:
+        if base.size in (1, n):  # the joins of 1 are the cyclic seeds
             continue
         in_base = np.zeros(n, dtype=bool)
         in_base[base] = True
-        cand = np.flatnonzero(~in_base[cyc_gen])
-        norm = normalizer_members(g, base)
-        # orbit-stabilizer: an orbit cut short or two classes walked as one breaks it
-        if norm.size * orbit_size != n:
-            raise ConsistencyError("conjugacy orbit does not match the normalizer")
-        # keep the least index of each N_G(H)-orbit, in row blocks of N_G(H)
-        xs = cyc_gen[cand]
-        least = cand.astype(np.int32)
-        for start in range(0, norm.size, 256):
-            least = np.minimum(least, cyc_of[conj[norm[start : start + 256, None], xs]].min(axis=0))
-        cand = cand[least == cand]
+        cand = np.flatnonzero(zuppo & ~in_base[cyc_gen])
+        if orbit_size == 1:  # N_G(H) = G, whose orbits on the cyclic subgroups are the seeds' classes
+            norm = np.arange(n)
+            cand = cand[cyc_class[cand] == cand]
+        else:
+            norm = normalizer_members(g, base)
+            # orbit-stabilizer: an orbit cut short or two classes walked as one breaks it
+            if norm.size * orbit_size != n:
+                raise ConsistencyError("conjugacy orbit does not match the normalizer")
+            # keep the least index of each N_G(H)-orbit, in row blocks of N_G(H)
+            xs = cyc_gen[cand]
+            least = cand.astype(np.int32)
+            for start in range(0, norm.size, 256):
+                least = np.minimum(least, cyc_of[conj[norm[start : start + 256, None], xs]].min(axis=0))
+            cand = cand[least == cand]
         # keep the first of each coset xH, named by its least member
         first = np.unique(mul[cyc_gen[cand][:, None], base].min(axis=1), return_index=True)[1]
         cand = cand[np.sort(first)]
+        join_attempts += cand.size
+        if join_attempts > budget.max_join_attempts:
+            raise BudgetExceededError(f"join budget {budget.max_join_attempts} exceeded", partial=len(found))
         in_norm = np.zeros(n, dtype=bool)
         in_norm[norm] = True
-        for c in cand:
-            join_attempts += 1
-            if join_attempts > budget.max_join_attempts:
-                raise BudgetExceededError(
-                    f"join budget {budget.max_join_attempts} exceeded", partial=len(found)
-                )
-            if in_norm[cyc_gen[c]]:
-                orbit_add(product_set(mul, base, cyclic[c]))
-            else:
-                orbit_add(close_under_product(mul, np.concatenate([base, cyclic[c]])))
+        normalizing = in_norm[cyc_gen[cand]]
+        # the joins <x>H = H<x> as product sets, one boolean row each, in blocks of rows
+        batch = cand[normalizing]
+        step = max(1, _BLOCK_BYTES // (n + 8 * base.size * int(cyc_size[batch].max(initial=1))))
+        for lo in range(0, batch.size, step):
+            block = batch[lo : lo + step]
+            rows = np.repeat(np.arange(block.size), cyc_size[block])
+            mask = np.zeros((block.size, n), dtype=bool)
+            mask[rows[:, None], mul[np.concatenate([cyclic[c] for c in block])[:, None], base]] = True
+            for c, row, key in zip(block, mask, map(bytes, np.packbits(mask, axis=1))):
+                if key not in found:
+                    orbit_add(np.flatnonzero(row), key, base_gens + [int(cyc_gen[c])])
+        for c in cand[~normalizing]:
+            join_gens = base_gens + [int(cyc_gen[c])]
+            members = close_under_product(mul, join_gens, start=base)
+            orbit_add(members, _key_of(n, members), join_gens)
 
     # every member array found is sorted and duplicate-free, and its key is the one packed above
     subs = [Subgroup._sorted(g, m, key) for key, m in found.items()]
     order = sorted(range(len(subs)), key=lambda t: subs[t].sort_key())
     lattice = g._cache[cache_key] = SubgroupLattice(g, [subs[t] for t in order], np.array(orbit_of)[order], budget)
     return lattice
+
+
+def _orbit_labels(perms, count: int) -> np.ndarray:
+    """Each of ``count`` points labelled by the least index of its orbit under the permutations ``perms``."""
+    orbit = np.arange(count)
+    while True:
+        label = orbit
+        for perm in perms:
+            label = np.minimum(label, label[perm])
+        label = label[label]
+        if np.array_equal(label, orbit):
+            return orbit
+        orbit = label
+
+
+def _is_prime_power(k: int) -> bool:
+    p = next(d for d in range(2, k + 1) if k % d == 0)
+    return p ** round(math.log(k, p)) == k
 
 
 def _cached_lattice(g: Group) -> SubgroupLattice | None:
@@ -382,17 +428,7 @@ def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup, budget: 
         if (perm < 0).any():
             raise ConsistencyError("a conjugate subgroup is missing from the parent lattice")
         perms.append(perm)
-    # orbit labels: each subgroup's least index reachable under the generators
-    orbit = np.arange(count)
-    while True:
-        label = orbit
-        for perm in perms:
-            label = np.minimum(label, label[perm])
-        label = label[label]
-        if np.array_equal(label, orbit):
-            break
-        orbit = label
-    lattice = SubgroupLattice(g, subgroups, orbit, budget, inside=parent.inside[np.ix_(idx, idx)])
+    lattice = SubgroupLattice(g, subgroups, _orbit_labels(perms, count), budget, inside=parent.inside[np.ix_(idx, idx)])
     # orbit-stabilizer: a wrong permutation or two classes merged as one breaks it
     for i in lattice.rep_indices:
         if normalizer_members(g, subgroups[i].members).size * lattice.conjugacy_class_size(i) != n:

@@ -149,15 +149,20 @@ class SeriesReport:
 
 
 def derived_series(g: Group) -> SeriesReport:
+    """G > G' > G'' > ... down to a perfect term; kept in g's cache, so the terms are read-only."""
+    report = g._cache.get("derived")
+    if report is not None:
+        return report
     terms = [np.arange(g.order, dtype=np.intp)]
-    while True:
-        cur = terms[-1]
-        nxt = close_under_product(g.mul, commutators(g, cur, cur))
-        if nxt.size == cur.size:
-            return SeriesReport("derived", terms, terminated=cur.size == 1)
+    while terms[-1].size > 1:
+        nxt = close_under_product(g.mul, commutators(g, terms[-1], terms[-1]))
+        if nxt.size == terms[-1].size:
+            break
         terms.append(nxt)
-        if nxt.size == 1:
-            return SeriesReport("derived", terms, terminated=True)
+    for t in terms:
+        t.setflags(write=False)
+    report = g._cache["derived"] = SeriesReport("derived", terms, terminated=terms[-1].size == 1)
+    return report
 
 
 def lower_central_series(g: Group) -> SeriesReport:

@@ -440,3 +440,22 @@ def all_subgroups_generalized_fitting(group, budget):
     fstar = lattice.subgroups[_least_normal_above(lattice, [layer, _fitting_above(lattice, 0)])]
     nilp, klass = is_nilpotent(subgroup_as_group(group, fstar), budget)
     return [lattice.subgroups[i] for i in components], lattice.subgroups[layer], fstar, (klass if nilp else None)
+
+
+def loop_derived_series(group) -> tuple[list[np.ndarray], bool]:
+    """Terms of the derived series and whether it reaches 1, recomputed on every call.
+
+    Each term is the closure of the commutators of the one before; the walk
+    stops at the trivial group or at a term equal to its own derived subgroup.
+    """
+    from fgt.groups import close_under_product, commutators
+
+    terms = [np.arange(group.order, dtype=np.intp)]
+    while True:
+        cur = terms[-1]
+        nxt = close_under_product(group.mul, commutators(group, cur, cur))
+        if nxt.size == cur.size:
+            return terms, cur.size == 1
+        terms.append(nxt)
+        if nxt.size == 1:
+            return terms, True

@@ -381,6 +381,56 @@ def test_budget_exhaustion_raises_with_partial_count():
     assert err.value.partial is not None
 
 
+def test_join_budget_is_checked_before_each_batch():
+    """A join budget stops the enumeration before a representative's joins, so ``partial`` counts whole batches.
+
+    The trivial subgroup is the first representative with joins, so a budget
+    of 0 stops with exactly the cyclic subgroups found.  A larger budget stops
+    at a later batch and never past the whole lattice.
+    """
+    g = build("Sym(4)")
+    cyclic = {frozenset(brute_closure(g.mul, [x]).tolist()) for x in range(g.order)}
+    total = len(all_subgroups(g, BUDGET).subgroups)
+    partials = []
+    while True:
+        try:
+            lat = all_subgroups(g, Budget(max_join_attempts=len(partials)))
+        except BudgetExceededError as err:
+            partials.append(err.partial)
+        else:
+            assert lattice_sets(g) == {frozenset(int(x) for x in s.members) for s in lat.subgroups}
+            break
+    assert partials[0] == len(cyclic) == 17
+    assert partials == sorted(partials) and partials[-1] <= total
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["Direct(Cyclic(6),Cyclic(6))", "Direct(Cyclic(3),ElementaryAbelian(2,5))", "Direct(Cyclic(2),Sym(5))"],
+)
+def test_zuppo_joins_match_joining_every_cyclic_subgroup(spec):
+    """Groups with many cyclic subgroups of composite order, which joins with zuppos alone must still reach."""
+    g = build(spec)
+    lat = all_subgroups(g, BUDGET)
+    assert lattice_sets(g) == all_joins_subgroups(g.mul, g.generators)
+    class_id, normal = bfs_class_ids(g, lat.subgroups)
+    assert np.array_equal(lat.class_id, class_id)
+    assert np.array_equal(lat.normal, normal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 23), st.integers(0, 23), st.integers(0, 23))
+def test_closure_from_a_marked_subgroup_matches_closure_from_the_identity(x, y, z):
+    """Closing <x, y> under its generators and z, from <x, y>'s members, against closing every member."""
+    from fgt.groups import close_under_product
+
+    g = build("Sym(4)")
+    base = close_under_product(g.mul, [x, y])
+    assert np.array_equal(
+        close_under_product(g.mul, [x, y, z], start=base), close_under_product(g.mul, np.append(base, z))
+    )
+
+
 def test_lattice_json_is_deterministic_and_well_formed():
     import json
 

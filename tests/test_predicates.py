@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_subgroups_generalized_fitting,
+    loop_derived_series,
     brute_is_subnormal,
     brute_normal_closure,
     brute_normalizer,
@@ -502,3 +503,14 @@ def test_generalized_fitting_matches_the_all_subgroups_scan():
         nonsolvable += not is_solvable(g)
         assert generalized_fitting(g, BUDGET) == all_subgroups_generalized_fitting(g, BUDGET), spec
     assert nonsolvable >= 5
+
+
+def test_memoized_derived_series_matches_the_recomputed_loop():
+    """The derived series kept in each group's cache, against the loop that recomputes it, over the lattice sweep."""
+    for text, g in _catalog_and_power_action_groups():
+        report = predicates.derived_series(g)
+        terms, terminated = loop_derived_series(g)
+        assert report.terminated == terminated, text
+        assert len(report.terms) == len(terms) and all(map(np.array_equal, report.terms, terms)), text
+        assert predicates.derived_series(g) is report, text
+        assert not any(t.flags.writeable for t in report.terms), text
