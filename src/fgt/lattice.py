@@ -9,7 +9,6 @@ witness selection downstream is deterministic.
 from __future__ import annotations
 
 import json
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -382,7 +381,9 @@ def _orbit_labels(perms, count: int) -> np.ndarray:
 
 def _is_prime_power(k: int) -> bool:
     p = next(d for d in range(2, k + 1) if k % d == 0)
-    return p ** round(math.log(k, p)) == k
+    while k % p == 0:
+        k //= p
+    return k == 1
 
 
 def _cached_lattice(g: Group) -> SubgroupLattice | None:
