@@ -257,18 +257,23 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     mul = g.mul
     conj = g.conj_table()
     gens = np.asarray(g.generators, dtype=np.intp)
-    # powers[x, k] = x^k, doubled in width (x^(w-1+j) = x^(w-1) x^j) until every x has met 1 again
-    powers = np.stack([np.zeros(n, dtype=mul.dtype), np.arange(n, dtype=mul.dtype)], axis=1)
-    while not (powers[:, 1:] == 0).any(axis=1).all():
-        powers = np.concatenate([powers, mul[powers[:, -1:], powers[:, 1:]]], axis=1)
-    orders = (powers[:, 1:] == 0).argmax(axis=1) + 1
-    # the powers of x of x's order generate <x>
-    least_gen = np.where(orders[powers] == orders[:, None], powers, n).min(axis=1)
     # cyclic[c] = <cyc_gen[c]>, its least generator; cyc_of[x] = c when <x> = cyclic[c]
+    orders, least_gen, cyclic = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp), []
+    step = max(1, _BLOCK_BYTES // (16 * n))  # rows of x, as the table of their powers is at most 2n wide
+    for lo in range(0, n, step):
+        # powers[i, k] = x^k, doubled in width (x^(w-1+j) = x^(w-1) x^j) until every x has met 1 again
+        xs = np.arange(lo, min(lo + step, n), dtype=mul.dtype)
+        powers = np.stack([np.zeros_like(xs), xs], axis=1)
+        while not (powers[:, 1:] == 0).any(axis=1).all():
+            powers = np.concatenate([powers, mul[powers[:, -1:], powers[:, 1:]]], axis=1)
+        orders[xs] = order = (powers[:, 1:] == 0).argmax(axis=1) + 1
+        k = np.arange(powers.shape[1])  # x^k generates <x> when k < |x| is prime to |x|
+        ords, inv = np.unique(order, return_inverse=True)
+        least_gen[xs] = np.where(((np.gcd(k, ords[:, None]) == 1) & (k < ords[:, None]))[inv], powers, n).min(axis=1)
+        cyclic += [np.sort(powers[x - lo, : orders[x]]).astype(np.intp) for x in xs[(least_gen[xs] == xs) & (xs > 0)]]
     cyc_gen = np.flatnonzero(least_gen == np.arange(n))[1:]
     cyc_of = np.searchsorted(cyc_gen, least_gen)
     cyc_size = orders[cyc_gen]
-    cyclic = [np.sort(powers[x, :size]).astype(np.intp) for x, size in zip(cyc_gen, cyc_size)]
     zuppo = np.array([_is_prime_power(int(size)) for size in cyc_size], dtype=bool)
     # the seeds are 1 and the cyclic subgroups; their classes are the orbits of the generators' permutations
     seeds = [np.zeros(1, dtype=np.intp)] + cyclic
@@ -381,9 +386,7 @@ def _orbit_labels(perms, count: int) -> np.ndarray:
 
 def _is_prime_power(k: int) -> bool:
     p = next(d for d in range(2, k + 1) if k % d == 0)
-    while k % p == 0:
-        k //= p
-    return k == 1
+    return p ** k.bit_length() % k == 0  # k divides a power of its least prime p when p is its only prime
 
 
 def _cached_lattice(g: Group) -> SubgroupLattice | None:
