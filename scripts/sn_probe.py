@@ -4,10 +4,12 @@
 S4 is the known failure; S3, S5 and S6 come out PNC.  --extended adds S7
 (order 5040, at the raised order cap), which is not PNC either: a subgroup
 of order 12 has normal closure A7 and a normalizer of order 72 inside A7.
-S7 took 18 s and 305 MB peak RSS in one run on a 2-core VM.
+S7 took 3.7-3.9 s and 172 MB peak RSS in two runs on a 2-core VM.  Each line
+shows the elapsed time and the peak RSS of the process so far.
 """
 
 import argparse
+import resource
 import sys
 import time
 
@@ -28,12 +30,14 @@ def main() -> int:
         g = build_group(GroupSpec("Sym", (n,)), budget)
         witness = pnc_witness(g, budget)
         elapsed = time.time() - start
+        # the process's peak so far, in MB (ru_maxrss is in KiB on Linux)
+        cost = f"[{elapsed:.1f}s, peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB]"
         if witness is None:
-            print(f"S{n} (order {g.order}): PNC  [{elapsed:.1f}s]")
+            print(f"S{n} (order {g.order}): PNC  {cost}")
         else:
             print(
                 f"S{n} (order {g.order}): not PNC, witness subgroup of order {witness.order}: "
-                f"{witness.members.tolist()}  [{elapsed:.1f}s]"
+                f"{witness.members.tolist()}  {cost}"
             )
     return 0
 

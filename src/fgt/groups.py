@@ -25,6 +25,9 @@ from .errors import (
 from .fields import perm_compose
 
 
+_LIGHT_BLOCK_BYTES = 1 << 22
+
+
 def _validate_table(mul: np.ndarray, generators) -> tuple[np.ndarray, tuple[int, ...]]:
     """Check that ``mul`` is a group table generated by ``generators``.
 
@@ -35,7 +38,8 @@ def _validate_table(mul: np.ndarray, generators) -> tuple[np.ndarray, tuple[int,
     The elements passing that test are closed under the product, so the test
     is exact once right multiplication by S reaches every element from the
     identity; that closure runs without the Lagrange cutoff, which presumes
-    a group.
+    a group.  Each generator's test compares blocks of rows x, two
+    temporaries of about ``_LIGHT_BLOCK_BYTES`` each, not two n x n tables.
 
     No Latin-square check is needed: once every entry is an element, 0 is a
     two-sided identity, every row holds 0 and S generates, Light's test makes
@@ -61,9 +65,12 @@ def _validate_table(mul: np.ndarray, generators) -> tuple[np.ndarray, tuple[int,
         raise InvalidElementError(f"generator index out of range 0..{n - 1}")
     if close_under_product(mul, gens, cutoff_to_full=False).size != n:
         raise InvalidElementError("generators do not generate the table")
+    step = max(1, _LIGHT_BLOCK_BYTES // (n * mul.itemsize))  # rows x per block
     for s in gens:
-        if not np.array_equal(mul[mul[:, s]], mul[:, mul[s]]):
-            raise InvalidElementError(f"associativity fails at generator {s}")
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            if not np.array_equal(mul[mul[rows, s]], mul[rows][:, mul[s]]):
+                raise InvalidElementError(f"associativity fails at generator {s}")
     return inv, gens
 
 

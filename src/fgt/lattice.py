@@ -89,10 +89,10 @@ class ClassSizes(NamedTuple):
 
 
 class SubgroupLattice:
-    def __init__(self, group: Group, subgroups: list[Subgroup], orbit: np.ndarray, budget: Budget, inside=None):
+    def __init__(self, group: Group, subgroups: list[Subgroup], orbit: np.ndarray, budget: Budget, generators):
         """``orbit[i]`` labels the conjugacy class of ``subgroups[i]``, which are sorted by (order, bitset).
 
-        ``inside`` is the proper-containment matrix when the caller already has it.
+        ``generators[i]`` generates ``subgroups[i]`` and is not empty: 0 generates the trivial subgroup.
         """
         self.group = group
         self.subgroups = subgroups
@@ -104,10 +104,15 @@ class SubgroupLattice:
         _, reps, self.class_size = np.unique(self.class_id, return_index=True, return_counts=True)
         self.rep_indices = reps.tolist()
         self.normal = self.class_size[self.class_id] == 1
-        # inside[i, j]: subgroup i is a proper subgroup of subgroup j
-        self.inside = _proper_containment(subgroups) if inside is None else inside
-        # the whole group sorts last: i is maximal when only the whole group contains it
-        self.maximal = self.inside[:, -1] & ~self.inside[:, :-1].any(axis=1)
+        # subgroup i is generated by gen_flat[gen_start[i] : gen_start[i + 1]]
+        self.gen_start = np.cumsum([0] + [len(x) for x in generators])
+        self.gen_flat = np.concatenate(generators).astype(np.intp)
+        # inside[i]: packed row (np.packbits order) whose bit j is set when subgroup i is a proper subgroup of j
+        self.inside = _packed_containment(subgroups, self.gen_flat, self.gen_start, group.order)
+        # the whole group sorts last: i is maximal when the last bit is the only one set in its row
+        last = len(subgroups) - 1
+        self.maximal = (self.inside[:, last >> 3] == 0x80 >> (last & 7)) & ~self.inside[:, : last >> 3].any(axis=1)
+        self._covers: np.ndarray | None = None
         self._class_sizes: dict[int, ClassSizes] = {}
 
     def subgroup_index(self, sub: Subgroup) -> int:
@@ -142,9 +147,13 @@ class SubgroupLattice:
 
     def normal_above(self, i: int) -> np.ndarray:
         """Indices of the normal subgroups that contain subgroup i (i itself when normal), in sort order."""
-        above = self.inside[i] & self.normal
+        above = np.unpackbits(self.inside[i], count=len(self.subgroups)).view(bool) & self.normal
         above[i] = self.normal[i]
         return np.flatnonzero(above)
+
+    def below(self, j: int) -> np.ndarray:
+        """Indices of the proper subgroups of subgroup j, in sort order: column j of ``inside``."""
+        return _column(self.inside, j)
 
     def normal_subgroups(self) -> list[Subgroup]:
         return [s for i, s in enumerate(self.subgroups) if self.normal[i]]
@@ -157,53 +166,77 @@ class SubgroupLattice:
 
     def subgroups_inside(self, sub: Subgroup) -> list[Subgroup]:
         j = self.subgroup_index(sub)
-        return [self.subgroups[i] for i in np.flatnonzero(self.inside[:, j])] + [self.subgroups[j]]
+        return [self.subgroups[i] for i in self.below(j)] + [self.subgroups[j]]
 
     def maximal_inside(self, j: int) -> np.ndarray:
-        """Indices of the maximal subgroups of subgroup j (the lattice covers below j).
+        """Indices of the maximal subgroups of subgroup j (the lattice covers below j)."""
+        return _column(self.covers(), j)
 
-        Tested in row blocks of ``below``: one (below x below) block would copy
-        (S-1)^2 bytes when j is the whole group.
+    def covers(self) -> np.ndarray:
+        """Packed covering relation, built on first use: bit j of row i is set when i is maximal in j.
+
+        It is ``inside & ~(inside o inside)``: row i of the product ORs the
+        rows of i's overgroups k, so it marks every j with i < k < j.  The
+        (row, overgroup) pairs of each block of rows are reduced in runs whose
+        gathered rows stay under ``_BLOCK_BYTES``, however many overgroups one
+        row has.
         """
-        below = np.flatnonzero(self.inside[:, j])
-        covered = np.zeros(below.size, dtype=bool)
-        for start in range(0, below.size, 1024):
-            rows = below[start : start + 1024]
-            covered[start : start + 1024] = self.inside[np.ix_(rows, below)].any(axis=1)
-        return below[~covered]
+        if self._covers is None:
+            inside = self.inside
+            count, width = inside.shape
+            through = np.zeros_like(inside)
+            step = max(1, _BLOCK_BYTES // width)
+            for lo in range(0, count, step):
+                rows, over = _set_bits(inside[lo : lo + step])
+                for start in range(0, rows.size, step):
+                    r, k = rows[start : start + step], over[start : start + step]
+                    first = np.flatnonzero(np.diff(r, prepend=-1))
+                    through[lo + r[first]] |= np.bitwise_or.reduceat(inside[k], first, axis=0)
+            np.bitwise_not(through, out=through)
+            through &= inside
+            self._covers = through
+        return self._covers
 
 
 _BLOCK_BYTES = 1 << 20
 
 
-def _proper_containment(subgroups: list[Subgroup]) -> np.ndarray:
-    """Boolean matrix of proper inclusion, tested on the packed member bitsets.
+def _column(packed: np.ndarray, j: int) -> np.ndarray:
+    """Indices of the rows of a packed bit matrix whose bit j is set."""
+    return np.flatnonzero(packed[:, j >> 3] & 0x80 >> (j & 7))
 
-    Subgroups of one order sit in one index range, so only pairs of orders
-    a < b with a | b are tested, a block of rows of order a against every
-    column of order b.  The bitsets are padded to whole 64-bit words, and each
-    block's temporary of rows x columns x words is held under
-    ``_BLOCK_BYTES``, so a large lattice gains no large transient array.
+
+def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of every set bit of a packed bit matrix, in row-major order; only nonzero bytes are unpacked."""
+    rows, byte = np.nonzero(packed)
+    at, bit = np.nonzero(np.unpackbits(packed[rows, byte][:, None], axis=1))
+    return rows[at], byte[at] * 8 + bit
+
+
+def _packed_containment(subgroups: list[Subgroup], gen_flat: np.ndarray, gen_start: np.ndarray, n: int) -> np.ndarray:
+    """Packed proper containment: bit j of row i is set when subgroup i is a proper subgroup of j.
+
+    A subgroup J contains K exactly when J contains a generating set of K
+    (Holt-Eick-O'Brien 2005), so row i is the AND, over K's generators x, of
+    row x of the element-subgroup incidence table (bit j of row x is set when
+    x lies in subgroup j), with bit i then cleared.  The incidence table is
+    made and reduced one block of columns at a time, the block and its
+    gathered rows each held under ``_BLOCK_BYTES``; padding bits stay 0.
     """
     count = len(subgroups)
-    inside = np.zeros((count, count), dtype=bool)
-    width = -(-len(subgroups[0].key) // 8) * 8
-    packed = np.zeros((count, width), dtype=np.uint8)
-    for i, s in enumerate(subgroups):
-        packed[i, : len(s.key)] = np.frombuffer(s.key, dtype=np.uint8)
-    packed = packed.view(np.uint64)
-    outside = ~packed
-    orders = np.array([s.order for s in subgroups])
-    sizes, starts = np.unique(orders, return_index=True)
-    ends = np.append(starts[1:], count)
-    for a, a_start, a_end in zip(sizes, starts, ends):
-        for b, b_start, b_end in zip(sizes, starts, ends):
-            if b <= a or b % a:
-                continue
-            step = max(1, _BLOCK_BYTES // ((b_end - b_start) * width))
-            for lo in range(a_start, a_end, step):
-                hi = min(lo + step, a_end)
-                inside[lo:hi, b_start:b_end] = ~(packed[lo:hi, None] & outside[None, b_start:b_end]).any(axis=2)
+    inside = np.empty((count, -(-count // 8)), dtype=np.uint8)
+    sizes = np.array([s.order for s in subgroups])
+    # a block of columns: n x step booleans, then gen_flat.size x step / 8 gathered bytes
+    step = max(8, _BLOCK_BYTES // max(n, gen_flat.size // 8) // 8 * 8)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        members = np.concatenate([s.members for s in subgroups[lo:hi]])
+        incidence = np.zeros((n, hi - lo), dtype=bool)
+        incidence[members, np.repeat(np.arange(hi - lo), sizes[lo:hi])] = True
+        incidence = np.packbits(incidence, axis=1)
+        inside[:, lo // 8 : -(-hi // 8)] = np.bitwise_and.reduceat(incidence[gen_flat], gen_start[:-1], axis=0)
+    diag = np.arange(count)
+    inside[diag, diag >> 3] &= ~(0x80 >> (diag & 7)).astype(np.uint8)
     return inside
 
 
@@ -239,6 +272,11 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     x.  A normal H's class is itself: no conjugation walk, no normalizer.
     ``budget.max_join_attempts`` counts the zuppo joins left after these
     reductions and is checked before each representative's batch.
+
+    Every subgroup keeps a generating set, from which the lattice reads its
+    containment: 0 for the trivial subgroup, x for <x>, H's generators and x
+    for a join <H, x>, and for a conjugate the conjugates of its parent's
+    generators along the orbit walk.
 
     A group made by ``subgroup_as_group(G, H)`` while G holds a lattice is not
     enumerated: its lattice is read off G's (``_restricted_lattice``).
@@ -285,34 +323,38 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     rows = np.repeat(np.arange(len(seeds)), [1, *cyc_size])
     found: dict[bytes, np.ndarray] = dict(zip(_packed_keys(rows, np.concatenate(seeds), len(seeds), n), seeds))
     orbit_of: list[int] = inverse.tolist()  # the orbit of each subgroup in found
+    gens_of: list = [[0]] + [[int(x)] for x in cyc_gen]  # a generating set of each subgroup in found
     # each orbit's first subgroup, its size and generators
-    reps = [(seeds[i], int(size), [int(cyc_gen[i - 1])] if i else []) for i, size in zip(first, sizes)]
+    reps = [(seeds[i], int(size), gens_of[i]) for i, size in zip(first, sizes)]
 
-    def _add(members: np.ndarray, key: bytes) -> bool:
+    def _add(members: np.ndarray, key: bytes, generators) -> bool:
         if key in found:
             return False
         if len(found) >= budget.max_subgroups:
             raise BudgetExceededError(f"subgroup budget {budget.max_subgroups} exceeded", partial=len(found))
         found[key] = members
         orbit_of.append(len(reps))
+        gens_of.append(generators)
         return True
 
     def orbit_add(members: np.ndarray, key: bytes, generators: list[int]):
-        if not _add(members, key):
+        if not _add(members, key, generators):
             return
         start = len(found) - 1
         inside = np.zeros(n, dtype=bool)
         inside[members] = True
         images = conj[gens[:, None], members]
-        queue = [] if inside[images].all() else [images]
+        # a conjugate K^y is generated by the conjugates of K's generators, carried along the walk
+        queue = [] if inside[images].all() else [(images, conj[gens[:, None], generators])]
         while queue:
-            images = queue.pop()
+            images, image_gens = queue.pop()
             rows = np.repeat(np.arange(gens.size), images.shape[1])
-            for image, image_key in zip(images, _packed_keys(rows, images.ravel(), gens.size, n)):
+            keys = _packed_keys(rows, images.ravel(), gens.size, n)
+            for image, image_key, image_gen in zip(images, keys, image_gens):
                 if image_key not in found:
                     image = np.sort(image)
-                    _add(image, image_key)
-                    queue.append(conj[gens[:, None], image])
+                    _add(image, image_key, image_gen)
+                    queue.append((conj[gens[:, None], image], conj[gens[:, None], image_gen]))
         reps.append((members, len(found) - start, generators))
 
     join_attempts = 0
@@ -367,7 +409,9 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     # every member array found is sorted and duplicate-free, and its key is the one packed above
     subs = [Subgroup._sorted(g, m, key) for key, m in found.items()]
     order = sorted(range(len(subs)), key=lambda t: subs[t].sort_key())
-    lattice = g._cache[cache_key] = SubgroupLattice(g, [subs[t] for t in order], np.array(orbit_of)[order], budget)
+    lattice = g._cache[cache_key] = SubgroupLattice(
+        g, [subs[t] for t in order], np.array(orbit_of)[order], budget, [gens_of[t] for t in order]
+    )
     return lattice
 
 
@@ -410,10 +454,11 @@ def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup, budget: 
     of g are thus G's subgroups inside H, in G's order, with G's containment.
     Only the classes are new: H-conjugacy classes are the orbits of the
     permutations that g's generators induce on the subgroups, each conjugate
-    matched to its index by key.  No joins are computed.
+    matched to its index by key.  No joins are computed: each subgroup keeps
+    its generators in G, relabelled.
     """
     j = parent.subgroup_index(h)
-    idx = np.append(np.flatnonzero(parent.inside[:, j]), j)
+    idx = np.append(parent.below(j), j)
     count, n = idx.size, g.order
     if count > budget.max_subgroups:
         raise BudgetExceededError(f"subgroup budget {budget.max_subgroups} exceeded", partial=budget.max_subgroups)
@@ -432,7 +477,8 @@ def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup, budget: 
         if (perm < 0).any():
             raise ConsistencyError("a conjugate subgroup is missing from the parent lattice")
         perms.append(perm)
-    lattice = SubgroupLattice(g, subgroups, _orbit_labels(perms, count), budget, inside=parent.inside[np.ix_(idx, idx)])
+    generators = [pos[parent.gen_flat[parent.gen_start[i] : parent.gen_start[i + 1]]] for i in idx]
+    lattice = SubgroupLattice(g, subgroups, _orbit_labels(perms, count), budget, generators)
     # orbit-stabilizer: a wrong permutation or two classes merged as one breaks it
     for i in lattice.rep_indices:
         if normalizer_members(g, subgroups[i].members).size * lattice.conjugacy_class_size(i) != n:
@@ -578,28 +624,47 @@ def conjugate_subgroup(g: Group, h: Subgroup, x: int) -> Subgroup:
 
 
 def hasse_edges(lattice: SubgroupLattice) -> list[tuple[int, int]]:
-    """Covering pairs (i, j): subgroup i maximal inside subgroup j."""
-    edges = [(int(i), j) for j in range(len(lattice.subgroups)) for i in lattice.maximal_inside(j)]
-    return sorted(edges)
+    """Covering pairs (i, j): subgroup i maximal inside subgroup j, in (i, j) order.
+
+    The set bits of the covers, read row-major in blocks of rows.
+    """
+    covers = lattice.covers()
+    count, width = covers.shape
+    step = max(1, _BLOCK_BYTES // width)
+    edges: list[tuple[int, int]] = []
+    for lo in range(0, count, step):
+        i, j = _set_bits(covers[lo : lo + step])
+        edges += zip((i + lo).tolist(), j.tolist())
+    return edges
 
 
 def lattice_to_json(lattice: SubgroupLattice) -> str:
-    doc = {
-        "group": lattice.group.label,
-        "order": lattice.group.order,
-        "subgroups": [
-            {
-                "order": s.order,
-                "members": [int(x) for x in s.members],
-                "normal": bool(lattice.normal[i]),
-                "maximal": bool(lattice.maximal[i]),
-                "classId": int(lattice.class_id[i]),
-            }
-            for i, s in enumerate(lattice.subgroups)
-        ],
-        "hasse": [[i, j] for i, j in hasse_edges(lattice)],
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    """The lattice as compact JSON, its subgroup entries encoded 1 024 at a time.
+
+    The text is that of one ``json.dumps`` of the whole document; encoding it
+    in parts keeps a large lattice from holding every entry's objects and
+    chunks at once.
+    """
+    dumps = json.JSONEncoder(separators=(",", ":")).encode
+    count = len(lattice.subgroups)
+    subgroups = ",".join(
+        dumps(
+            [
+                {
+                    "order": s.order,
+                    "members": s.members.tolist(),
+                    "normal": bool(lattice.normal[i]),
+                    "maximal": bool(lattice.maximal[i]),
+                    "classId": int(lattice.class_id[i]),
+                }
+                for i, s in enumerate(lattice.subgroups[lo : lo + 1024], lo)
+            ]
+        )[1:-1]
+        for lo in range(0, count, 1024)
+    )
+    hasse = ",".join(f"[{i},{j}]" for i, j in hasse_edges(lattice))
+    head = dumps({"group": lattice.group.label, "order": lattice.group.order})[:-1]
+    return f'{head},"subgroups":[{subgroups}],"hasse":[{hasse}]}}'
 
 
 def lattice_to_dot(lattice: SubgroupLattice) -> str:

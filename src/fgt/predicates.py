@@ -361,7 +361,7 @@ def generalized_fitting(g: Group, budget: Budget = DEFAULT_BUDGET):
     # a perfect P is P^(k) <= G^(k) for every k, so it lies in the solvable residual R
     r = lattice.subgroup_index(Subgroup(g, derived_series(g).terms[-1]))
     components: list[int] = []
-    for i in np.append(np.flatnonzero(lattice.inside[:, r]), r).tolist():
+    for i in np.append(lattice.below(r), r).tolist():
         s = lattice.subgroups[i]
         if s.order == 1:
             continue

@@ -459,3 +459,33 @@ def loop_derived_series(group) -> tuple[list[np.ndarray], bool]:
         terms.append(nxt)
         if nxt.size == 1:
             return terms, True
+
+
+def proper_containment(subgroups) -> np.ndarray:
+    """Boolean matrix of proper inclusion, tested on the packed member bitsets.
+
+    The order-blocked test the lattice made before it read containment off
+    generating sets: subgroups of one order sit in one index range, so only
+    pairs of orders a < b with a | b are tested, a block of rows of order a
+    against every column of order b.
+    """
+    count = len(subgroups)
+    inside = np.zeros((count, count), dtype=bool)
+    width = -(-len(subgroups[0].key) // 8) * 8
+    packed = np.zeros((count, width), dtype=np.uint8)
+    for i, s in enumerate(subgroups):
+        packed[i, : len(s.key)] = np.frombuffer(s.key, dtype=np.uint8)
+    packed = packed.view(np.uint64)
+    outside = ~packed
+    orders = np.array([s.order for s in subgroups])
+    sizes, starts = np.unique(orders, return_index=True)
+    ends = np.append(starts[1:], count)
+    for a, a_start, a_end in zip(sizes, starts, ends):
+        for b, b_start, b_end in zip(sizes, starts, ends):
+            if b <= a or b % a:
+                continue
+            step = max(1, (1 << 20) // ((b_end - b_start) * width))
+            for lo in range(a_start, a_end, step):
+                hi = min(lo + step, a_end)
+                inside[lo:hi, b_start:b_end] = ~(packed[lo:hi, None] & outside[None, b_start:b_end]).any(axis=2)
+    return inside

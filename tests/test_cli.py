@@ -1,13 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from fgt.catalog import build_group, parse_spec
 from fgt.cli import main
-from fgt.config import Budget
-from fgt.lattice import all_subgroups, lattice_to_json
 
 
 # `fgt lattice <spec>` stdout digests: the benchmark's recorded set, plus
@@ -138,10 +138,25 @@ def test_lattice_output_is_byte_identical_to_recorded_digest(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_DIGESTS[spec]
 
 
+# enumerates S7 and writes its lattice, then prints the digest and the peak RSS in KiB
+SYM7_SCRIPT = """
+import hashlib, resource
+from fgt.catalog import build_group, parse_spec
+from fgt.config import Budget
+from fgt.lattice import all_subgroups, lattice_to_json
+budget = Budget(order_cap=5040)
+doc = lattice_to_json(all_subgroups(build_group(parse_spec("Sym(7)"), budget), budget))
+print(hashlib.sha256(doc.encode()).hexdigest(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
 def test_sym7_lattice_is_byte_identical_to_recorded_digest():
     # 11 300 subgroups in 96 classes, recorded when every representative was
-    # joined with every cyclic subgroup not inside it
-    budget = Budget(order_cap=5040)
-    doc = lattice_to_json(all_subgroups(build_group(parse_spec("Sym(7)"), budget), budget))
-    digest = hashlib.sha256(doc.encode()).hexdigest()
+    # joined with every cyclic subgroup not inside it; a fresh process, so
+    # that its peak RSS counts S7 alone
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SYM7_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    digest, peak_kib = proc.stdout.split()
     assert digest == "eeb70b5e0bb6ad46dc51dc56ffa59e0aec3430f659afab7ad93fce41860e9c89"
+    assert int(peak_kib) <= 200 * 1024

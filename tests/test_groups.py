@@ -15,6 +15,7 @@ from fgt.errors import (
     NotNormalError,
 )
 from fgt.fields import perm_from_cycles
+import fgt.groups
 from fgt.groups import (
     Group,
     GroupHom,
@@ -144,6 +145,20 @@ def test_validation_rejects_a_non_associative_loop_above_the_old_sampling_order(
     assert not brute_is_associative(mul)
     with pytest.raises(InvalidElementError, match="associativity"):
         Group(mul, "loop", [2**d for d in range(11)])
+
+
+def test_light_test_finds_a_failure_in_a_later_row_block(monkeypatch):
+    # C2^6 as xor with the intercalate rows {50, 51} x columns {4, 5} swapped: generator 1
+    # passes, and generator 2 fails only at rows 48..51, in the last of three 24-row blocks
+    n = 64
+    i = np.arange(n)
+    mul = i[:, None] ^ i[None, :]
+    mul[50, 4], mul[50, 5], mul[51, 4], mul[51, 5] = 55, 54, 54, 55
+    assert np.array_equal(mul[mul[:, 1]], mul[:, mul[1]])
+    assert np.flatnonzero((mul[mul[:, 2]] != mul[:, mul[2]]).any(axis=1)).tolist() == [48, 49, 50, 51]
+    monkeypatch.setattr(fgt.groups, "_LIGHT_BLOCK_BYTES", 24 * n * 2)  # 24 rows of the uint16 table
+    with pytest.raises(InvalidElementError, match="^associativity fails at generator 2$"):
+        Group(mul, "loop", [1, 2, 4, 8, 16, 32])
 
 
 def test_supplied_generators_must_generate():

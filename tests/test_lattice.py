@@ -10,6 +10,7 @@ from oracles import (
     brute_normal_closure,
     brute_normalizer,
     exhaustive_subgroups,
+    proper_containment,
 )
 
 from fgt.catalog import build_group, parse_spec, standard_catalog
@@ -146,6 +147,80 @@ def test_restricted_lattices_match_fresh_enumeration(monkeypatch):
                 assert lat.conjugacy_class_size(i) == fresh.conjugacy_class_size(i), where
     assert children == calls["restricted"] == 2556
     assert restricted_closures == 0 < calls["closures"]
+
+
+# the first member of each lattice pool of the benchmark
+LATTICE_BENCH_SPECS = [
+    "Alt(6)",
+    "Direct(Cyclic(2),Sym(5))",
+    "Direct(Cyclic(3),ElementaryAbelian(2,5))",
+    "ElementaryAbelian(2,5)",
+    "ElementaryAbelian(3,4)",
+]
+
+
+def assert_readers_match_containment_oracle(lat, where):
+    """Every reader of the packed containment against the oracle matrix and its transitive reduction."""
+    count = len(lat.subgroups)
+    inside = proper_containment(lat.subgroups)
+    through = inside.astype(np.float32) @ inside.astype(np.float32) > 0  # i < k < j for some k
+    covers = inside & ~through
+    assert np.array_equal(lat.inside, np.packbits(inside, axis=1)), where  # padding bits included
+    assert np.array_equal(lat.maximal, covers[:, -1]), where
+    for j in range(count):
+        assert np.array_equal(lat.below(j), np.flatnonzero(inside[:, j])), (where, j)
+        assert np.array_equal(lat.maximal_inside(j), np.flatnonzero(covers[:, j])), (where, j)
+        above = inside[j] & lat.normal
+        above[j] = lat.normal[j]
+        assert np.array_equal(lat.normal_above(j), np.flatnonzero(above)), (where, j)
+    assert hasse_edges(lat) == [(int(i), int(j)) for i, j in zip(*np.nonzero(covers))], where
+    second = np.flatnonzero(covers[:, lat.maximal].any(axis=1))
+    assert [lat.subgroup_index(s) for s in second_maximal_subgroups(lat.group, lat.budget)] == second.tolist(), where
+
+
+# subgroup counts at the edges of the packed rows: one subgroup, two, and one whole byte
+EDGE_SPECS = {"Cyclic(1)": 1, "Cyclic(5)": 2, "Cyclic(24)": 8}
+
+
+@pytest.mark.parametrize("spec", SMALL_CATALOG + LATTICE_BENCH_SPECS + sorted(set(EDGE_SPECS) - set(SMALL_CATALOG)))
+def test_packed_containment_matches_the_order_blocked_oracle(spec):
+    lat = all_subgroups(build(spec), BUDGET)
+    assert len(lat.subgroups) == EDGE_SPECS.get(spec, len(lat.subgroups))
+    assert_readers_match_containment_oracle(lat, spec)
+
+
+@pytest.mark.parametrize("spec", LATTICE_BENCH_SPECS + ["Sym(4)", "Cyclic(24)"])
+def test_lattice_in_64_byte_blocks_matches_the_oracle(monkeypatch, spec):
+    """Every block loop of enumeration, containment, covers and Hasse edges runs many times."""
+    built = build(spec)
+    expected = lattice_to_json(all_subgroups(built, BUDGET))
+    monkeypatch.setattr(fgt.lattice, "_BLOCK_BYTES", 64)
+    lat = all_subgroups(Group(built.mul, built.label, built.generators), BUDGET)
+    assert_readers_match_containment_oracle(lat, spec)
+    assert lattice_to_json(lat) == expected
+
+
+def test_restricted_containment_matches_the_order_blocked_oracle(monkeypatch):
+    """The children of every class representative of the sweep groups up to RESTRICTION_MAX_ORDER."""
+    calls = {"restricted": 0}
+    restrict = fgt.lattice._restricted_lattice
+
+    def counted_restrict(*args):
+        calls["restricted"] += 1
+        return restrict(*args)
+
+    monkeypatch.setattr(fgt.lattice, "_restricted_lattice", counted_restrict)
+    children = 0
+    for spec in SWEEP_SPECS:
+        built = build_group(spec, BUDGET)
+        if built.order > RESTRICTION_MAX_ORDER:
+            continue
+        g = Group(built.mul, built.label, built.generators)
+        for s in all_subgroups(g, BUDGET).class_representatives():
+            child = subgroup_as_group(g, s)
+            assert_readers_match_containment_oracle(all_subgroups(child, BUDGET), (spec.to_string(), s.order))
+            children += 1
+    assert children == calls["restricted"] > 0
 
 
 def test_restricted_lattice_over_budget_raises_like_enumeration():
