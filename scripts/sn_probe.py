@@ -4,7 +4,7 @@
 S4 is the known failure; S3, S5 and S6 come out PNC.  --extended adds S7
 (order 5040, at the raised order cap), which is not PNC either: a subgroup
 of order 12 has normal closure A7 and a normalizer of order 72 inside A7.
-S7 took 3.7-3.9 s and 172 MB peak RSS in two runs on a 2-core VM.  Each line
+S7 took 3.1-3.2 s and 118 MB peak RSS in two runs on a 2-core VM.  Each line
 shows the elapsed time and the peak RSS of the process so far.
 """
 

@@ -544,7 +544,6 @@ def on_structural(g: Group, budget: Budget) -> bool:
     """Structural side of the ON characterization (non-Dedekind branch)."""
     if g.order == 1:
         return False
-    conj = g.conj_table()
     orders = g.element_orders()
     for p in primes_of(g.order):
         sylow = sylow_subgroups(g, p, budget)[0]
@@ -565,7 +564,7 @@ def on_structural(g: Group, budget: Budget) -> bool:
         for w in h1.members:
             if w == 0:
                 continue
-            m = _exponent(g, w, int(conj[g.inv[x], w]))  # w^x = w^m
+            m = _exponent(g, w, int(g.conjugates(g.inv[x], w)))  # w^x = w^m
             ow = int(orders[w])
             if m is None or math.gcd(m, ow) != 1 or math.gcd(m - 1, ow) != 1:
                 good = False
@@ -828,7 +827,6 @@ def _run_gu23_remarks(budget: Budget) -> ClaimResult:
     spec = GroupSpec("GU2_3")
     g = build_group(spec, budget)
     lat = all_subgroups(g, budget)
-    conj = g.conj_table()
     c2xc4 = _reference_profile("Direct(Cyclic(2),Cyclic(4))")
     notes, counterexamples = [], []
     sylows = [s for s in lat.subgroups if s.order == 32]
@@ -846,7 +844,7 @@ def _run_gu23_remarks(budget: Budget) -> ClaimResult:
         for s32 in sylows:
             if not s32.mask()[s.members].all():
                 continue
-            normal_in = bool(s.mask()[conj[s32.members][:, s.members]].all())
+            normal_in = bool(s.mask()[g.conjugates(s32.members[:, None], s.members)].all())
             closure_in = normal_closure_members(g, s.members, within=s32.members)
             norm_in = np.intersect1d(normalizer_members(g, s.members), s32.members, assume_unique=True)
             nc_in = np.unique(g.mul[np.ix_(closure_in, norm_in)]).size == 32
@@ -1041,7 +1039,6 @@ def _hall_dedekind_hypothesis(g: Group, budget: Budget) -> Subgroup | None:
     Returns the kernel A when some decomposition qualifies, else None.
     """
     lat = all_subgroups(g, budget)
-    conj = g.conj_table()
     orders = g.element_orders()
     for a_sub in lat.normal_subgroups():
         if math.gcd(a_sub.order, g.order // a_sub.order) != 1:
@@ -1073,7 +1070,7 @@ def _hall_dedekind_hypothesis(g: Group, budget: Budget) -> Subgroup | None:
                 continue
             oa = int(orders[a])
             for d in comp.members:
-                n = _exponent(g, a, int(conj[g.inv[d], a]))  # a^d = a^n
+                n = _exponent(g, a, int(g.conjugates(g.inv[d], a)))  # a^d = a^n
                 if n is None or math.gcd(n, oa) != 1:
                     good = False
                     break

@@ -121,14 +121,10 @@ class Group:
     def __repr__(self) -> str:
         return f"Group({self.label!r}, order={self.order})"
 
-    def conj_table(self) -> np.ndarray:
-        """conj[g, x] = g x g^-1."""
-        tab = self._cache.get("conj")
-        if tab is None:
-            tab = self.mul[self.mul, self.inv[:, None]]
-            tab.setflags(write=False)
-            self._cache["conj"] = tab
-        return tab
+    def conjugates(self, ys, xs):
+        """y x y^-1 for y in ``ys`` and x in ``xs``, broadcast as ``mul[ys, xs]`` is."""
+        ys = np.asarray(ys)
+        return self.mul[self.mul[ys, xs], self.inv[ys]]
 
     def element_orders(self) -> np.ndarray:
         orders = self._cache.get("orders")
@@ -389,10 +385,10 @@ class GroupHom:
 def quotient_group(g: Group, normal_members, budget: Budget = DEFAULT_BUDGET) -> tuple[Group, GroupHom]:
     """Quotient by a normal subgroup; cosets numbered by least member index."""
     members = np.unique(np.asarray(normal_members, dtype=np.intp))
-    conj = g.conj_table()
     mask = np.zeros(g.order, dtype=bool)
     mask[members] = True
-    if not mask[conj[:, members]].all():
+    # N is normal when each generator of G conjugates N into N
+    if not mask[g.conjugates(np.asarray(g.generators, dtype=np.intp)[:, None], members)].all():
         raise NotNormalError("subgroup is not normal")
     cosets = g.mul[:, members]  # row x = coset x*N
     reps = cosets.min(axis=1)

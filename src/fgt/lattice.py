@@ -137,8 +137,9 @@ class SubgroupLattice:
             g = self.group
             h = self.subgroups[i]
             closure = self.subgroups[self.normal_above(i)[0]]
-            # the members of H^G that conjugate H onto itself
-            meet = int(h.mask()[g.conj_table()[closure.members[:, None], h.members]].all(axis=1).sum())
+            # the members of H^G that conjugate H's generators into H
+            gens = self.gen_flat[self.gen_start[i] : self.gen_start[i + 1]]
+            meet = int(h.mask()[g.conjugates(closure.members[:, None], gens)].all(axis=1).sum())
             sizes = self._class_sizes[cid] = ClassSizes(g.order // int(self.class_size[cid]), closure.order, meet)
         return sizes
 
@@ -293,8 +294,8 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
             return lattice
     n = g.order
     mul = g.mul
-    conj = g.conj_table()
     gens = np.asarray(g.generators, dtype=np.intp)
+    gen_rows = g.conjugates(gens[:, None], np.arange(n))  # gen_rows[s, x] = gens[s] x gens[s]^-1
     # cyclic[c] = <cyc_gen[c]>, its least generator; cyc_of[x] = c when <x> = cyclic[c]
     orders, least_gen, cyclic = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp), []
     step = max(1, _BLOCK_BYTES // (16 * n))  # rows of x, as the table of their powers is at most 2n wide
@@ -317,7 +318,7 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     seeds = [np.zeros(1, dtype=np.intp)] + cyclic
     if len(seeds) > budget.max_subgroups:
         raise BudgetExceededError(f"subgroup budget {budget.max_subgroups} exceeded", partial=budget.max_subgroups)
-    cyc_class = _orbit_labels(cyc_of[conj[gens[:, None], cyc_gen]], len(cyclic))
+    cyc_class = _orbit_labels(cyc_of[gen_rows[:, cyc_gen]], len(cyclic))
     label = np.append(0, 1 + cyc_class)  # the trivial subgroup is a class of its own
     first, inverse, sizes = np.unique(label, return_index=True, return_inverse=True, return_counts=True)[1:]
     rows = np.repeat(np.arange(len(seeds)), [1, *cyc_size])
@@ -343,9 +344,9 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
         start = len(found) - 1
         inside = np.zeros(n, dtype=bool)
         inside[members] = True
-        images = conj[gens[:, None], members]
+        images = gen_rows[:, members]
         # a conjugate K^y is generated by the conjugates of K's generators, carried along the walk
-        queue = [] if inside[images].all() else [(images, conj[gens[:, None], generators])]
+        queue = [] if inside[images].all() else [(images, gen_rows[:, generators])]
         while queue:
             images, image_gens = queue.pop()
             rows = np.repeat(np.arange(gens.size), images.shape[1])
@@ -354,7 +355,7 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
                 if image_key not in found:
                     image = np.sort(image)
                     _add(image, image_key, image_gen)
-                    queue.append((conj[gens[:, None], image], conj[gens[:, None], image_gen]))
+                    queue.append((gen_rows[:, image], gen_rows[:, image_gen]))
         reps.append((members, len(found) - start, generators))
 
     join_attempts = 0
@@ -371,7 +372,7 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
             norm = np.arange(n)
             cand = cand[cyc_class[cand] == cand]
         else:
-            norm = normalizer_members(g, base)
+            norm = normalizer_members(g, base, base_gens)
             # orbit-stabilizer: an orbit cut short or two classes walked as one breaks it
             if norm.size * orbit_size != n:
                 raise ConsistencyError("conjugacy orbit does not match the normalizer")
@@ -379,7 +380,7 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
             xs = cyc_gen[cand]
             least = cand.astype(np.int32)
             for start in range(0, norm.size, 256):
-                least = np.minimum(least, cyc_of[conj[norm[start : start + 256, None], xs]].min(axis=0))
+                least = np.minimum(least, cyc_of[g.conjugates(norm[start : start + 256, None], xs)].min(axis=0))
             cand = cand[least == cand]
         # keep the first of each coset xH, named by its least member
         first = np.unique(mul[cyc_gen[cand][:, None], base].min(axis=1), return_index=True)[1]
@@ -470,10 +471,9 @@ def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup, budget: 
     keys = _packed_keys(rows, flat, count, n)
     subgroups = [Subgroup._sorted(g, m, key) for m, key in zip(np.split(flat, np.cumsum(sizes)[:-1]), keys)]
     index_by_key = {key: i for i, key in enumerate(keys)}
-    conj = g.conj_table()
     perms = []
     for c in g.generators:
-        perm = np.array([index_by_key.get(key, -1) for key in _packed_keys(rows, conj[c][flat], count, n)])
+        perm = np.array([index_by_key.get(key, -1) for key in _packed_keys(rows, g.conjugates(c, flat), count, n)])
         if (perm < 0).any():
             raise ConsistencyError("a conjugate subgroup is missing from the parent lattice")
         perms.append(perm)
@@ -481,7 +481,7 @@ def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup, budget: 
     lattice = SubgroupLattice(g, subgroups, _orbit_labels(perms, count), budget, generators)
     # orbit-stabilizer: a wrong permutation or two classes merged as one breaks it
     for i in lattice.rep_indices:
-        if normalizer_members(g, subgroups[i].members).size * lattice.conjugacy_class_size(i) != n:
+        if normalizer_members(g, subgroups[i].members, generators[i]).size * lattice.conjugacy_class_size(i) != n:
             raise ConsistencyError("conjugacy orbit does not match the normalizer")
     return lattice
 
@@ -489,22 +489,25 @@ def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup, budget: 
 # --- member-level primitives (no lattice required) --------------------------------
 
 
-def normalizer_members(g: Group, members) -> np.ndarray:
+def normalizer_members(g: Group, members, generators=None) -> np.ndarray:
+    """N_G(H) for H given by its members, conjugating only ``generators`` when a generating set of H is known.
+
+    y normalizes the finite group H exactly when y maps a generating set of H
+    into H; without ``generators`` the members themselves are that set.
+    """
     members = np.asarray(members, dtype=np.intp)
-    conj = g.conj_table()
     mask = np.zeros(g.order, dtype=bool)
     mask[members] = True
-    ok = mask[conj[:, members]].all(axis=1)
-    return np.flatnonzero(ok).astype(np.intp)
+    gens = members if generators is None else np.asarray(generators, dtype=np.intp)
+    return np.flatnonzero(mask[g.conjugates(np.arange(g.order)[:, None], gens)].all(axis=1))
 
 
 def normal_closure_members(g: Group, members, within=None) -> np.ndarray:
     """Smallest subgroup containing ``members`` normalized by ``within`` (default G)."""
-    conj = g.conj_table()
     conjugators = np.asarray(g.generators if within is None else within, dtype=np.intp)
     cur = close_under_product(g.mul, np.asarray(members, dtype=np.intp))
     while True:
-        spread = np.unique(conj[conjugators][:, cur])
+        spread = np.unique(g.conjugates(conjugators[:, None], cur))
         if np.isin(spread, cur, assume_unique=True).all():
             return cur
         cur = close_under_product(g.mul, np.union1d(cur, spread))
@@ -617,7 +620,7 @@ def normal_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> list[Subgroup
 
 
 def conjugate_subgroup(g: Group, h: Subgroup, x: int) -> Subgroup:
-    return Subgroup(g, np.sort(g.conj_table()[x][h.members]))
+    return Subgroup(g, np.sort(g.conjugates(x, h.members)))
 
 
 # --- exports ----------------------------------------------------------------------

@@ -86,20 +86,19 @@ def is_h_subgroup(g: Group, h: Subgroup) -> bool:
     norm_mask = np.zeros(g.order, dtype=bool)
     norm_mask[normalizer_members(g, h.members)] = True
     h_mask = h.mask()
-    conjugates = g.conj_table()[:, h.members]  # row x = members of H^x
+    conjugates = g.conjugates(np.arange(g.order)[:, None], h.members)  # row x = members of H^x
     return bool((~norm_mask[conjugates] | h_mask[conjugates]).all())
 
 
 def is_pronormal(g: Group, h: Subgroup) -> bool:
     """H and H^x are conjugate inside their join, for every x."""
-    conj = g.conj_table()
     h_sorted = h.members
     for x in range(g.order):
-        hx = np.sort(conj[x][h_sorted])
+        hx = np.sort(g.conjugates(x, h_sorted))
         if np.array_equal(hx, h_sorted):
             continue
         join = close_under_product(g.mul, np.concatenate([h_sorted, hx]))
-        moved = np.sort(conj[join][:, h_sorted], axis=1)
+        moved = np.sort(g.conjugates(join[:, None], h_sorted), axis=1)
         if not (moved == hx).all(axis=1).any():
             return False
     return True
@@ -179,8 +178,9 @@ def lower_central_series(g: Group) -> SeriesReport:
 
 
 def derived_subgroup_members(g: Group) -> np.ndarray:
-    whole = np.arange(g.order, dtype=np.intp)
-    return close_under_product(g.mul, commutators(g, whole, whole))
+    """G', read off the cached derived series: its second term, or G itself when G is perfect or trivial."""
+    terms = derived_series(g).terms
+    return terms[min(1, len(terms) - 1)]
 
 
 def _core_above(lattice: SubgroupLattice, i: int, p: int, p_power: bool) -> int:
@@ -292,10 +292,9 @@ def satisfies_cp(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> bool:
     lattice = all_subgroups(g, budget)
     sylow = sylow_subgroups(g, p, budget)[0]
     norm = normalizer_members(g, sylow.members)
-    conj = g.conj_table()
     for t in lattice.subgroups_inside(sylow):
         t_mask = t.mask()
-        if not t_mask[conj[norm][:, t.members]].all():
+        if not t_mask[g.conjugates(norm[:, None], t.members)].all():
             return False
     return True
 

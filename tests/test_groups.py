@@ -291,6 +291,31 @@ def test_quotient_requires_normality():
         quotient_group(s3, np.array([0, 1]))  # a transposition's subgroup
 
 
+def test_quotient_requires_normality_under_every_generator():
+    d4 = build("Dihedral(4)")
+    rotation, reflection = d4.generators
+    h = close_under_product(d4.mul, [reflection])  # {1, b}: the reflection normalizes it, the rotation does not
+    assert np.isin(d4.conjugates(reflection, h), h).all()
+    assert not np.isin(d4.conjugates(rotation, h), h).all()
+    with pytest.raises(NotNormalError):
+        quotient_group(d4, h)
+
+
+@pytest.mark.parametrize("spec", ["Sym(4)", "GU2_3"])
+def test_conjugates_match_the_scalar_definition(spec):
+    """y x y^-1 = mul[mul[y, x], inv[y]] for a scalar pair, a row, a column block and the whole square."""
+    g = build(spec)
+    m, inv, n = g.mul, g.inv, g.order
+    want = np.array([[m[m[y, x], inv[y]] for x in range(n)] for y in range(n)])
+    assert all(int(g.conjugates(y, x)) == want[y, x] for y in range(n) for x in range(n))
+    ys = np.arange(n)
+    assert all(np.array_equal(g.conjugates(y, ys), want[y]) for y in range(n))
+    rng = np.random.default_rng(0)
+    rows, cols = rng.choice(n, size=7, replace=False), rng.choice(n, size=5, replace=False)
+    assert np.array_equal(g.conjugates(rows[:, None], cols), want[np.ix_(rows, cols)])
+    assert np.array_equal(g.conjugates(ys[:, None], ys), want)
+
+
 def test_quotient_projection_is_verified_hom():
     g = build("Dihedral(6)")
     center = close_under_product(g.mul, np.array([0, 3]), cutoff_to_full=False)
@@ -325,8 +350,7 @@ def test_order_fingerprint_of_subgroup_members():
 
 def _is_double_transposition(s4, x):
     # in S4 the double transpositions are the order-2 elements with 3 conjugates
-    conj = s4.conj_table()
-    return len({int(conj[g, x]) for g in range(24)}) == 3
+    return len(set(s4.conjugates(np.arange(24), x).tolist())) == 3
 
 
 def test_automorphism_extension_validates():

@@ -276,6 +276,23 @@ def test_normalizer_against_brute_force():
             assert got == want
 
 
+def test_normalizers_from_recorded_generators_against_brute_force():
+    """N_G(H) from the generating set the lattice records for H, on every class representative."""
+    reps = 0
+    for spec in SWEEP_SPECS:
+        g = build_group(spec, BUDGET)
+        if g.order > RESTRICTION_MAX_ORDER:
+            continue
+        lat = all_subgroups(g, BUDGET)
+        for i in lat.rep_indices:
+            s = lat.subgroups[i]
+            gens = lat.gen_flat[lat.gen_start[i] : lat.gen_start[i + 1]]
+            got = set(normalizer_members(g, s.members, gens).tolist())
+            assert got == brute_normalizer(g.mul, g.inv, set(s.members.tolist())), (spec.to_string(), i)
+            reps += 1
+    assert reps > 0
+
+
 def test_normal_closure_against_brute_force():
     for spec in ("Sym(4)", "Dicyclic(3)"):
         g = build(spec)
