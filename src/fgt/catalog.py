@@ -611,20 +611,6 @@ def _params_to_json(spec: GroupSpec) -> dict:
     return {name: value for name, value in zip(names, spec.params)}
 
 
-def spec_from_json(doc: dict) -> GroupSpec:
-    name = doc.get("constructor")
-    if not isinstance(name, str):
-        raise UnknownConstructorError("missing constructor name")
-    params = doc.get("params", {})
-    if name == "Direct":
-        return GroupSpec(name, tuple(spec_from_json(d) for d in params["factors"]))
-    if name == "PowerAction":
-        triples = tuple((t["prime"], t["exp"], t["twist"]) for t in params["factors"])
-        return GroupSpec(name, (params["p"], params["alpha"], *triples))
-    names, _ = _CONSTRUCTORS.get(name, ((), None))
-    return GroupSpec(name, tuple(int(params[k]) for k in names))
-
-
 # --- the standard catalog ---------------------------------------------------------
 
 

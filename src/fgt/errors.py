@@ -25,10 +25,6 @@ class FieldMismatchError(FgtError):
     pass
 
 
-class SingularMatrixError(FgtError):
-    pass
-
-
 class InvalidElementError(FgtError):
     pass
 

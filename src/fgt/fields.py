@@ -17,7 +17,6 @@ from .errors import (
     DivisionByZeroError,
     FieldMismatchError,
     NotPrimeError,
-    SingularMatrixError,
     UnsupportedExtensionError,
 )
 
@@ -134,10 +133,6 @@ def field_neg(f: FieldSpec, a: int) -> int:
     return f.undigits((-x) % f.p for x in f.digits(a))
 
 
-def field_sub(f: FieldSpec, a: int, b: int) -> int:
-    return field_add(f, a, field_neg(f, b))
-
-
 def _reduction_rows(f: FieldSpec) -> list[tuple[int, ...]]:
     # Digit vectors of x^m mod modulus for m in [k, 2k-2].
     p, k = f.p, f.k
@@ -248,10 +243,6 @@ def multiplicative_generator(f: FieldSpec) -> int:
 Perm = tuple[int, ...]
 
 
-def perm_identity(degree: int) -> Perm:
-    return tuple(range(degree))
-
-
 def perm_check(images) -> Perm:
     images = tuple(images)
     if sorted(images) != list(range(len(images))):
@@ -264,13 +255,6 @@ def perm_compose(a: Perm, b: Perm) -> Perm:
     if len(a) != len(b):
         raise DegreeMismatchError(f"degrees {len(a)} != {len(b)}")
     return tuple(a[x] for x in b)
-
-
-def perm_inverse(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
 
 
 def perm_from_cycles(degree: int, *cycles) -> Perm:
@@ -316,34 +300,3 @@ def mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
             field_add(f, field_mul(f, a2, b1), field_mul(f, a3, b3)),
         ),
     )
-
-
-def mat_det(a: Matrix2) -> int:
-    f = a.field
-    a0, a1, a2, a3 = a.entries
-    return field_sub(f, field_mul(f, a0, a3), field_mul(f, a1, a2))
-
-
-def mat_inv(a: Matrix2) -> Matrix2:
-    f = a.field
-    d = mat_det(a)
-    if d == 0:
-        raise SingularMatrixError(f"matrix {a.entries} is singular")
-    di = field_inv(f, d)
-    a0, a1, a2, a3 = a.entries
-    return Matrix2(
-        f,
-        (
-            field_mul(f, di, a3),
-            field_mul(f, di, field_neg(f, a1)),
-            field_mul(f, di, field_neg(f, a2)),
-            field_mul(f, di, a0),
-        ),
-    )
-
-
-def mat_conj_transpose(a: Matrix2) -> Matrix2:
-    """Transpose with the Frobenius map applied entrywise (x -> x^p)."""
-    f = a.field
-    a0, a1, a2, a3 = a.entries
-    return Matrix2(f, (frobenius(f, a0), frobenius(f, a2), frobenius(f, a1), frobenius(f, a3)))

@@ -9,7 +9,6 @@ byte for byte.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,10 +151,6 @@ class Group:
         for _ in range(e):
             acc = int(self.mul[acc, x])
         return acc
-
-    def commutator(self, x: int, y: int) -> int:
-        m, i = self.mul, self.inv
-        return int(m[m[i[x], i[y]], m[x, y]])
 
 
 def close_under_product(mul: np.ndarray, seed, cutoff_to_full: bool = True, start=None) -> np.ndarray:
@@ -375,12 +370,6 @@ class GroupHom:
         if not np.array_equal(m[self.source.mul], self.target.mul[np.ix_(m, m)]):
             raise InvalidElementError("map is not a homomorphism")
 
-    def kernel_size(self) -> int:
-        return sum(1 for x in self.map if x == 0)
-
-    def image_size(self) -> int:
-        return len(set(self.map))
-
 
 def quotient_group(g: Group, normal_members, budget: Budget = DEFAULT_BUDGET) -> tuple[Group, GroupHom]:
     """Quotient by a normal subgroup; cosets numbered by least member index."""
@@ -419,12 +408,6 @@ def extract_subgroup_as_group(g: Group, members, label: str | None = None) -> tu
         raise InvalidElementError("member set is not closed under multiplication")
     child = Group(sub, label or f"{g.label}|sub{members.size}", [])
     return child, members
-
-
-def element_order(g: Group, x: int) -> int:
-    if not 0 <= x < g.order:
-        raise InvalidElementError(f"element index {x} out of range")
-    return int(g.element_orders()[x])
 
 
 # --- order profiles -----------------------------------------------------------
@@ -487,13 +470,3 @@ def commutators(g: Group, a_members, b_members) -> np.ndarray:
     left = m[np.ix_(i[a], i[b])]
     right = m[np.ix_(a, b)]
     return np.unique(m[left, right])
-
-
-def group_to_json(g: Group) -> str:
-    doc = {
-        "label": g.label,
-        "order": g.order,
-        "mul": [int(v) for v in g.mul.ravel()],
-        "generators": list(g.generators),
-    }
-    return json.dumps(doc, separators=(",", ":"))

@@ -72,10 +72,6 @@ def subgroup_from_generators(g: Group, gens) -> Subgroup:
     return Subgroup(g, members)
 
 
-def trivial_subgroup(g: Group) -> Subgroup:
-    return Subgroup(g, [0])
-
-
 def full_subgroup(g: Group) -> Subgroup:
     return Subgroup(g, np.arange(g.order))
 
@@ -529,22 +525,6 @@ def centralizer_members(g: Group, members) -> np.ndarray:
 # --- subgroup operations ----------------------------------------------------------
 
 
-def normalizer(g: Group, h: Subgroup) -> Subgroup:
-    return Subgroup(g, normalizer_members(g, h.members))
-
-
-def normal_closure(g: Group, h: Subgroup) -> Subgroup:
-    return Subgroup(g, normal_closure_members(g, h.members))
-
-
-def centralizer(g: Group, h: Subgroup) -> Subgroup:
-    return Subgroup(g, centralizer_members(g, h.members))
-
-
-def center(g: Group) -> Subgroup:
-    return Subgroup(g, centralizer_members(g, np.arange(g.order)))
-
-
 def is_normal(g: Group, h: Subgroup) -> bool:
     return normalizer_members(g, h.members).size == g.order
 
@@ -567,10 +547,6 @@ def sylow_subgroups(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> list[S
     while g.order % (target * p) == 0:
         target *= p
     return lattice.subgroups_of_order(target)
-
-
-def maximal_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> list[Subgroup]:
-    return all_subgroups(g, budget).maximal_subgroups()
 
 
 def second_maximal_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> list[Subgroup]:
@@ -605,22 +581,6 @@ def subgroup_product(g: Group, a: Subgroup, b: Subgroup) -> tuple[int, bool]:
     else:
         size = product_set(g.mul, a.members, b.members).size
     return size, size == g.order
-
-
-def subgroup_join(g: Group, a: Subgroup, b: Subgroup) -> Subgroup:
-    return Subgroup(g, close_under_product(g.mul, np.concatenate([a.members, b.members])))
-
-
-def subgroup_meet(g: Group, a: Subgroup, b: Subgroup) -> Subgroup:
-    return Subgroup(g, np.intersect1d(a.members, b.members, assume_unique=True))
-
-
-def normal_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> list[Subgroup]:
-    return all_subgroups(g, budget).normal_subgroups()
-
-
-def conjugate_subgroup(g: Group, h: Subgroup, x: int) -> Subgroup:
-    return Subgroup(g, np.sort(g.conjugates(x, h.members)))
 
 
 # --- exports ----------------------------------------------------------------------

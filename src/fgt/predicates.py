@@ -14,14 +14,7 @@ import numpy as np
 from .config import DEFAULT_BUDGET, Budget
 from .errors import ConsistencyError, NotApplicableError, NotSolvableError
 from .fields import is_prime
-from .groups import (
-    Group,
-    OrderProfile,
-    close_under_product,
-    commutators,
-    extract_subgroup_as_group,
-    order_fingerprint,
-)
+from .groups import Group, close_under_product, commutators, extract_subgroup_as_group
 from .lattice import (
     ClassSizes,
     Subgroup,
@@ -142,9 +135,6 @@ class SeriesReport:
     kind: str
     terms: list[np.ndarray]  # member arrays, outermost first
     terminated: bool
-
-    def lengths(self) -> list[int]:
-        return [int(t.size) for t in self.terms]
 
 
 def derived_series(g: Group) -> SeriesReport:
@@ -467,7 +457,6 @@ def is_t_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
 @dataclass
 class PredicateProfile:
     order: int
-    profile: OrderProfile
     abelian: bool
     dedekind: bool
     nilpotent: bool
@@ -537,7 +526,6 @@ def classify_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> PredicateProfil
     nilp, klass = is_nilpotent(g, budget)
     profile = PredicateProfile(
         order=g.order,
-        profile=order_fingerprint(g),
         abelian=is_abelian(g),
         dedekind=is_dedekind(g, budget),
         nilpotent=nilp,

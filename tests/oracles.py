@@ -317,38 +317,64 @@ def brute_is_associative(mul: np.ndarray) -> bool:
     return True
 
 
+# GF(9) = GF(3)[i] with i^2 = -1; a + b i is the index a + 3b.  2x2 matrices
+# over it are 4-tuples of indices, row-major.
+_GF9_IDENTITY = (1, 0, 0, 1)
+
+
+def gf9_add(x: int, y: int) -> int:
+    return (x + y) % 3 + 3 * ((x // 3 + y // 3) % 3)
+
+
+def gf9_mul(x: int, y: int) -> int:
+    a, b, c, d = x % 3, x // 3, y % 3, y // 3
+    return (a * c - b * d) % 3 + 3 * ((a * d + b * c) % 3)
+
+
+def gf9_bar(x: int) -> int:
+    """The Frobenius map x -> x^3: (a + b i)^3 = a + b i^3 = a - b i."""
+    return x % 3 + 3 * (-(x // 3) % 3)
+
+
+def _gf9_mat_mul(m, k):
+    a, b, c, d = m
+    e, f, g, h = k
+    return (
+        gf9_add(gf9_mul(a, e), gf9_mul(b, g)),
+        gf9_add(gf9_mul(a, f), gf9_mul(b, h)),
+        gf9_add(gf9_mul(c, e), gf9_mul(d, g)),
+        gf9_add(gf9_mul(c, f), gf9_mul(d, h)),
+    )
+
+
 def unitary_matrices_gf9():
     """All M over GF(9) with M * conj-transpose(M) = 1, in entry-lex order, one scalar product each."""
-    from fgt.fields import Matrix2, field_make, mat_conj_transpose, mat_identity, mat_mul
-
-    f = field_make(3, 2)
-    ident = mat_identity(f)
     out = []
     for code in range(9**4):
-        m = Matrix2(f, (code // 729, code // 81 % 9, code // 9 % 9, code % 9))
-        if mat_mul(m, mat_conj_transpose(m)) == ident:
+        m = (code // 729, code // 81 % 9, code // 9 % 9, code % 9)
+        a, b, c, d = m
+        if _gf9_mat_mul(m, (gf9_bar(a), gf9_bar(c), gf9_bar(b), gf9_bar(d))) == _GF9_IDENTITY:
             out.append(m)
     return out
 
 
 def generate_matrix_group(generators, label: str):
-    """The group of 2x2 matrices that ``generators`` generate, numbered by breadth-first discovery.
+    """The group of 2x2 matrices over GF(9) that ``generators`` generate, numbered by breadth-first discovery.
 
     Each element in turn is multiplied on the right by every generator, and
     the table is filled with one matrix product per pair of elements.
     """
-    from fgt.fields import mat_identity, mat_mul
     from fgt.groups import Group
 
-    elems = [mat_identity(generators[0].field)]
+    elems = [_GF9_IDENTITY]
     index = {elems[0]: 0}
     for x in elems:
         for s in generators:
-            y = mat_mul(x, s)
+            y = _gf9_mat_mul(x, s)
             if y not in index:
                 index[y] = len(elems)
                 elems.append(y)
-    mul = np.array([[index[mat_mul(x, y)] for y in elems] for x in elems])
+    mul = np.array([[index[_gf9_mat_mul(x, y)] for y in elems] for x in elems])
     return Group(mul, label, [index[s] for s in generators])
 
 

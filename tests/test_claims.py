@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 from pathlib import Path
@@ -18,7 +19,7 @@ from fgt.claims import (
 )
 from fgt.cli import main
 from fgt.config import Budget
-from fgt.errors import UnknownClaimError
+from fgt.errors import BudgetExceededError, UnknownClaimError
 
 BUDGET = Budget()
 
@@ -49,8 +50,7 @@ def test_registry_size_and_uniqueness():
 def test_every_claim_has_statement_in_bundled_table():
     for claim in claim_registry():
         assert claim.id in STATEMENTS
-        assert claim.statement == STATEMENTS[claim.id]
-        assert claim.statement.strip()
+        assert STATEMENTS[claim.id].strip()
 
 
 def test_asserted_claims_carry_nonempty_universe():
@@ -252,3 +252,47 @@ def test_budget_error_in_a_worker_process_exits_3(capsys):
     # simple-second-maximal builds PSL(2,8), of order 504
     assert main(["check", "--all", "--order-cap", "150", "--parallelism", "2"]) == 3
     assert "group order 504 exceeds cap 150" in capsys.readouterr().err
+
+
+def _recording_pool(monkeypatch, failing=()):
+    """Replace the process pool by one that records the submission order and runs no claim.
+
+    Each future holds its claim id, or a BudgetExceededError naming it for the ids in ``failing``.
+    """
+    submitted = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, claim_id, budget):
+            submitted.append(claim_id)
+            future = concurrent.futures.Future()
+            if claim_id in failing:
+                future.set_exception(BudgetExceededError(claim_id))
+            else:
+                future.set_result(claim_id)
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return submitted
+
+
+def test_workers_start_the_longest_claim_first_and_results_come_in_id_order(monkeypatch):
+    submitted = _recording_pool(monkeypatch)
+    ids = [c.id for c in claim_registry()]
+    assert run_all_claims(BUDGET, parallelism=2) == ids
+    assert submitted[0] == "theorem3-valuations"
+    assert sorted(submitted) == ids
+
+
+def test_workers_raise_the_budget_error_a_serial_run_stops_at(monkeypatch):
+    _recording_pool(monkeypatch, failing={"simple-second-maximal", "theorem3-valuations"})
+    with pytest.raises(BudgetExceededError, match="^simple-second-maximal$"):
+        run_all_claims(BUDGET, parallelism=2)
