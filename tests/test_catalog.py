@@ -44,6 +44,18 @@ def test_spec_string_roundtrip_over_catalog():
         assert parse_spec(spec.to_string()) == spec
 
 
+def test_spec_json_roundtrip_over_catalog():
+    # The JSON form is plain JSON (it survives a dump/load unchanged), keeps the
+    # constructor name, and tells apart every spec of the catalog.
+    docs = set()
+    for spec in standard_catalog():
+        doc = spec.to_json()
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["constructor"] == spec.constructor
+        docs.add(json.dumps(doc, sort_keys=True))
+    assert len(docs) == len(set(standard_catalog()))
+
+
 def test_spec_parse_nested_and_tuples():
     spec = parse_spec("Direct(Cyclic(5),Sym(3))")
     assert spec.constructor == "Direct" and spec.params[0] == GroupSpec("Cyclic", (5,))
