@@ -482,10 +482,7 @@ def build_group(spec: GroupSpec, budget: Budget = DEFAULT_BUDGET) -> Group:
     # exact: a builder succeeds under cap c iff the group's order is at most c, as no intermediate group is larger
     if cached is not None and cached.order <= budget.order_cap:
         return cached
-    g = _build_uncached(spec, budget)
-    if g.spec is None:
-        g.spec = spec
-    _BUILD_CACHE[spec] = g
+    g = _BUILD_CACHE[spec] = _build_uncached(spec, budget)
     return g
 
 
@@ -582,9 +579,10 @@ class _SpecParser:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
+        digits = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if start == self.pos:
+        if digits == self.pos:
             raise UnknownConstructorError(f"expected integer at {start} in {self.text!r}")
         return int(self.text[start : self.pos])
 

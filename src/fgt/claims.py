@@ -54,6 +54,7 @@ from .lattice import (
     normal_closure_members,
     normalizer_members,
     second_maximal_subgroups,
+    subgroup_as_group,
     subgroup_from_generators,
     subgroup_product,
     sylow_subgroups,
@@ -87,7 +88,6 @@ from .predicates import (
     pnc_witness,
     primes_of,
     satisfies_cp,
-    subgroup_as_group,
     vp_valuation,
 )
 
@@ -756,12 +756,11 @@ def _nc_mod_normal(spec: GroupSpec, g: Group, budget: Budget):
     for n in lat.normal_subgroups():
         if n.order in (1, g.order):
             continue
-        q, hom = quotient_group(g, n.members, budget)
-        hom_map = np.asarray(hom.map, dtype=np.intp)
+        q, coset = quotient_group(g, n.members, budget)
         for k in lat.subgroups:
             if k.order <= n.order or not np.isin(n.members, k.members, assume_unique=True).all():
                 continue
-            image = Subgroup(q, np.unique(hom_map[k.members]))
+            image = Subgroup(q, coset[k.members])
             yield _witness(spec, k, f"mod normal of order {n.order}"), is_nc_subgroup(g, k), is_nc_subgroup(q, image)
 
 
@@ -776,8 +775,8 @@ def _d4_needs_containment(d4: Group, budget: Budget) -> bool:
                 continue
             if np.intersect1d(k.members, n.members).size != 1 or is_nc_subgroup(d4, k):
                 continue
-            q, hom = quotient_group(d4, n.members, budget)
-            if is_nc_subgroup(q, Subgroup(q, np.unique(np.asarray(hom.map)[k.members]))):
+            q, coset = quotient_group(d4, n.members, budget)
+            if is_nc_subgroup(q, Subgroup(q, coset[k.members])):
                 return True
     return False
 

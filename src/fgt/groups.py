@@ -97,9 +97,9 @@ class Group:
     the supplied set, or against a greedy one when the caller passes none.
     """
 
-    __slots__ = ("label", "mul", "inv", "generators", "spec", "_cache")
+    __slots__ = ("label", "mul", "inv", "generators", "_cache")
 
-    def __init__(self, mul, label: str, generators, spec=None):
+    def __init__(self, mul, label: str, generators):
         mul = np.ascontiguousarray(mul, dtype=np.uint16)
         inv, self.generators = _validate_table(mul, generators)
         mul.setflags(write=False)
@@ -107,7 +107,6 @@ class Group:
         self.mul = mul
         self.inv = inv
         self.label = label
-        self.spec = spec
         self._cache: dict = {}
 
     @property
@@ -244,34 +243,34 @@ def _table_from_bfs(right: np.ndarray) -> np.ndarray:
     return mul
 
 
-def generate_group(identity, generators, mul_fn, label: str, budget: Budget = DEFAULT_BUDGET, spec=None) -> Group:
+def generate_group(identity, generators, mul_fn, label: str, budget: Budget = DEFAULT_BUDGET) -> Group:
     """The group that ``generators`` generate under ``mul_fn``, numbered by breadth-first discovery from ``identity``."""
     right = _right_table(identity, list(generators), mul_fn, budget.order_cap)
-    return Group(_table_from_bfs(right), label, right[0], spec=spec)
+    return Group(_table_from_bfs(right), label, right[0])
 
 
-def generate_permutation_group(generators, label: str, budget: Budget = DEFAULT_BUDGET, spec=None) -> Group:
+def generate_permutation_group(generators, label: str, budget: Budget = DEFAULT_BUDGET) -> Group:
     if not generators:
         raise InvalidElementError("empty generator list")
     degree = len(generators[0])
     for g in generators:
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise InvalidElementError(f"not a permutation of degree {degree}: {g}")
-    return generate_group(tuple(range(degree)), [tuple(g) for g in generators], perm_compose, label, budget, spec)
+    return generate_group(tuple(range(degree)), [tuple(g) for g in generators], perm_compose, label, budget)
 
 
 # --- products and quotients ---------------------------------------------------
 
 
-def direct_product(g: Group, h: Group, budget: Budget = DEFAULT_BUDGET, label: str | None = None, spec=None) -> Group:
-    n1, n2 = g.order, h.order
-    if n1 * n2 > budget.order_cap:
-        raise BudgetExceededError(f"direct product order {n1 * n2} exceeds cap {budget.order_cap}")
-    mul = (g.mul.astype(np.int64)[:, None, :, None] * n2 + h.mul.astype(np.int64)[None, :, None, :]).reshape(
-        n1 * n2, n1 * n2
-    )
-    gens = [gi * n2 for gi in g.generators] + list(h.generators)
-    return Group(mul, label or f"{g.label} x {h.label}", gens, spec=spec)
+def _automorphism(g: Group, table) -> np.ndarray:
+    """``table`` as an index array, once checked to be a bijection of g with table[xy] = table[x] table[y]."""
+    n = g.order
+    table = np.asarray(table, dtype=np.intp)
+    if table.shape != (n,) or not np.array_equal(np.sort(table), np.arange(n)):
+        raise NotAutomorphismError("map is not a bijection of the group")
+    if not np.array_equal(table[g.mul], g.mul[table[:, None], table]):
+        raise NotAutomorphismError("map is not a homomorphism")
+    return table
 
 
 def automorphism_from_generator_images(g: Group, images: dict[int, int]) -> np.ndarray:
@@ -281,25 +280,19 @@ def automorphism_from_generator_images(g: Group, images: dict[int, int]) -> np.n
     computed along the BFS word decomposition and then verified to be a
     bijective homomorphism.
     """
-    n = g.order
     gens = list(g.generators)
-    table = np.zeros(n, dtype=np.int64)
+    table = np.zeros(g.order, dtype=np.intp)
     for y, x, i in _bfs_edges(g.mul[:, gens]):
         table[y] = g.mul[table[x], images[gens[i]]]
-    if len(set(table.tolist())) != n:
-        raise NotAutomorphismError("generator images do not extend to a bijection")
-    if not np.array_equal(table[g.mul], g.mul[np.ix_(table, table)]):
-        raise NotAutomorphismError("generator images do not extend to a homomorphism")
-    return table.astype(np.uint16)
+    return _automorphism(g, table).astype(np.uint16)
 
 
-def _check_automorphism(g: Group, table: np.ndarray):
-    n = g.order
-    table = np.asarray(table, dtype=np.int64)
-    if table.shape != (n,) or sorted(table.tolist()) != list(range(n)):
-        raise NotAutomorphismError("action table is not a bijection")
-    if not np.array_equal(table[g.mul], g.mul[np.ix_(table, table)]):
-        raise NotAutomorphismError("action table is not a homomorphism")
+def direct_product(g: Group, h: Group, budget: Budget = DEFAULT_BUDGET, label: str | None = None) -> Group:
+    """g x h, the split extension in which h acts trivially: (x, y) is numbered x*|h| + y."""
+    if g.order * h.order > budget.order_cap:
+        raise BudgetExceededError(f"direct product order {g.order * h.order} exceeds cap {budget.order_cap}")
+    identity = np.arange(g.order)
+    return semidirect_product(g, h, dict.fromkeys(h.generators, identity), budget, label or f"{g.label} x {h.label}")
 
 
 def semidirect_product(
@@ -308,7 +301,6 @@ def semidirect_product(
     action: dict[int, np.ndarray],
     budget: Budget = DEFAULT_BUDGET,
     label: str | None = None,
-    spec=None,
 ) -> Group:
     """Split extension with b acting on a from the left.
 
@@ -325,11 +317,10 @@ def semidirect_product(
         raise BudgetExceededError(f"semidirect product order {na * nb} exceeds cap {budget.order_cap}")
     if set(action) != set(b.generators):
         raise ActionInconsistentError("action must be given exactly on the generators of b")
-    for table in action.values():
-        _check_automorphism(a, table)
+    action = {s: _automorphism(a, table) for s, table in action.items()}
 
     gens = list(b.generators)
-    act = np.empty((nb, na), dtype=np.int64)
+    act = np.empty((nb, na), dtype=np.intp)
     act[0] = np.arange(na)
     for z, y, i in _bfs_edges(b.mul[:, gens]):
         act[z] = act[y][action[gens[i]]]
@@ -339,40 +330,14 @@ def semidirect_product(
                 "generator assignment does not extend to a homomorphism into Aut(a)"
             )
 
-    mul = np.empty((na * nb, na * nb), dtype=np.int64)
-    bm = b.mul.astype(np.int64)
-    am = a.mul.astype(np.int64)
-    x2 = np.arange(na)
-    for y1 in range(nb):
-        twisted = act[y1][x2]  # act(y1)(x2) for all x2
-        # block[(x1, x2), (y2)] for all x1, y2 at this y1
-        left = am[:, twisted]  # (na, na): x1 * act(y1)(x2)
-        block = left[:, :, None] * nb + bm[y1][None, None, :]  # (na, na, nb)
-        cols = (x2[:, None] * nb + np.arange(nb)[None, :]).reshape(-1)
-        rows = np.arange(na) * nb + y1
-        mul[np.ix_(rows, cols)] = block.reshape(na, na * nb)
+    # mul[x1, y1, x2, y2] = (x1 * act(y1)(x2)) * nb + y1 y2, in uint16 as every entry is below na * nb
+    mul = np.add((a.mul[:, act] * nb)[:, :, :, None], b.mul[None, :, None, :], order="C")
     gens = [gi * nb for gi in a.generators] + list(b.generators)
-    return Group(mul, label or f"{a.label} : {b.label}", gens, spec=spec)
+    return Group(mul.reshape(na * nb, na * nb), label or f"{a.label} : {b.label}", gens)
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    """Verified homomorphism given by a per-element image table."""
-
-    source: Group
-    target: Group
-    map: tuple[int, ...]
-
-    def __post_init__(self):
-        m = np.asarray(self.map, dtype=np.int64)
-        if m[0] != 0:
-            raise InvalidElementError("homomorphism must fix the identity")
-        if not np.array_equal(m[self.source.mul], self.target.mul[np.ix_(m, m)]):
-            raise InvalidElementError("map is not a homomorphism")
-
-
-def quotient_group(g: Group, normal_members, budget: Budget = DEFAULT_BUDGET) -> tuple[Group, GroupHom]:
-    """Quotient by a normal subgroup; cosets numbered by least member index."""
+def quotient_group(g: Group, normal_members, budget: Budget = DEFAULT_BUDGET) -> tuple[Group, np.ndarray]:
+    """Quotient by a normal subgroup, cosets numbered by least member index, and the coset map G -> G/N."""
     members = np.unique(np.asarray(normal_members, dtype=np.intp))
     mask = np.zeros(g.order, dtype=bool)
     mask[members] = True
@@ -382,32 +347,17 @@ def quotient_group(g: Group, normal_members, budget: Budget = DEFAULT_BUDGET) ->
     cosets = g.mul[:, members]  # row x = coset x*N
     reps = cosets.min(axis=1)
     rep_values = np.unique(reps)
-    coset_index = np.full(g.order, -1, dtype=np.int64)
+    coset_index = np.full(g.order, -1, dtype=np.intp)
     coset_index[rep_values] = np.arange(rep_values.size)
     elem_to_coset = coset_index[reps]
     qmul = elem_to_coset[g.mul[np.ix_(rep_values, rep_values)]]
     gen_images = sorted(set(int(elem_to_coset[x]) for x in g.generators) - {0})
     qgroup = Group(qmul, f"{g.label}/N{len(members)}", gen_images)
-    hom = GroupHom(g, qgroup, tuple(int(c) for c in elem_to_coset))
-    return qgroup, hom
-
-
-def extract_subgroup_as_group(g: Group, members, label: str | None = None) -> tuple[Group, np.ndarray]:
-    """Relabel a subgroup's members as a standalone Group.
-
-    Returns the child group and the sorted member array (child index i
-    corresponds to parent element members[i]).
-    """
-    members = np.unique(np.asarray(members, dtype=np.intp))
-    if members[0] != 0:
-        raise InvalidElementError("subgroup must contain the identity")
-    pos = np.full(g.order, -1, dtype=np.int64)
-    pos[members] = np.arange(members.size)
-    sub = pos[g.mul[np.ix_(members, members)]]
-    if (sub < 0).any():
-        raise InvalidElementError("member set is not closed under multiplication")
-    child = Group(sub, label or f"{g.label}|sub{members.size}", [])
-    return child, members
+    if elem_to_coset[0] != 0 or not np.array_equal(
+        elem_to_coset[g.mul], qgroup.mul[elem_to_coset[:, None], elem_to_coset]
+    ):
+        raise InvalidElementError("coset map is not a homomorphism")
+    return qgroup, elem_to_coset
 
 
 # --- order profiles -----------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_BUDGET, Budget
-from .errors import BudgetExceededError, ConsistencyError
+from .errors import BudgetExceededError, ConsistencyError, InvalidElementError
 from .groups import Group, close_under_product
 
 
@@ -74,6 +74,26 @@ def subgroup_from_generators(g: Group, gens) -> Subgroup:
 
 def full_subgroup(g: Group) -> Subgroup:
     return Subgroup(g, np.arange(g.order))
+
+
+def subgroup_as_group(g: Group, h: Subgroup) -> Group:
+    """H as a group of its own, element i being ``h.members[i]``; kept in g's cache.
+
+    The child records its embedding (g, h), from which ``all_subgroups`` reads
+    its lattice off g's when g holds one.
+    """
+    cache_key = ("child", h.key)
+    child = g._cache.get(cache_key)
+    if child is None:
+        members = h.members
+        pos = np.full(g.order, -1, dtype=np.intp)
+        pos[members] = np.arange(members.size)
+        table = pos[g.mul[np.ix_(members, members)]]
+        if (table < 0).any():
+            raise InvalidElementError("member set is not closed under multiplication")
+        child = g._cache[cache_key] = Group(table, f"{g.label}|sub{members.size}", [])
+        child._cache["embedding"] = (g, h)
+    return child
 
 
 class ClassSizes(NamedTuple):

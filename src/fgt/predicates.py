@@ -14,7 +14,7 @@ import numpy as np
 from .config import DEFAULT_BUDGET, Budget
 from .errors import ConsistencyError, NotApplicableError, NotSolvableError
 from .fields import is_prime
-from .groups import Group, close_under_product, commutators, extract_subgroup_as_group
+from .groups import Group, close_under_product, commutators
 from .lattice import (
     ClassSizes,
     Subgroup,
@@ -24,6 +24,7 @@ from .lattice import (
     is_subnormal,
     normality_sizes,
     normalizer_members,
+    subgroup_as_group,
     sylow_subgroups,
 )
 
@@ -132,7 +133,6 @@ def commutator_subgroup(g: Group, a: Subgroup, b: Subgroup) -> Subgroup:
 
 @dataclass
 class SeriesReport:
-    kind: str
     terms: list[np.ndarray]  # member arrays, outermost first
     terminated: bool
 
@@ -150,7 +150,7 @@ def derived_series(g: Group) -> SeriesReport:
         terms.append(nxt)
     for t in terms:
         t.setflags(write=False)
-    report = g._cache["derived"] = SeriesReport("derived", terms, terminated=terms[-1].size == 1)
+    report = g._cache["derived"] = SeriesReport(terms, terminated=terms[-1].size == 1)
     return report
 
 
@@ -161,10 +161,10 @@ def lower_central_series(g: Group) -> SeriesReport:
         cur = terms[-1]
         nxt = close_under_product(g.mul, commutators(g, cur, whole))
         if nxt.size == cur.size:
-            return SeriesReport("lowerCentral", terms, terminated=cur.size == 1)
+            return SeriesReport(terms, terminated=cur.size == 1)
         terms.append(nxt)
         if nxt.size == 1:
-            return SeriesReport("lowerCentral", terms, terminated=True)
+            return SeriesReport(terms, terminated=True)
 
 
 def derived_subgroup_members(g: Group) -> np.ndarray:
@@ -219,7 +219,7 @@ def upper_p_series(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> SeriesR
     terms = [0]
     while lattice.subgroups[terms[-1]].order < g.order:
         terms.append(_core_above(lattice, terms[-1], p, p_power=len(terms) % 2 == 0))
-    return SeriesReport(f"upperPSeries({p})", [lattice.subgroups[i].members for i in terms], terminated=True)
+    return SeriesReport([lattice.subgroups[i].members for i in terms], terminated=True)
 
 
 def fitting_chain(g: Group, budget: Budget = DEFAULT_BUDGET) -> SeriesReport:
@@ -232,7 +232,7 @@ def fitting_chain(g: Group, budget: Budget = DEFAULT_BUDGET) -> SeriesReport:
             break
         terms.append(nxt)
     members = [lattice.subgroups[i].members for i in terms]
-    return SeriesReport("fittingChain", members, terminated=members[-1].size == g.order)
+    return SeriesReport(members, terminated=members[-1].size == g.order)
 
 
 def is_abelian(g: Group) -> bool:
@@ -326,17 +326,6 @@ def p_length(g: Group, p: int, budget: Budget = DEFAULT_BUDGET) -> int:
     if not is_solvable(g):
         raise NotSolvableError("p-length computed for solvable groups only")
     return (len(upper_p_series(g, p, budget).terms) - 1) // 2
-
-
-def subgroup_as_group(g: Group, h: Subgroup) -> Group:
-    cache_key = ("child", h.key)
-    child = g._cache.get(cache_key)
-    if child is None:
-        child, _ = extract_subgroup_as_group(g, h.members)
-        # all_subgroups(child) reads the child's lattice off g's when g holds one
-        child._cache["embedding"] = (g, h)
-        g._cache[cache_key] = child
-    return child
 
 
 def generalized_fitting(g: Group, budget: Budget = DEFAULT_BUDGET):

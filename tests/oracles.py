@@ -269,7 +269,7 @@ def quotient_walk_upper_p_series(group, p: int, budget) -> list[np.ndarray]:
 
     terms = [np.zeros(1, dtype=np.intp)]
     while terms[-1].size < group.order:
-        quotient, hom = quotient_group(group, terms[-1], budget)
+        quotient, coset = quotient_group(group, terms[-1], budget)
         if len(terms) % 2 == 0:
             step = sylow_intersection_core(quotient, p, budget)
         else:
@@ -277,7 +277,7 @@ def quotient_walk_upper_p_series(group, p: int, budget) -> list[np.ndarray]:
             step = brute_closure(quotient.mul, np.concatenate(coprime), cutoff_to_full=False)
         in_step = np.zeros(quotient.order, dtype=bool)
         in_step[step] = True
-        terms.append(np.flatnonzero(in_step[np.asarray(hom.map)]))
+        terms.append(np.flatnonzero(in_step[coset]))
     return terms
 
 
@@ -443,8 +443,8 @@ def all_subgroups_generalized_fitting(group, budget):
     solvable residual.
     """
     from fgt.groups import close_under_product, commutators
-    from fgt.lattice import Subgroup, all_subgroups, centralizer_members, is_subnormal
-    from fgt.predicates import _fitting_above, _least_normal_above, is_nilpotent, subgroup_as_group
+    from fgt.lattice import Subgroup, all_subgroups, centralizer_members, is_subnormal, subgroup_as_group
+    from fgt.predicates import _fitting_above, _least_normal_above, is_nilpotent
 
     lattice = all_subgroups(group, budget)
     components = []

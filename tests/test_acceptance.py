@@ -24,6 +24,7 @@ from fgt.lattice import (
     is_normal,
     normal_closure_members,
     normalizer_members,
+    subgroup_as_group,
     subgroup_product,
 )
 from fgt.predicates import (
@@ -35,7 +36,6 @@ from fgt.predicates import (
     is_solvable,
     is_supersolvable,
     pnc_witness,
-    subgroup_as_group,
 )
 
 BUDGET = Budget()

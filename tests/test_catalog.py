@@ -61,8 +61,9 @@ def test_spec_parse_nested_and_tuples():
     assert spec.constructor == "Direct" and spec.params[0] == GroupSpec("Cyclic", (5,))
     pa = parse_spec("PowerAction(2,2,(5,1,3))")
     assert pa.params == (2, 2, (5, 1, 3))
-    with pytest.raises(UnknownConstructorError):
-        parse_spec("Cyclic(3) trailing")
+    for text in ("Cyclic(3) trailing", "Cyclic(-)", "Cyclic(--3)", "PowerAction(2,1,(5,-,1))"):
+        with pytest.raises(UnknownConstructorError):
+            parse_spec(text)
     with pytest.raises(UnknownConstructorError):
         build_group(parse_spec("NoSuchThing(3)"), BUDGET)
 

@@ -15,14 +15,13 @@ from fgt.errors import (
     NotNormalError,
 )
 from fgt.fields import perm_from_cycles
+import fgt.catalog
 import fgt.groups
 from fgt.groups import (
     Group,
-    GroupHom,
     automorphism_from_generator_images,
     close_under_product,
     direct_product,
-    extract_subgroup_as_group,
     generate_permutation_group,
     order_fingerprint,
     quotient_group,
@@ -208,6 +207,62 @@ def test_semidirect_with_trivial_action_equals_direct_product():
     assert np.array_equal(semi.mul, direct.mul)
 
 
+def _pairs_table(na, nb, rule):
+    """Table over pairs (x, y) numbered x * nb + y, each entry ``rule(x1, y1, x2, y2)`` as a pair."""
+    n = na * nb
+    table = np.empty((n, n), dtype=np.int64)
+    for u in range(n):
+        for v in range(n):
+            x, y = rule(u // nb, u % nb, v // nb, v % nb)
+            table[u, v] = x * nb + y
+    return table
+
+
+def _acting_table(na, b, action):
+    """act(y) as a list for every y of b, composed in pure Python along words in b's generators."""
+    act = {0: list(range(na))}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for s in b.generators:
+                z = int(b.mul[y, s])
+                if z not in act:
+                    act[z] = [act[y][int(v)] for v in action[s]]  # act(y s) = act(y) o act(s)
+                    nxt.append(z)
+        frontier = nxt
+    return [act[y] for y in range(b.order)]
+
+
+@pytest.mark.parametrize("spec", ["D4SemiS3", "C5xC3SemiD4", "HeisenbergLike(3,1)", "IrreducibleFrobenius(2,2,3)"])
+def test_semidirect_table_follows_the_pair_rule(spec, monkeypatch):
+    """(x1, y1)(x2, y2) = (x1 act(y1)(x2), y1 y2), entry by entry from the factor tables."""
+    calls = []
+
+    def recording(a, b, action, *args, **kwargs):
+        calls.append((a, b, action))
+        return semidirect_product(a, b, action, *args, **kwargs)
+
+    monkeypatch.setattr(fgt.catalog, "semidirect_product", recording)
+    g = fgt.catalog._build_uncached(parse_spec(spec), BUDGET)
+    a, b, action = calls[-1]
+    am, bm, act = a.mul.tolist(), b.mul.tolist(), _acting_table(a.order, b, action)
+    want = _pairs_table(a.order, b.order, lambda x1, y1, x2, y2: (am[x1][act[y1][x2]], bm[y1][y2]))
+    assert np.array_equal(g.mul, want)
+
+
+@pytest.mark.parametrize("spec", ["Direct(Cyclic(2),Sym(3),Cyclic(3))", "Direct(Cyclic(1),Dihedral(4))",
+                                  "Direct(Sym(3),Cyclic(1))"])
+def test_direct_product_table_follows_the_pair_rule(spec):
+    """(x1, y1)(x2, y2) = (x1 x2, y1 y2), entry by entry from the factor tables, the factors nested from the left."""
+    factors = [build_group(f, BUDGET) for f in parse_spec(spec).params]
+    want = factors[0].mul
+    for f in factors[1:]:
+        left, right = want.tolist(), f.mul.tolist()
+        want = _pairs_table(len(left), f.order, lambda x1, y1, x2, y2: (left[x1][x2], right[y1][y2]))
+    assert np.array_equal(build(spec).mul, want)
+
+
 def test_semidirect_rejects_non_automorphism():
     a = build("Cyclic(4)")
     b = build("Cyclic(2)")
@@ -265,21 +320,21 @@ def test_c5xc3_semi_d4_satisfies_its_presentation():
 
 def test_quotient_by_whole_group_and_by_trivial():
     g = build("Sym(3)")
-    q, hom = quotient_group(g, np.arange(6))
-    assert q.order == 1 and len(set(hom.map)) == 1
-    q, hom = quotient_group(g, np.array([0]))
+    q, coset = quotient_group(g, np.arange(6))
+    assert q.order == 1 and not coset.any()
+    q, coset = quotient_group(g, np.array([0]))
     assert np.array_equal(q.mul, g.mul)
-    assert hom.map.count(0) == 1
+    assert np.array_equal(coset, np.arange(6))
 
 
 def test_quotient_d4_by_center_is_klein_four():
     d4 = build("Dihedral(4)")
     center = [0, 2]  # rotation squared
-    q, hom = quotient_group(d4, np.array(center))
+    q, coset = quotient_group(d4, np.array(center))
     prof = order_fingerprint(q)
     assert prof.order == 4 and prof.abelian
     assert prof.order_counts == ((1, 1), (2, 3))
-    assert hom.map.count(0) * q.order == d4.order
+    assert np.count_nonzero(coset == 0) * q.order == d4.order
 
 
 def test_quotient_requires_normality():
@@ -316,9 +371,10 @@ def test_conjugates_match_the_scalar_definition(spec):
 def test_quotient_projection_is_verified_hom():
     g = build("Dihedral(6)")
     center = close_under_product(g.mul, np.array([0, 3]), cutoff_to_full=False)
-    q, hom = quotient_group(g, center)
-    assert isinstance(hom, GroupHom)
-    assert hom.map.count(0) * len(set(hom.map)) == g.order
+    q, coset = quotient_group(g, center)
+    assert np.array_equal(coset[g.mul], q.mul[coset[:, None], coset])  # a homomorphism
+    assert np.array_equal(np.unique(coset), np.arange(q.order))  # onto G/N
+    assert np.array_equal(np.flatnonzero(coset == 0), center)  # with kernel N
 
 
 def test_element_order_examples():
@@ -358,19 +414,6 @@ def test_automorphism_extension_validates():
     assert sorted(phi.tolist()) == list(range(8))
     with pytest.raises(NotAutomorphismError):
         automorphism_from_generator_images(d4, {a: b, b: a})  # order mismatch
-
-
-def test_extract_subgroup_as_group():
-    s4 = build("Sym(4)")
-    from fgt.lattice import all_subgroups
-
-    lat = all_subgroups(s4, BUDGET)
-    a4 = next(s for s in lat.subgroups if s.order == 12)
-    child, members = extract_subgroup_as_group(s4, a4.members)
-    assert child.order == 12
-    assert child.generators
-    assert close_under_product(child.mul, child.generators, cutoff_to_full=False).size == 12
-    assert order_fingerprint(child).order_counts == ((1, 1), (2, 3), (3, 8))
 
 
 def test_close_under_product_finds_whole_group_via_cutoff():

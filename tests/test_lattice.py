@@ -16,9 +16,9 @@ from oracles import (
 from fgt.catalog import build_group, parse_spec, standard_catalog
 from fgt.claims import _pa_spec, _power_action_universe
 from fgt.config import Budget
-from fgt.errors import BudgetExceededError, ConsistencyError
+from fgt.errors import BudgetExceededError, ConsistencyError, InvalidElementError
 import fgt.lattice
-from fgt.groups import Group, extract_subgroup_as_group, order_fingerprint
+from fgt.groups import Group, close_under_product, order_fingerprint
 from fgt.lattice import (
     Subgroup,
     all_subgroups,
@@ -33,11 +33,11 @@ from fgt.lattice import (
     normalizer_members,
     product_set,
     second_maximal_subgroups,
+    subgroup_as_group,
     subgroup_from_generators,
     subgroup_product,
     sylow_subgroups,
 )
-from fgt.predicates import subgroup_as_group
 
 BUDGET = Budget()
 SMALL_CATALOG = [s.to_string() for s in standard_catalog() if build_group(s, BUDGET).order <= 24]
@@ -102,7 +102,7 @@ RESTRICTION_MAX_ORDER = 200
 def test_restricted_lattices_match_fresh_enumeration(monkeypatch):
     """Lattices of subgroup_as_group children, read off the parent lattice, against enumerating each child.
 
-    The fresh child comes from extract_subgroup_as_group and carries no
+    The fresh child is a new Group on the child's table and carries no
     embedding, so it is enumerated.  Each parent is a fresh copy of the
     catalog group, so no child lattice is cached from an earlier test.
     """
@@ -131,7 +131,7 @@ def test_restricted_lattices_match_fresh_enumeration(monkeypatch):
             lat = all_subgroups(child, BUDGET)
             restricted_closures += calls["closures"] - before
             children += 1
-            fresh = all_subgroups(extract_subgroup_as_group(g, s.members, child.label)[0], BUDGET)
+            fresh = all_subgroups(Group(child.mul, child.label, child.generators), BUDGET)
             where = (spec.to_string(), s.order)
             assert lattice_to_json(lat) == lattice_to_json(fresh), where
             for i in range(len(lat.subgroups)):
@@ -215,13 +215,32 @@ def test_restricted_containment_matches_the_order_blocked_oracle(monkeypatch):
     assert children == calls["restricted"] > 0
 
 
+def test_subgroup_as_group_relabels_a4_in_s4():
+    s4 = build("Sym(4)")
+    a4 = all_subgroups(s4, BUDGET).subgroups_of_order(12)[0]
+    child = subgroup_as_group(s4, a4)
+    assert child.order == 12
+    assert child.generators
+    assert close_under_product(child.mul, child.generators, cutoff_to_full=False).size == 12
+    assert order_fingerprint(child).order_counts == ((1, 1), (2, 3), (3, 8))
+    # element i of the child is a4.members[i] of S4
+    assert np.array_equal(a4.members[child.mul], s4.mul[np.ix_(a4.members, a4.members)])
+
+
+def test_subgroup_as_group_rejects_a_set_not_closed():
+    s4 = build("Sym(4)")
+    x = int(np.flatnonzero(s4.element_orders() == 3)[0])
+    with pytest.raises(InvalidElementError):
+        subgroup_as_group(s4, Subgroup(s4, [0, x]))
+
+
 def test_restricted_lattice_over_budget_raises_like_enumeration():
     """Under a subgroup budget below the child's count, restriction fails as enumeration does."""
     built = build("Sym(4)")
     g = Group(built.mul, built.label, built.generators)
     a4 = all_subgroups(g, BUDGET).subgroups_of_order(12)[0]
     child = subgroup_as_group(g, a4)
-    fresh, _ = extract_subgroup_as_group(g, a4.members)
+    fresh = Group(child.mul, child.label, child.generators)
     tight = Budget(max_subgroups=9)  # A4 has 10 subgroups
     with pytest.raises(BudgetExceededError) as restricted:
         all_subgroups(child, tight)

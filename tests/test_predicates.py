@@ -25,7 +25,7 @@ from fgt import groups, predicates
 from fgt.config import Budget
 from fgt.errors import NotApplicableError, NotSolvableError
 from fgt.groups import order_fingerprint
-from fgt.lattice import Subgroup, all_subgroups, is_subnormal, subgroup_from_generators
+from fgt.lattice import Subgroup, all_subgroups, is_subnormal, subgroup_as_group, subgroup_from_generators
 from fgt.predicates import (
     classify_group,
     fitting_chain,
@@ -55,7 +55,6 @@ from fgt.predicates import (
     pnc_witness,
     primes_of,
     satisfies_cp,
-    subgroup_as_group,
     upper_p_series,
     vp_valuation,
 )
