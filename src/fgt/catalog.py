@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,21 +22,7 @@ from .errors import (
     InvalidElementError,
     UnknownConstructorError,
 )
-from .fields import (
-    Matrix2,
-    field_add,
-    field_inv,
-    field_make,
-    field_mul,
-    field_neg,
-    frobenius,
-    is_irreducible,
-    is_prime,
-    mat_identity,
-    mat_mul,
-    multiplicative_generator,
-    perm_from_cycles,
-)
+from .fields import field_make, is_irreducible, is_prime, mat_mul, perm_from_cycles
 from .groups import (
     Group,
     automorphism_from_generator_images,
@@ -97,10 +84,9 @@ class PowerActionSpec:
             if not 1 <= t_i <= m - 1 or math.gcd(t_i, p_i) != 1:
                 raise ActionInconsistentError(f"twist {t_i} invalid for modulus {m}")
             primes.append(p_i)
-            order = _multiplicative_order(-t_i % m, m)
-            if self.p**self.alpha % order != 0:
+            if pow(-t_i % m, self.p**self.alpha, m) != 1:  # its order divides p^alpha
                 raise ActionInconsistentError(
-                    f"order of -{t_i} mod {m} is {order}, not a divisor of {self.p}^{self.alpha}"
+                    f"order of -{t_i} mod {m} does not divide {self.p}^{self.alpha}"
                 )
         if len(set(primes)) != len(primes):
             raise ActionInconsistentError("primes must be pairwise distinct")
@@ -111,16 +97,6 @@ class PowerActionSpec:
         for p_i, a_i, _ in self.factors:
             n *= p_i**a_i
         return n
-
-
-def _multiplicative_order(a: int, m: int) -> int:
-    if math.gcd(a, m) != 1:
-        raise ActionInconsistentError(f"{a} not invertible mod {m}")
-    order, cur = 1, a % m
-    while cur != 1:
-        cur = cur * a % m
-        order += 1
-    return order
 
 
 # --- formula-built tables -------------------------------------------------------
@@ -239,15 +215,15 @@ def build_heisenberg_like(p: int, n: int, budget: Budget) -> Group:
 
 
 def build_sl2(q: int, budget: Budget) -> Group:
-    f = _field_for_q(q)
+    p, k = _prime_power(q)
     expected = q * (q * q - 1)
     _cap_check(expected, budget)
-    one = 1
-    gens = [Matrix2(f, (one, one, 0, one)), Matrix2(f, (one, 0, one, one))]
-    if f.k > 1:
-        c = multiplicative_generator(f)
-        gens += [Matrix2(f, (one, c, 0, one)), Matrix2(f, (one, 0, c, one))]
-    g = generate_group(mat_identity(f), gens, mat_mul, f"SL(2,{q})", budget)
+    f = field_make(p, k)
+    gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
+    if k > 1:
+        c = f.generator
+        gens += [(1, c, 0, 1), (1, 0, c, 1)]
+    g = generate_group((1, 0, 0, 1), gens, partial(mat_mul, f), f"SL(2,{q})", budget)
     if g.order != expected:
         raise ActionInconsistentError(f"SL(2,{q}) closure has order {g.order}, expected {expected}")
     return g
@@ -260,22 +236,16 @@ def build_psl2(q: int, budget: Budget) -> Group:
     at index q), generated by x -> x+1, x -> s*x and x -> -1/x where s is a
     generator of the squares (the full multiplicative group for even q).
     """
-    f = _field_for_q(q)
+    p, k = _prime_power(q)
     expected = q * (q * q - 1) // math.gcd(2, q - 1)
     _cap_check(expected, budget)
+    f = field_make(p, k)
     infinity = q
-    c = multiplicative_generator(f)
-    s = c if q % 2 == 0 else field_mul(f, c, c)
-
-    def mobius(fn):
-        images = [fn(x) for x in range(q)] + [fn(infinity)]
-        return tuple(images)
-
-    translate = mobius(lambda x: infinity if x == infinity else field_add(f, x, 1))
-    invert = mobius(lambda x: infinity if x == 0 else (0 if x == infinity else field_neg(f, field_inv(f, x))))
-    gens = [translate, invert]
+    c = f.generator
+    s = c if q % 2 == 0 else f.mul[c, c]
+    gens = [f.add[1].tolist() + [infinity], [infinity] + f.neg[f.inv[1:]].tolist() + [0]]
     if s != 1:
-        gens.insert(1, mobius(lambda x: infinity if x == infinity else field_mul(f, s, x)))
+        gens.insert(1, f.mul[s].tolist() + [infinity])
     g = generate_permutation_group(gens, f"PSL(2,{q})", budget)
     if g.order != expected:
         raise ActionInconsistentError(f"PSL(2,{q}) closure has order {g.order}, expected {expected}")
@@ -285,37 +255,26 @@ def build_psl2(q: int, budget: Budget) -> Group:
 def build_gu2_3(budget: Budget) -> Group:
     """GU(2,3): the 2x2 matrices M over GF(9) with M * conj-transpose(M) = 1.
 
-    All 9^4 entry tuples are filtered at once through GF(9) add, multiply and
-    Frobenius tables.  The identity is element 0 and the other matrices follow
-    in entry-lex order; the generators are all of them in entry-lex order, so
+    All 9^4 entry tuples are filtered at once through the GF(9) tables and
+    Frobenius.  The identity is element 0 and the other matrices follow in
+    entry-lex order; the generators are all of them in entry-lex order, so
     this is the numbering a breadth-first closure over them gives.
     """
     _cap_check(96, budget)
     f = field_make(3, 2)
-    add = np.array([[field_add(f, x, y) for y in range(9)] for x in range(9)])
-    mul = np.array([[field_mul(f, x, y) for y in range(9)] for x in range(9)])
-    bar = np.array([frobenius(f, x) for x in range(9)])
-
-    def times(x, y):
-        """Entry-lex codes of the products x y, each matrix given as its four entry arrays."""
-        return (
-            add[mul[x[0], y[0]], mul[x[1], y[2]]] * 729
-            + add[mul[x[0], y[1]], mul[x[1], y[3]]] * 81
-            + add[mul[x[2], y[0]], mul[x[3], y[2]]] * 9
-            + add[mul[x[2], y[1]], mul[x[3], y[3]]]
-        )
-
-    codes = np.arange(9**4)
-    a, b, c, d = entries = (codes // 729, codes // 81 % 9, codes // 9 % 9, codes % 9)
-    identity = 729 + 1
-    lex = np.flatnonzero(times(entries, (bar[a], bar[c], bar[b], bar[d])) == identity)
+    bar = f.frobenius
+    shape = (9, 9, 9, 9)
+    a, b, c, d = entries = np.unravel_index(np.arange(9**4), shape)
+    identity = np.ravel_multi_index((1, 0, 0, 1), shape)
+    gram = mat_mul(f, entries, (bar[a], bar[c], bar[b], bar[d]))  # M times its conjugate transpose
+    lex = np.flatnonzero(np.ravel_multi_index(gram, shape) == identity)
     if lex.size != 96:
         raise ActionInconsistentError(f"GU(2,3) filter produced order {lex.size}, expected 96")
     elems = np.append(identity, lex[lex != identity])
-    index = np.zeros(codes.size, dtype=np.intp)
+    index = np.zeros(9**4, dtype=np.intp)
     index[elems] = np.arange(elems.size)
-    table = times([e[elems, None] for e in entries], [e[None, elems] for e in entries])
-    return Group(index[table], "GU(2,3)", index[lex])
+    table = mat_mul(f, [e[elems, None] for e in entries], [e[None, elems] for e in entries])
+    return Group(index[np.ravel_multi_index(table, shape)], "GU(2,3)", index[lex])
 
 
 def build_power_action(spec: PowerActionSpec, budget: Budget) -> Group:
@@ -425,15 +384,16 @@ def build_c5_semi_q8(budget: Budget) -> Group:
     return g
 
 
-def _field_for_q(q: int):
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k, for p in (2, 3, 5, 7) or k = 1; callers check the cap before building GF(q)."""
     for p in (2, 3, 5, 7):
         k = 1
         while p**k < q:
             k += 1
         if p**k == q:
-            return field_make(p, k)
+            return p, k
     if is_prime(q):
-        return field_make(q, 1)
+        return q, 1
     raise InvalidElementError(f"unsupported field order {q}")
 
 

@@ -42,7 +42,8 @@ class Budget:
             raise ValueError(f"order cap above hard limit {MAX_ORDER_CAP}")
 
 
-DEFAULT_BUDGET = Budget()
+# Built with the fixed default so that importing fgt never reads the environment.
+DEFAULT_BUDGET = Budget(order_cap=DEFAULT_ORDER_CAP)
 
 
 @dataclass(frozen=True)

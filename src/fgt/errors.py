@@ -13,15 +13,7 @@ class UnsupportedExtensionError(FgtError):
     pass
 
 
-class DivisionByZeroError(FgtError, ZeroDivisionError):
-    pass
-
-
 class DegreeMismatchError(FgtError):
-    pass
-
-
-class FieldMismatchError(FgtError):
     pass
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,13 @@ from fgt.catalog import (
 )
 from fgt.claims import _pa_spec, _power_action_universe
 from fgt.config import Budget
-from fgt.errors import ActionInconsistentError, BudgetExceededError, InvalidElementError, UnknownConstructorError
+from fgt.errors import (
+    ActionInconsistentError,
+    BudgetExceededError,
+    InvalidElementError,
+    UnknownConstructorError,
+    UnsupportedExtensionError,
+)
 from fgt.groups import commutators, order_fingerprint
 from fgt.lattice import all_subgroups
 from fgt.predicates import primes_of
@@ -90,6 +97,22 @@ CONSTRUCT_DIGESTS = {
         (Path(__file__).resolve().parents[1] / "fgtbench" / "golden.json").read_text())["construct"].items()},
     ("Sym(7)", LARGE): "485060e436d79dcb436738e8f9aba50f52efedcaf3f9c93caa97c6c712926e36",
     ("Alt(7)", LARGE): "4eb4b465f033febf8aa61f862444668e9de675ee31ae01b825a678660f97b13a",
+    # Every field-built group beyond the benchmark's set, recorded with the
+    # scalar field arithmetic; SL2(4), SL2(8), SL2(9) and PSL2(9) read an
+    # extension field's multiplicative generator.
+    ("SL2(2)", LARGE): "74b1f33be2e233c41777c7206c2bf649a3df02b56a9011c1d43944cfa05c1d95",
+    ("SL2(4)", LARGE): "9648b7c1f1eb9c99f42c6ba7334e506d2f49c0080f8a4ff56690e386be4acd71",
+    ("SL2(8)", LARGE): "a0fbc907575a341ce0e269f0439d412ea9a8be953d9f8844cd26416103d88e73",
+    ("SL2(9)", LARGE): "8dc69868a52a59424066e2f1044e640e9d1edff666d76d6db51cffa963307f37",
+    ("SL2(11)", LARGE): "f8b02119cc5c5ac4edca993a9768f6d24ab8fb8293783f13f560d4f92a2201c6",
+    ("SL2(13)", LARGE): "b06d20a88cc61794505a5f1018a48c8ab919acc2a7562bddc4a6f0f4e9b621d9",
+    ("SL2(17)", LARGE): "5475c07234e1721eea1854e752dc9bd2c25558e485c3984182c1c1d88b890e52",
+    ("PSL2(2)", LARGE): "74b1f33be2e233c41777c7206c2bf649a3df02b56a9011c1d43944cfa05c1d95",
+    ("PSL2(3)", LARGE): "9fc15b07f7f25854dbb7b6d0c9b5a1f915e2bc35f43a8c659c614d202d7e6130",
+    ("PSL2(9)", LARGE): "3810f2f39f83f524f542a063bcb102848a977873debad11c683d3155dbb6970b",
+    ("PSL2(13)", LARGE): "9ba261d830e9ca39d8ec5629054bb98f18ff8e95fb5fe3273fda8ca71043b85b",
+    ("PSL2(17)", LARGE): "ea2844e4f13c98c2d8186fd2850e269ff73bb9e4317a78fc64b120cc7c2b4784",
+    ("PSL2(19)", LARGE): "4dd2de88c58aa3f3d71986c02af6911ccc5c64020ff374f992b5f17f40cae891",
 }
 
 
@@ -212,6 +235,25 @@ def test_sl2_psl2_order_cross_check():
         assert psl.order == sl.order // math.gcd(2, q - 1)
 
 
+@pytest.mark.parametrize("spec, error", [
+    ("SL2(6)", InvalidElementError),  # not a prime power
+    ("SL2(16)", UnsupportedExtensionError),  # GF(2^4) is beyond degree 3
+    ("PSL2(16)", UnsupportedExtensionError),
+    ("SL2(19)", BudgetExceededError),  # order 6 840
+])
+def test_sl2_psl2_unsupported_q_error_types(spec, error):
+    with pytest.raises(error):
+        _build_uncached(parse_spec(spec), LARGE)
+
+
+def test_sl2_psl2_check_the_cap_before_building_the_field():
+    # GF(81) and GF(65537) are beyond the field builder, but the groups are far
+    # beyond the cap, so the budget error comes first and no table is built.
+    for spec in ("SL2(81)", "PSL2(81)", "SL2(65537)"):
+        with pytest.raises(BudgetExceededError):
+            _build_uncached(parse_spec(spec), LARGE)
+
+
 def test_psl2_5_is_simple_of_order_60():
     g = build("PSL2(5)")
     assert g.order == 60
@@ -242,6 +284,15 @@ def test_power_action_consistency_validation():
         PowerActionSpec(2, 1, ((5, 1, 5),))  # twist not coprime
     spec = PowerActionSpec(2, 2, ((5, 1, 3),))
     assert spec.order == 20
+
+
+def test_power_action_rejects_a_large_modulus_without_a_loop_over_it():
+    # The order of -5 mod the prime 10000019 does not divide 2; the check must
+    # reject it without walking the powers of -5 to find that order.
+    start = time.perf_counter()
+    with pytest.raises(ActionInconsistentError):
+        PowerActionSpec(2, 1, ((10000019, 1, 5),))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_power_action_builds_frobenius_20():

@@ -131,6 +131,18 @@ def test_env_order_cap_override(monkeypatch, capsys):
     assert code == 2  # above the hard limit
 
 
+@pytest.mark.parametrize("value", ["abc", "9999"])
+def test_bad_env_order_cap_exits_two_without_a_traceback(value):
+    # The variable is read when the command runs, not when fgt is imported.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "FGT_ORDER_CAP": value,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "fgt", "catalog", "list"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("spec", LATTICE_DIGESTS)
 def test_lattice_output_is_byte_identical_to_recorded_digest(capsys, spec):
     code, out, _ = run_cli(capsys, "lattice", spec)

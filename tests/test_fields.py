@@ -1,30 +1,18 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import gf9_add, gf9_bar, gf9_mul
 
-from fgt.errors import (
-    DegreeMismatchError,
-    DivisionByZeroError,
-    NotPrimeError,
-    UnsupportedExtensionError,
-)
+from fgt.errors import DegreeMismatchError, NotPrimeError, UnsupportedExtensionError
 from fgt.fields import (
     FIXED_MODULI,
-    Matrix2,
-    element_multiplicative_order,
-    field_add,
-    field_inv,
+    MAX_FIELD_SIZE,
     field_make,
-    field_mul,
-    field_pow,
-    frobenius,
-    mat_identity,
     mat_mul,
-    multiplicative_generator,
     perm_compose,
     perm_from_cycles,
 )
@@ -37,6 +25,39 @@ def poly_eval(coeffs, x, p):
     for c in reversed(coeffs):
         acc = (acc * x + c) % p
     return acc
+
+
+def to_digits(a, p, k):
+    return [a // p**i % p for i in range(k)]
+
+
+def from_digits(coeffs, p):
+    return sum(c % p * p**i for i, c in enumerate(coeffs))
+
+
+def scalar_add(f, a, b):
+    return from_digits([x + y for x, y in zip(to_digits(a, f.p, f.k), to_digits(b, f.p, f.k))], f.p)
+
+
+def scalar_mul(f, a, b):
+    """Schoolbook product of the digit lists, then long division by the monic modulus."""
+    p, k = f.p, f.k
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(to_digits(a, p, k)):
+        for j, y in enumerate(to_digits(b, p, k)):
+            prod[i + j] += x * y
+    for m in range(2 * k - 2, k - 1, -1):
+        c = prod[m] % p
+        for i, coeff in enumerate(f.modulus):
+            prod[m - k + i] -= c * coeff
+    return from_digits(prod[:k], p)
+
+
+def scalar_pow(f, a, e):
+    out = 1
+    for _ in range(e):
+        out = scalar_mul(f, out, a)
+    return out
 
 
 def test_fixed_moduli_are_irreducible_by_root_search():
@@ -61,90 +82,111 @@ def test_field_make_rejects_bad_input():
         field_make(257, 3)
 
 
+def test_field_make_rejects_fields_above_the_table_limit():
+    assert MAX_FIELD_SIZE == 1024
+    with pytest.raises(UnsupportedExtensionError):
+        field_make(13, 3)  # 2 197 elements
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + [(7, 3)])
+def test_tables_match_scalar_polynomial_arithmetic(p, k):
+    f = field_make(p, k)
+    pairs = list(itertools.product(range(f.size), repeat=2))
+    assert f.add.shape == f.mul.shape == (f.size, f.size)
+    assert not f.add.flags.writeable and not f.mul.flags.writeable
+    assert f.add.ravel().tolist() == [scalar_add(f, a, b) for a, b in pairs]
+    assert f.mul.ravel().tolist() == [scalar_mul(f, a, b) for a, b in pairs]
+
+
 def test_field_mul_known_values():
     gf9 = field_make(3, 2)
     x = 3  # the residue x
-    assert field_mul(gf9, x, x) == 2  # x^2 = -1
+    assert gf9.mul[x, x] == 2  # x^2 = -1
     gf3 = field_make(3, 1)
-    assert field_mul(gf3, 2, 2) == 1
+    assert gf3.mul[2, 2] == 1
     gf8 = field_make(2, 3)
-    assert field_mul(gf8, 4, 2) == 3  # x^2 * x = x + 1
+    assert gf8.mul[4, 2] == 3  # x^2 * x = x + 1
 
 
 def test_field_inv_known_values():
     gf3 = field_make(3, 1)
-    assert field_inv(gf3, 2) == 2
+    assert gf3.inv[2] == 2
     gf9 = field_make(3, 2)
-    assert field_inv(gf9, 3) == 6  # inv(x) = 2x
+    assert gf9.inv[3] == 6  # inv(x) = 2x
     gf8 = field_make(2, 3)
-    assert field_inv(gf8, 2) == 5  # inv(x) = x^2 + 1
-    with pytest.raises(DivisionByZeroError):
-        field_inv(gf9, 0)
+    assert gf8.inv[2] == 5  # inv(x) = x^2 + 1
+    assert gf9.inv[0] == 0
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_field_axioms_exhaustive(p, k):
     f = field_make(p, k)
-    size = f.size
-    assert size <= 512
-    elems = range(size)
-    for a in elems:
-        assert field_mul(f, a, 1) == a
-        assert field_add(f, a, 0) == a
-        if a:
-            assert field_mul(f, a, field_inv(f, a)) == 1
-    for a, b in itertools.product(elems, repeat=2):
-        assert field_mul(f, a, b) == field_mul(f, b, a)
-        assert field_add(f, a, b) == field_add(f, b, a)
-    for a, b, c in itertools.product(elems, repeat=3):
-        assert field_mul(f, field_mul(f, a, b), c) == field_mul(f, a, field_mul(f, b, c))
-        assert field_mul(f, a, field_add(f, b, c)) == field_add(
-            f, field_mul(f, a, b), field_mul(f, a, c)
-        )
+    add, mul = f.add, f.mul
+    assert f.size <= 512
+    e = np.arange(f.size)
+    a, b, c = e[:, None, None], e[None, :, None], e[None, None, :]
+    assert (mul[e, 1] == e).all() and (add[e, 0] == e).all()
+    assert (add[e, f.neg] == 0).all()
+    assert (mul[e[1:], f.inv[1:]] == 1).all()
+    assert (mul == mul.T).all() and (add == add.T).all()
+    assert (add[add[a, b], c] == add[a, add[b, c]]).all()
+    assert (mul[mul[a, b], c] == mul[a, mul[b, c]]).all()
+    assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + [(7, 3)])
+def test_neg_inv_frobenius_generator_match_definitions(p, k):
+    f = field_make(p, k)
+    q = f.size
+    for a in range(q):
+        assert scalar_add(f, a, int(f.neg[a])) == 0
+        assert a == 0 or scalar_mul(f, a, int(f.inv[a])) == 1
+        assert f.frobenius[a] == scalar_pow(f, a, p)
+    # generator: the least element whose powers reach 1 first at exponent q - 1
+    orders = []
+    for a in range(1, q):
+        cur, n = a, 1
+        while cur != 1:
+            cur, n = scalar_mul(f, cur, a), n + 1
+        orders.append(n)
+    assert f.generator == 1 + orders.index(q - 1)
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_multiplicative_group_cyclic(p, k):
     f = field_make(p, k)
-    orders = [element_multiplicative_order(f, a) for a in range(1, f.size)]
-    assert max(orders) == f.size - 1
-    assert all((f.size - 1) % o == 0 for o in orders)
-    g = multiplicative_generator(f)
-    assert element_multiplicative_order(f, g) == f.size - 1
+    powers = [1]
+    for _ in range(f.size - 2):
+        powers.append(int(f.mul[powers[-1], f.generator]))
+    assert sorted(powers) == list(range(1, f.size))
 
 
 def test_frobenius_is_additive_automorphism_on_gf9():
     f = field_make(3, 2)
-    for a in range(9):
-        for b in range(9):
-            assert frobenius(f, field_add(f, a, b)) == field_add(f, frobenius(f, a), frobenius(f, b))
-            assert frobenius(f, field_mul(f, a, b)) == field_mul(f, frobenius(f, a), frobenius(f, b))
-    assert all(frobenius(f, frobenius(f, a)) == a for a in range(9))
-    assert any(frobenius(f, a) != a for a in range(9))
+    fr = f.frobenius
+    assert (fr[f.add] == f.add[fr[:, None], fr]).all()
+    assert (fr[f.mul] == f.mul[fr[:, None], fr]).all()
+    assert (fr[fr] == np.arange(9)).all()
+    assert (fr != np.arange(9)).any()
+
+
+def table_pow(f, a, e):
+    result, base = 1, a
+    while e:
+        if e & 1:
+            result = int(f.mul[result, base])
+        base = int(f.mul[base, base])
+        e >>= 1
+    return result
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 343 - 1), st.integers(0, 342), st.integers(0, 342))
 def test_field_pow_matches_repeated_mul_gf343(a, e1, e2):
     f = field_make(7, 3)
-    assert field_mul(f, field_pow(f, a, e1), field_pow(f, a, e2)) == field_pow(f, a, e1 + e2) or a == 0
-
-
-def test_large_field_axioms_sampled_ten_thousand_triples():
-    import random
-
-    f = field_make(13, 3)  # 2197 elements, beyond the exhaustive range
-    rng = random.Random(1729)
-    for _ in range(10_000):
-        a, b, c = (rng.randrange(f.size) for _ in range(3))
-        assert field_mul(f, a, b) == field_mul(f, b, a)
-        assert field_mul(f, field_mul(f, a, b), c) == field_mul(f, a, field_mul(f, b, c))
-        assert field_mul(f, a, field_add(f, b, c)) == field_add(
-            f, field_mul(f, a, b), field_mul(f, a, c)
-        )
-    for _ in range(200):
-        a = rng.randrange(1, f.size)
-        assert field_mul(f, a, field_inv(f, a)) == 1
+    assert f.mul[table_pow(f, a, e1), table_pow(f, a, e2)] == table_pow(f, a, e1 + e2)
+    assert table_pow(f, a, e1) == scalar_pow(f, a, e1)
+    assert a == 0 or table_pow(f, a, 342) == 1
 
 
 def test_perm_compose_examples():
@@ -155,6 +197,8 @@ def test_perm_compose_examples():
     assert perm_compose(cyc, (0, 1, 2)) == cyc
     with pytest.raises(DegreeMismatchError):
         perm_compose((0, 1, 2), (0, 1, 2, 3))
+    with pytest.raises(DegreeMismatchError):
+        perm_from_cycles(3, (0, 1), (1, 2))  # overlapping cycles send both 0 and 2 to 1
 
 
 def test_perm_compose_applies_right_factor_first():
@@ -174,10 +218,22 @@ def test_perm_associativity_degree_up_to_4_exhaustive():
 
 def test_mat_mul_known_values():
     gf3 = field_make(3, 1)
-    ident = mat_identity(gf3)
-    assert mat_mul(ident, ident) == ident
-    u = Matrix2(gf3, (1, 1, 0, 1))
-    assert mat_mul(u, u).entries == (1, 2, 0, 1)
+    ident = (1, 0, 0, 1)
+    assert mat_mul(gf3, ident, ident) == ident
+    u = (1, 1, 0, 1)
+    assert mat_mul(gf3, u, u) == (1, 2, 0, 1)
+    assert mat_mul(gf3, (1, 2, 0, 1), (2, 0, 1, 2)) == (1, 1, 1, 2)
+
+
+def test_mat_mul_array_form_matches_scalar_form_on_gf9():
+    f = field_make(3, 2)
+    mats = list(itertools.product(range(9), repeat=4))[::7]
+    x = [np.array([m[i] for m in mats])[:, None] for i in range(4)]
+    y = [np.array([m[i] for m in mats])[None, :] for i in range(4)]
+    table = np.stack(mat_mul(f, x, y), axis=-1)
+    assert table.shape == (len(mats), len(mats), 4)
+    for i, j in itertools.product(range(0, len(mats), 37), range(len(mats))):
+        assert tuple(table[i, j]) == mat_mul(f, mats[i], mats[j])
 
 
 def test_gf9_oracle_arithmetic_uses_the_fixed_modulus_encoding():
@@ -185,6 +241,6 @@ def test_gf9_oracle_arithmetic_uses_the_fixed_modulus_encoding():
     f = field_make(3, 2)
     assert f.modulus == FIXED_MODULI[(3, 2)] == (1, 0, 1)
     for x, y in itertools.product(range(9), repeat=2):
-        assert gf9_add(x, y) == field_add(f, x, y)
-        assert gf9_mul(x, y) == field_mul(f, x, y)
-    assert [gf9_bar(x) for x in range(9)] == [frobenius(f, x) for x in range(9)]
+        assert gf9_add(x, y) == f.add[x, y]
+        assert gf9_mul(x, y) == f.mul[x, y]
+    assert [gf9_bar(x) for x in range(9)] == f.frobenius.tolist()
