@@ -8,6 +8,7 @@ partial result.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -71,6 +72,7 @@ SUBGROUP_PREDICATES = {
 }
 
 
+@functools.cache  # one parser per process: main runs once per command
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order-cap", type=int, default=None,

@@ -419,4 +419,4 @@ def commutators(g: Group, a_members, b_members) -> np.ndarray:
     m, i = g.mul, g.inv
     left = m[np.ix_(i[a], i[b])]
     right = m[np.ix_(a, b)]
-    return np.unique(m[left, right])
+    return np.flatnonzero(np.bincount(m[left, right].ravel(), minlength=g.order))

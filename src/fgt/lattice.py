@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_BUDGET, Budget
 from .errors import BudgetExceededError, ConsistencyError, InvalidElementError
-from .groups import Group, close_under_product
+from .groups import Group, close_under_product, commutators
 
 
 class Subgroup:
@@ -23,9 +23,8 @@ class Subgroup:
 
     def __init__(self, parent: Group, members):
         self.parent = parent
-        m = np.unique(np.asarray(members, dtype=np.intp))
-        m.setflags(write=False)
-        self.members = m
+        self.members = np.flatnonzero(_mask(parent.order, np.asarray(members, dtype=np.intp)))
+        self.members.setflags(write=False)
         self._key = None
 
     @classmethod
@@ -46,16 +45,14 @@ class Subgroup:
     @property
     def key(self) -> bytes:
         if self._key is None:
-            self._key = _key_of(self.parent.order, self.members)
+            self._key = np.packbits(self.mask()).tobytes()
         return self._key
 
     def sort_key(self) -> tuple[int, bytes]:
         return (self.order, self.key)
 
     def mask(self) -> np.ndarray:
-        mask = np.zeros(self.parent.order, dtype=bool)
-        mask[self.members] = True
-        return mask
+        return _mask(self.parent.order, self.members)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subgroup) and self.parent is other.parent and self.key == other.key
@@ -248,19 +245,18 @@ def _packed_containment(subgroups: list[Subgroup], gen_flat: np.ndarray, gen_sta
     for lo in range(0, count, step):
         hi = min(lo + step, count)
         members = np.concatenate([s.members for s in subgroups[lo:hi]])
-        incidence = np.zeros((n, hi - lo), dtype=bool)
-        incidence[members, np.repeat(np.arange(hi - lo), sizes[lo:hi])] = True
-        incidence = np.packbits(incidence, axis=1)
+        incidence = np.packbits(_mask((n, hi - lo), (members, np.repeat(np.arange(hi - lo), sizes[lo:hi]))), axis=1)
         inside[:, lo // 8 : -(-hi // 8)] = np.bitwise_and.reduceat(incidence[gen_flat], gen_start[:-1], axis=0)
     diag = np.arange(count)
     inside[diag, diag >> 3] &= ~(0x80 >> (diag & 7)).astype(np.uint8)
     return inside
 
 
-def _key_of(n: int, members: np.ndarray) -> bytes:
-    mask = np.zeros(n, dtype=bool)
-    mask[members] = True
-    return np.packbits(mask).tobytes()
+def _mask(shape, index) -> np.ndarray:
+    """A boolean array of ``shape``, True exactly at ``index``."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[index] = True
+    return mask
 
 
 def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
@@ -281,14 +277,24 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
       already added; conjugates of zuppos are zuppos;
     - one C per coset xH: for h in H, <H, x> = <H, xh>;
     - when x normalizes H, the join is the product set H<x> (the Dimino coset
-      step, Butler, LNCS 559, 1991).  All of them are formed at once: a boolean
-      row per x marks its product set and ``np.packbits`` keys every row, in
-      row blocks held under ``_BLOCK_BYTES``.
+      step, Butler, LNCS 559, 1991): a boolean row, keyed by ``np.packbits``.
 
-    Other joins are closed from H's members under H's recorded generators and
-    x.  A normal H's class is itself: no conjugation walk, no normalizer.
-    ``budget.max_join_attempts`` counts the zuppo joins left after these
-    reductions and is checked before each representative's batch.
+    Any other join is closed, from H's members under H's generators and x, and
+    only when H and x lie in the solvable residual R, the last derived term.
+    A non-perfect K has a normal subgroup of prime index (K/K' is abelian and
+    not trivial); a conjugate of it is a representative H, and the matching
+    conjugate of K is H<z> for a zuppo z outside H, a product set.  A perfect
+    K = K^(k) <= G^(k) lies in R.  Both reductions keep "x normalizes H" and
+    "x lies in R"; a solvable G closes nothing.
+
+    Representatives are taken a generation (those queued so far) at a time.
+    A normal H is its own class, N_G(H) = G, and its joins depend on nothing
+    found since it was queued: those of every normal representative of a
+    generation are formed in one pass, in runs under ``_BLOCK_BYTES``.  The
+    walk in queue order then adds them, so subgroups are found in the order
+    of one representative at a time.  ``budget.max_join_attempts`` counts the
+    joins left after the reductions, closed or not, checked before each
+    representative's joins are added.
 
     Every subgroup keeps a generating set, from which the lattice reads its
     containment: 0 for the trivial subgroup, x for <x>, H's generators and x
@@ -338,7 +344,7 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     label = np.append(0, 1 + cyc_class)  # the trivial subgroup is a class of its own
     first, inverse, sizes = np.unique(label, return_index=True, return_inverse=True, return_counts=True)[1:]
     rows = np.repeat(np.arange(len(seeds)), [1, *cyc_size])
-    found: dict[bytes, np.ndarray] = dict(zip(_packed_keys(rows, np.concatenate(seeds), len(seeds), n), seeds))
+    found: dict[bytes, np.ndarray] = dict(zip(_row_keys(_mask((len(seeds), n), (rows, np.concatenate(seeds)))), seeds))
     orbit_of: list[int] = inverse.tolist()  # the orbit of each subgroup in found
     gens_of: list = [[0]] + [[int(x)] for x in cyc_gen]  # a generating set of each subgroup in found
     # each orbit's first subgroup, its size and generators
@@ -354,19 +360,16 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
         gens_of.append(generators)
         return True
 
-    def orbit_add(members: np.ndarray, key: bytes, generators: list[int]):
+    def orbit_add(key: bytes, generators: list[int], members: np.ndarray, normal: bool):
         if not _add(members, key, generators):
             return
         start = len(found) - 1
-        inside = np.zeros(n, dtype=bool)
-        inside[members] = True
-        images = gen_rows[:, members]
         # a conjugate K^y is generated by the conjugates of K's generators, carried along the walk
-        queue = [] if inside[images].all() else [(images, gen_rows[:, generators])]
+        queue = [] if normal else [(gen_rows[:, members], gen_rows[:, generators])]
         while queue:
             images, image_gens = queue.pop()
             rows = np.repeat(np.arange(gens.size), images.shape[1])
-            keys = _packed_keys(rows, images.ravel(), gens.size, n)
+            keys = _row_keys(_mask((gens.size, n), (rows, images.ravel())))
             for image, image_key, image_gen in zip(images, keys, image_gens):
                 if image_key not in found:
                     image = np.sort(image)
@@ -374,54 +377,87 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
                     queue.append((gen_rows[:, image], gen_rows[:, image_gen]))
         reps.append((members, len(found) - start, generators))
 
-    join_attempts = 0
-    head = 0
+    pending: dict[bytes, tuple[np.ndarray, bool]] = {}  # members and normality of product sets not yet found
+
+    def product_sets(flat, starts, sizes, r, c) -> list[bytes]:
+        """Keys of the product sets H_r C_c, H_r = flat[starts[r] : starts[r] + sizes[r]], for pairs (r, c) in order;
+        a boolean row each, in runs under ``_BLOCK_BYTES``.  A key not yet found is pending with its members."""
+        keys = []
+        for lo, hi in _runs(64 * sizes[r] * cyc_size[c] + 2 * n * (2 + gens.size)):
+            rr, width = r[lo:hi], cyc_size[c[lo:hi]]
+            left = np.concatenate([cyclic[x] for x in c[lo:hi]])
+            cols = _ragged_products(mul, left, flat, np.repeat(starts[rr], width), np.repeat(sizes[rr], width))
+            mask = _mask((hi - lo, n), (np.repeat(np.arange(hi - lo), width * sizes[rr]), cols))
+            keys += (block := _row_keys(mask))
+            new = {key: i for i, key in enumerate(block) if key not in found and key not in pending}
+            mask = mask[list(new.values())]
+            normal = (mask[:, gen_rows] | ~mask[:, None]).all(axis=(1, 2)).tolist()
+            pending.update(zip(new, zip([np.flatnonzero(row) for row in mask], normal)))
+        return keys
+
+    def normal_joins(bases: list[np.ndarray]):
+        """For each normal H in ``bases``, the keys of the joins H<x> and the x, made for runs of bases at once: x runs
+        over the zuppo class representatives outside H (N_G(H) = G), the first of each coset xH by its least member."""
+        zuppo_reps = np.flatnonzero(zuppo & (cyc_class == np.arange(len(cyclic))))
+        sizes = np.array([b.size for b in bases], dtype=np.intp)
+        for lo, hi in _runs(4 * n + 64 * zuppo_reps.size * sizes):
+            flat, size = np.concatenate(bases[lo:hi]), sizes[lo:hi]
+            starts = np.cumsum(size) - size
+            r, c = np.nonzero(~_mask((hi - lo, n), (np.repeat(np.arange(hi - lo), size), flat))[:, cyc_gen[zuppo_reps]])
+            c = zuppo_reps[c]
+            least = _ragged_products(mul, cyc_gen[c], flat, starts[r], size[r])
+            least = np.minimum.reduceat(least, np.cumsum(size[r]) - size[r])
+            first = np.sort(np.unique(r * n + least, return_index=True)[1])
+            r, c = r[first], c[first]
+            keys, xs = product_sets(flat, starts, size, r, c), cyc_gen[c].tolist()
+            bounds = np.searchsorted(r, np.arange(hi - lo + 1)).tolist()
+            yield from ((keys[a:b], xs[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    # the series a predicate cached, else one not kept: kept for every lattice, it raised a claim run's peak RSS
+    residual = _mask(n, (g._cache.get("derived") or commutator_series(g)).terms[-1])
+    join_attempts = head = 0
     while head < len(reps):
-        base, orbit_size, base_gens = reps[head]
-        head += 1
-        if base.size in (1, n):  # the joins of 1 are the cyclic seeds
-            continue
-        in_base = np.zeros(n, dtype=bool)
-        in_base[base] = True
-        cand = np.flatnonzero(zuppo & ~in_base[cyc_gen])
-        if orbit_size == 1:  # N_G(H) = G, whose orbits on the cyclic subgroups are the seeds' classes
-            norm = np.arange(n)
-            cand = cand[cyc_class[cand] == cand]
-        else:
-            norm = normalizer_members(g, base, base_gens)
-            # orbit-stabilizer: an orbit cut short or two classes walked as one breaks it
-            if norm.size * orbit_size != n:
-                raise ConsistencyError("conjugacy orbit does not match the normalizer")
-            # keep the least index of each N_G(H)-orbit, in row blocks of N_G(H)
-            xs = cyc_gen[cand]
-            least = cand.astype(np.int32)
-            for start in range(0, norm.size, 256):
-                least = np.minimum(least, cyc_of[g.conjugates(norm[start : start + 256, None], xs)].min(axis=0))
-            cand = cand[least == cand]
-        # keep the first of each coset xH, named by its least member
-        first = np.unique(mul[cyc_gen[cand][:, None], base].min(axis=1), return_index=True)[1]
-        cand = cand[np.sort(first)]
-        join_attempts += cand.size
-        if join_attempts > budget.max_join_attempts:
-            raise BudgetExceededError(f"join budget {budget.max_join_attempts} exceeded", partial=len(found))
-        in_norm = np.zeros(n, dtype=bool)
-        in_norm[norm] = True
-        normalizing = in_norm[cyc_gen[cand]]
-        # the joins <x>H = H<x> as product sets, one boolean row each, in blocks of rows
-        batch = cand[normalizing]
-        step = max(1, _BLOCK_BYTES // (n + 8 * base.size * int(cyc_size[batch].max(initial=1))))
-        for lo in range(0, batch.size, step):
-            block = batch[lo : lo + step]
-            rows = np.repeat(np.arange(block.size), cyc_size[block])
-            mask = np.zeros((block.size, n), dtype=bool)
-            mask[rows[:, None], mul[np.concatenate([cyclic[c] for c in block])[:, None], base]] = True
-            for c, row, key in zip(block, mask, map(bytes, np.packbits(mask, axis=1))):
+        # one generation: the representatives queued so far, but 1 (whose joins are the seeds) and G
+        generation = [rep for rep in reps[head:] if rep[0].size not in (1, n)]
+        head = len(reps)
+        batch = normal_joins([base for base, orbit_size, _ in generation if orbit_size == 1])
+        for base, orbit_size, base_gens in generation:
+            if orbit_size == 1:
+                keys, xs = next(batch)
+                count, closing = len(keys), []
+            else:
+                cand = np.flatnonzero(zuppo & ~_mask(n, base)[cyc_gen])
+                norm = normalizer_members(g, base, base_gens)
+                # orbit-stabilizer: an orbit cut short or two classes walked as one breaks it
+                if norm.size * orbit_size != n:
+                    raise ConsistencyError("conjugacy orbit does not match the normalizer")
+                # keep the least index of each N_G(H)-orbit, in row blocks of N_G(H)
+                xs = cyc_gen[cand]
+                least = cand.astype(np.int32)
+                for start in range(0, norm.size, 256):
+                    least = np.minimum(least, cyc_of[g.conjugates(norm[start : start + 256, None], xs)].min(axis=0))
+                cand = cand[least == cand]
+                # keep the first of each coset xH, named by its least member
+                first = np.unique(mul[cyc_gen[cand][:, None], base].min(axis=1), return_index=True)[1]
+                cand = cand[np.sort(first)]
+                normalizing = _mask(n, norm)[cyc_gen[cand]]
+                count, c = cand.size, cand[normalizing]
+                keys, xs = product_sets(base, np.zeros(1, np.intp), np.array(base.shape), 0 * c, c), cyc_gen[c].tolist()
+                # a join that no product set reaches is perfect, so it lies in the solvable residual
+                outside = cyc_gen[cand[~normalizing]]
+                closing = outside[residual[outside]].tolist() if residual[base].all() else []
+            join_attempts += count
+            if join_attempts > budget.max_join_attempts:
+                raise BudgetExceededError(f"join budget {budget.max_join_attempts} exceeded", partial=len(found))
+            for key, x in zip(keys, xs):
                 if key not in found:
-                    orbit_add(np.flatnonzero(row), key, base_gens + [int(cyc_gen[c])])
-        for c in cand[~normalizing]:
-            join_gens = base_gens + [int(cyc_gen[c])]
-            members = close_under_product(mul, join_gens, start=base)
-            orbit_add(members, _key_of(n, members), join_gens)
+                    orbit_add(key, base_gens + [x], *pending.pop(key))
+            for x in closing:
+                join_gens = base_gens + [x]
+                members = close_under_product(mul, join_gens, start=base)
+                mask = _mask(n, members)
+                orbit_add(np.packbits(mask).tobytes(), join_gens, members, mask[gen_rows[:, members]].all())
+        pending.clear()
 
     # every member array found is sorted and duplicate-free, and its key is the one packed above
     subs = [Subgroup._sorted(g, m, key) for key, m in found.items()]
@@ -455,11 +491,27 @@ def _cached_lattice(g: Group) -> SubgroupLattice | None:
     return next((v for k, v in g._cache.items() if isinstance(k, tuple) and k[0] == "lattice"), None)
 
 
-def _packed_keys(rows: np.ndarray, cols: np.ndarray, count: int, n: int) -> list[bytes]:
-    """``Subgroup.key`` of each of ``count`` member sets of an order-n group, given as (row, member) pairs."""
-    mask = np.zeros((count, n), dtype=bool)
-    mask[rows, cols] = True
-    return [row.tobytes() for row in np.packbits(mask, axis=1)]
+def _runs(cost: np.ndarray):
+    """(lo, hi) of consecutive runs of items whose costs sum to at most ``_BLOCK_BYTES``; a costlier item runs alone."""
+    ends = np.cumsum(cost)
+    lo = 0
+    while lo < cost.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - cost[lo] + _BLOCK_BYTES, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def _ragged_products(mul: np.ndarray, left: np.ndarray, flat: np.ndarray, starts, sizes) -> np.ndarray:
+    """``mul[left[i], flat[starts[i] : starts[i] + sizes[i]]]`` for each i, concatenated."""
+    ends = np.cumsum(sizes)
+    return mul[np.repeat(left, sizes), flat[np.arange(ends[-1]) + np.repeat(starts + sizes - ends, sizes)]]
+
+
+def _row_keys(mask: np.ndarray) -> list[bytes]:
+    """``Subgroup.key`` of each row of a boolean matrix."""
+    packed = np.packbits(mask, axis=1)
+    width, packed = packed.shape[1], packed.tobytes()
+    return [packed[i : i + width] for i in range(0, len(packed), width)]
 
 
 def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup, budget: Budget) -> SubgroupLattice:
@@ -484,12 +536,13 @@ def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup, budget: 
     sizes = [parent.subgroups[i].order for i in idx]
     rows = np.repeat(np.arange(count), sizes)
     flat = pos[np.concatenate([parent.subgroups[i].members for i in idx])]
-    keys = _packed_keys(rows, flat, count, n)
+    keys = _row_keys(_mask((count, n), (rows, flat)))
     subgroups = [Subgroup._sorted(g, m, key) for m, key in zip(np.split(flat, np.cumsum(sizes)[:-1]), keys)]
     index_by_key = {key: i for i, key in enumerate(keys)}
     perms = []
     for c in g.generators:
-        perm = np.array([index_by_key.get(key, -1) for key in _packed_keys(rows, g.conjugates(c, flat), count, n)])
+        keys = _row_keys(_mask((count, n), (rows, g.conjugates(c, flat))))
+        perm = np.array([index_by_key.get(key, -1) for key in keys])
         if (perm < 0).any():
             raise ConsistencyError("a conjugate subgroup is missing from the parent lattice")
         perms.append(perm)
@@ -512,21 +565,61 @@ def normalizer_members(g: Group, members, generators=None) -> np.ndarray:
     into H; without ``generators`` the members themselves are that set.
     """
     members = np.asarray(members, dtype=np.intp)
-    mask = np.zeros(g.order, dtype=bool)
-    mask[members] = True
     gens = members if generators is None else np.asarray(generators, dtype=np.intp)
-    return np.flatnonzero(mask[g.conjugates(np.arange(g.order)[:, None], gens)].all(axis=1))
+    return np.flatnonzero(_mask(g.order, members)[g.conjugates(np.arange(g.order)[:, None], gens)].all(axis=1))
 
 
 def normal_closure_members(g: Group, members, within=None) -> np.ndarray:
     """Smallest subgroup containing ``members`` normalized by ``within`` (default G)."""
-    conjugators = np.asarray(g.generators if within is None else within, dtype=np.intp)
-    cur = close_under_product(g.mul, np.asarray(members, dtype=np.intp))
-    while True:
-        spread = np.unique(g.conjugates(conjugators[:, None], cur))
-        if np.isin(spread, cur, assume_unique=True).all():
-            return cur
-        cur = close_under_product(g.mul, np.union1d(cur, spread))
+    return _normal_closure(g, members, within)[0]
+
+
+def _normal_closure(g: Group, seed, conjugators=None) -> tuple[np.ndarray, np.ndarray]:
+    """The least subgroup normalized by ``conjugators`` (default G's generators) containing ``seed``, and generators.
+
+    <S> is normalized by y once y conjugates S into it, so each round conjugates
+    the generators the round before added, and adds the images outside."""
+    ys = np.asarray(g.generators if conjugators is None else conjugators, dtype=np.intp)
+    gens = fresh = np.asarray(seed, dtype=np.intp).ravel()
+    members = close_under_product(g.mul, gens)
+    while fresh.size:
+        fresh = np.flatnonzero(_mask(g.order, g.conjugates(ys[:, None], fresh)) & ~_mask(g.order, members))
+        gens = np.concatenate([gens, fresh])
+        members = close_under_product(g.mul, gens, start=members)
+    return members, gens
+
+
+class SeriesReport(NamedTuple):
+    terms: list[np.ndarray]  # member arrays, outermost first
+    terminated: bool
+
+
+def commutator_series(g: Group, central: bool = False) -> SeriesReport:
+    """G > G' > G'' > ..., or with ``central`` G > [G, G] > [G, G, G] > ..., down to 1 or to a term equal to the next.
+
+    Every term N is normal and read-only.  For N = <X> and G = <Y>, [N, N] and
+    [N, G] are the normal closures in G of [X, X] and [X, Y]: [<X>, <Y>] is the
+    normal closure of [X, Y] in <X, Y>, and [N, N] is normal in G, being
+    characteristic in N.  The next term's generators are those commutators
+    and the conjugates its closure added.
+    """
+    terms = [np.arange(g.order, dtype=np.intp)]
+    gens = whole = np.asarray(g.generators, dtype=np.intp)
+    while terms[-1].size > 1:
+        members, gens = _normal_closure(g, commutators(g, gens, whole if central else gens))
+        if members.size == terms[-1].size:
+            break
+        terms.append(members)
+    for t in terms:
+        t.setflags(write=False)
+    return SeriesReport(terms, terminated=terms[-1].size == 1)
+
+
+def derived_series(g: Group) -> SeriesReport:
+    """The derived series, kept in g's cache."""
+    if "derived" not in g._cache:
+        g._cache["derived"] = commutator_series(g)
+    return g._cache["derived"]
 
 
 def normality_sizes(g: Group, members) -> ClassSizes:
@@ -583,9 +676,7 @@ def product_set(mul: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     It is the subgroup <A, B> when one factor normalizes the other.
     """
-    mask = np.zeros(mul.shape[0], dtype=bool)
-    mask[mul[a[:, None], b]] = True
-    return np.flatnonzero(mask)
+    return np.flatnonzero(_mask(mul.shape[0], mul[a[:, None], b]))
 
 
 def subgroup_product(g: Group, a: Subgroup, b: Subgroup) -> tuple[int, bool]:

@@ -17,11 +17,15 @@ from .fields import is_prime
 from .groups import Group, close_under_product, commutators
 from .lattice import (
     ClassSizes,
+    SeriesReport,
     Subgroup,
     SubgroupLattice,
     all_subgroups,
     centralizer_members,
+    commutator_series,
+    derived_series,
     is_subnormal,
+    normal_closure_members,
     normality_sizes,
     normalizer_members,
     subgroup_as_group,
@@ -77,8 +81,7 @@ def is_ne_subgroup(g: Group, h: Subgroup) -> bool:
 
 def is_h_subgroup(g: Group, h: Subgroup) -> bool:
     """N_G(H) meets every conjugate of H inside H."""
-    norm_mask = np.zeros(g.order, dtype=bool)
-    norm_mask[normalizer_members(g, h.members)] = True
+    norm_mask = Subgroup(g, normalizer_members(g, h.members)).mask()
     h_mask = h.mask()
     conjugates = g.conjugates(np.arange(g.order)[:, None], h.members)  # row x = members of H^x
     return bool((~norm_mask[conjugates] | h_mask[conjugates]).all())
@@ -131,46 +134,9 @@ def commutator_subgroup(g: Group, a: Subgroup, b: Subgroup) -> Subgroup:
 # --- series ---------------------------------------------------------------------
 
 
-@dataclass
-class SeriesReport:
-    terms: list[np.ndarray]  # member arrays, outermost first
-    terminated: bool
-
-
-def derived_series(g: Group) -> SeriesReport:
-    """G > G' > G'' > ... down to a perfect term; kept in g's cache, so the terms are read-only."""
-    report = g._cache.get("derived")
-    if report is not None:
-        return report
-    terms = [np.arange(g.order, dtype=np.intp)]
-    while terms[-1].size > 1:
-        nxt = close_under_product(g.mul, commutators(g, terms[-1], terms[-1]))
-        if nxt.size == terms[-1].size:
-            break
-        terms.append(nxt)
-    for t in terms:
-        t.setflags(write=False)
-    report = g._cache["derived"] = SeriesReport(terms, terminated=terms[-1].size == 1)
-    return report
-
-
-def lower_central_series(g: Group) -> SeriesReport:
-    whole = np.arange(g.order, dtype=np.intp)
-    terms = [whole]
-    while True:
-        cur = terms[-1]
-        nxt = close_under_product(g.mul, commutators(g, cur, whole))
-        if nxt.size == cur.size:
-            return SeriesReport(terms, terminated=cur.size == 1)
-        terms.append(nxt)
-        if nxt.size == 1:
-            return SeriesReport(terms, terminated=True)
-
-
 def derived_subgroup_members(g: Group) -> np.ndarray:
     """G', read off the cached derived series: its second term, or G itself when G is perfect or trivial."""
-    terms = derived_series(g).terms
-    return terms[min(1, len(terms) - 1)]
+    return derived_series(g).terms[:2][-1]
 
 
 def _core_above(lattice: SubgroupLattice, i: int, p: int, p_power: bool) -> int:
@@ -252,8 +218,7 @@ def is_nilpotent(g: Group, budget: Budget = DEFAULT_BUDGET) -> tuple[bool, int |
     """All Sylow subgroups normal, that is each the only one; class read off the lower central series."""
     if any(len(sylow_subgroups(g, p, budget)) > 1 for p in primes_of(g.order)):
         return False, None
-    series = lower_central_series(g)
-    return True, len(series.terms) - 1
+    return True, len(commutator_series(g, central=True).terms) - 1
 
 
 def is_simple(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -343,9 +308,9 @@ def generalized_fitting(g: Group, budget: Budget = DEFAULT_BUDGET):
         s = lattice.subgroups[i]
         if s.order == 1:
             continue
-        derived = close_under_product(g.mul, commutators(g, s.members, s.members))
-        if derived.size != s.order:
-            continue  # not perfect
+        gens = lattice.gen_flat[lattice.gen_start[i] : lattice.gen_start[i + 1]]
+        if normal_closure_members(g, commutators(g, gens, gens), within=gens).size != s.order:
+            continue  # not perfect: s' is the normal closure in s of its generators' commutators
         if not is_subnormal(g, s):
             continue
         child = subgroup_as_group(g, s)

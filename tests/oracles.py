@@ -487,6 +487,22 @@ def loop_derived_series(group) -> tuple[list[np.ndarray], bool]:
             return terms, True
 
 
+def loop_lower_central_series(group) -> tuple[list[np.ndarray], bool]:
+    """Terms of the lower central series and whether it reaches 1, each the closure of [term, G] over all pairs."""
+    from fgt.groups import close_under_product, commutators
+
+    whole = np.arange(group.order, dtype=np.intp)
+    terms = [whole]
+    while True:
+        cur = terms[-1]
+        nxt = close_under_product(group.mul, commutators(group, cur, whole))
+        if nxt.size == cur.size:
+            return terms, cur.size == 1
+        terms.append(nxt)
+        if nxt.size == 1:
+            return terms, True
+
+
 def proper_containment(subgroups) -> np.ndarray:
     """Boolean matrix of proper inclusion, tested on the packed member bitsets.
 

@@ -174,3 +174,17 @@ def test_sym7_lattice_is_byte_identical_to_recorded_digest():
     digest, peak_kib = proc.stdout.split()
     assert digest == "eeb70b5e0bb6ad46dc51dc56ffa59e0aec3430f659afab7ad93fce41860e9c89"
     assert int(peak_kib) <= 170 * 1024
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(capsys):
+    """``main`` reuses one parser per process: a --dot call leaves the next call's JSON as a fresh process prints it."""
+    from fgt.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    assert run_cli(capsys, "lattice", "--dot", "Cyclic(4)")[1].startswith("digraph")
+    code, out, _ = run_cli(capsys, "lattice", "Cyclic(4)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run([sys.executable, "-m", "fgt", "lattice", "Cyclic(4)"], env=env, capture_output=True, text=True)
+    assert code == fresh.returncode == 0
+    assert out == fresh.stdout and json.loads(out)["order"] == 4

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +48,14 @@ BUDGET = Budget()
 SMALL_CATALOG = [s.to_string() for s in standard_catalog() if build_group(s, BUDGET).order <= 24]
 # the catalog, then every fifth power-action spec of the theorem-3 sweep (orders up to 400): 132 groups
 SWEEP_SPECS = list(standard_catalog()) + [_pa_spec(pa) for pa in _power_action_universe(400)[0][::5]]
+# the first member of each benchmark lattice pool: large groups with few classes, small ones with many normal subgroups
+LATTICE_SPECS = [
+    "Alt(6)",
+    "Direct(Cyclic(2),Sym(5))",
+    "Direct(Cyclic(3),ElementaryAbelian(2,5))",
+    "ElementaryAbelian(2,5)",
+    "ElementaryAbelian(3,4)",
+]
 
 
 def build(text):
@@ -587,3 +600,69 @@ def test_subgroup_index_of_a_non_subgroup_raises_typed_error():
     assert lat.subgroup_index(Subgroup(g, [0, 3])) >= 0
     with pytest.raises(ConsistencyError):
         lat.subgroup_index(Subgroup(g, [0, 1]))
+
+
+@pytest.mark.parametrize("spec,solvable", [("SL2(5)", False), ("Direct(Sym(4),Dihedral(5))", True)])
+def test_closures_only_in_the_residual_match_joining_every_cyclic_subgroup(monkeypatch, spec, solvable):
+    """Joins closed only inside the solvable residual, against closing every join with every cyclic subgroup.
+
+    SL(2,5) is perfect, so its residual is the whole group; S4 x D5 (order 240)
+    is solvable, so its enumeration closes nothing.  C2 x S5 is checked by
+    ``test_zuppo_joins_match_joining_every_cyclic_subgroup``.
+    """
+    built = build(spec)
+    g = Group(built.mul, spec, built.generators)  # no cached lattice; the residual is computed before counting
+    assert (fgt.lattice.derived_series(g).terms[-1].size == 1) == solvable
+    calls = []
+    closure = fgt.lattice.close_under_product
+    monkeypatch.setattr(fgt.lattice, "close_under_product", lambda *a, **k: calls.append(1) or closure(*a, **k))
+    lat = all_subgroups(g, BUDGET)
+    assert (not calls) == solvable
+    assert {frozenset(s.members.tolist()) for s in lat.subgroups} == all_joins_subgroups(g.mul, g.generators)
+
+
+@pytest.mark.parametrize("spec", [s.to_string() for s in standard_catalog()] + LATTICE_SPECS)
+def test_recorded_generators_close_to_their_subgroups(spec):
+    """Each subgroup's slice of ``gen_flat``, from product sets, closures and orbit walks, generates it."""
+    g = build(spec)
+    lat = all_subgroups(g, BUDGET)
+    for i, s in enumerate(lat.subgroups):
+        gens = lat.gen_flat[lat.gen_start[i] : lat.gen_start[i + 1]]
+        assert np.array_equal(brute_closure(g.mul, gens, cutoff_to_full=False), s.members), (spec, i)
+
+
+def test_tight_budgets_raise_with_a_partial_count_on_batched_and_closed_joins():
+    """C2 x S5 has normal representatives (batched joins) and closed joins in its residual A5."""
+    g = build("Direct(Cyclic(2),Sym(5))")
+    total = len(all_subgroups(g, BUDGET).subgroups)
+    for budget in (Budget(max_subgroups=40), Budget(max_subgroups=total - 1), Budget(max_join_attempts=0),
+                   Budget(max_join_attempts=60), Budget(max_join_attempts=600)):
+        with pytest.raises(BudgetExceededError) as err:
+            all_subgroups(g, budget)
+        assert 0 < err.value.partial <= total, budget
+    assert len(all_subgroups(g, Budget(max_subgroups=total)).subgroups) == total
+
+
+# builds the lattice of C2 x S5 and runs the member-level helpers that once called a value-only np.unique
+NUMPY_MA_SCRIPT = """
+import sys
+from fgt.catalog import build_group, parse_spec
+from fgt.groups import commutators
+from fgt.lattice import Subgroup, all_subgroups, derived_series, normal_closure_members
+g = build_group(parse_spec("Direct(Cyclic(2),Sym(5))"))
+lat = all_subgroups(g)
+s = lat.subgroups[len(lat.subgroups) // 2]
+Subgroup(g, s.members[::-1])
+normal_closure_members(g, s.members)
+commutators(g, s.members, s.members)
+derived_series(g)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_lattice_path_leaves_numpy_ma_unimported():
+    """A value-only ``np.unique`` imports ``numpy.ma`` (11-12 ms) on first use; the lattice path marks masks instead."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     all_subgroups_generalized_fitting,
     loop_derived_series,
+    loop_lower_central_series,
     brute_is_subnormal,
     brute_normal_closure,
     brute_normalizer,
@@ -21,7 +22,7 @@ from oracles import (
 
 from fgt.catalog import build_group, parse_spec, standard_catalog
 from fgt.claims import _pa_spec, _power_action_universe
-from fgt import groups, predicates
+from fgt import groups, lattice, predicates
 from fgt.config import Budget
 from fgt.errors import NotApplicableError, NotSolvableError
 from fgt.groups import order_fingerprint
@@ -513,3 +514,24 @@ def test_memoized_derived_series_matches_the_recomputed_loop():
         assert len(report.terms) == len(terms) and all(map(np.array_equal, report.terms, terms)), text
         assert predicates.derived_series(g) is report, text
         assert not any(t.flags.writeable for t in report.terms), text
+
+
+def test_series_from_generators_match_the_all_pairs_loops():
+    """Derived and lower central series from the commutators of each term's generators, against the all-pairs loops."""
+    cases = _catalog_and_power_action_groups() + [(text, build(text)) for text in ("SL2(7)", "GU2_3", "Sym(6)")]
+    for text, g in cases:
+        for report, (terms, terminated) in (
+            (predicates.derived_series(g), loop_derived_series(g)),
+            (lattice.commutator_series(g, central=True), loop_lower_central_series(g)),
+        ):
+            assert report.terminated == terminated, text
+            assert len(report.terms) == len(terms) and all(map(np.array_equal, report.terms, terms)), text
+            assert not any(t.flags.writeable for t in report.terms), text
+
+
+def test_solvable_residual_of_sym7_is_alt7():
+    budget = Budget(order_cap=5040)
+    g = build_group(parse_spec("Sym(7)"), budget)
+    report = predicates.derived_series(g)
+    assert [t.size for t in report.terms] == [5040, 2520] and not report.terminated
+    assert not is_solvable(g)
