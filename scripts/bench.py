@@ -9,7 +9,9 @@ exported with ``git archive`` into a temporary directory, which is removed
 on exit.  For every pair and workload, ``fgtbench/run.py --trace 0`` runs
 once in each tree, one run at a time, the base first in even pairs and the
 checkout first in odd ones, so a slow phase of the machine falls on both
-sides.  Each tree runs its own ``fgtbench``.
+sides.  Each tree runs its own ``fgtbench``.  Both trees are byte-compiled
+with ``compileall`` before the first pair, so ``setup_s`` compares the code,
+not its compilation, even when ``PYTHONDONTWRITEBYTECODE`` is set.
 
 Every workload runs with the benchmark's own defaults for seed and run
 length.  The JSON written holds every pair's end-to-end metrics, the
@@ -21,6 +23,7 @@ the base's, and the ``src/fgt`` line count of both sides
 from __future__ import annotations
 
 import argparse
+import compileall
 import io
 import json
 import os
@@ -99,6 +102,10 @@ def main(argv=None) -> int:
         base = Path(tmp)
         export(args.base, base)
         doc["src_fgt_lines"] = {"base": src_lines(base), "checkout": src_lines(ROOT)}
+        for tree in (base, ROOT):
+            for sub in ("src", "fgtbench"):
+                if not compileall.compile_dir(tree / sub, quiet=1):
+                    raise RuntimeError(f"byte-compiling {tree / sub} failed")
         for workload in WORKLOADS:
             pairs = []
             for i in range(args.pairs):

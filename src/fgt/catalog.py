@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -111,26 +110,32 @@ def _cyclic_extension(q: int, factors) -> np.ndarray:
     a^s b_1^e_1 ... b_k^e_k has the mixed-radix index of (s, e_1, ..., e_k),
     s most significant, and
     (s, e)(s', e') = (s + s' mod q, e_i r_i^s' + e'_i + c_i floor((s + s')/q) mod m_i).
+
+    The uint16 table, viewed in the shape (q, m_1..m_k, q, m_1..m_k), sums one
+    broadcast term for s + s' mod q and one per factor, on its (q, m, q, m) axes.
     """
-    weight = math.prod(m for m, _, _ in factors)
-    idx = np.arange(q * weight)
-    s = idx // weight
-    mul = s[:, None] + s[None, :]
-    carry = mul // q if any(c for _, _, c in factors) else None
-    mul %= q
-    mul *= weight
-    for m, r, c in factors:
+    radix = [m for m, _, _ in factors]
+    weight = math.prod(radix)
+    s = np.arange(q, dtype=np.uint16)
+    total = np.add.outer(s, s)  # s + s' < 2q
+    carry = (total >= q).astype(np.uint16)
+    total -= carry * q
+    total *= weight
+    mul = np.empty((q, *radix) * 2, dtype=np.uint16)
+    mul[...] = total.reshape((q, *[1] * len(radix)) * 2)
+    for i, (m, r, c) in enumerate(factors):
         weight //= m
-        e = idx // weight % m
         rpow = np.array([pow(r % m, t, m) for t in range(q)])
-        term = e[:, None] * rpow[s]
-        term += e
+        e = np.arange(m)
+        term = (e[:, None] * rpow % m).astype(np.uint16)[None, :, :, None] + e.astype(np.uint16)  # < 2m
         if c:
-            term += c * carry
+            term = term + (carry * (c % m))[:, None, :, None]  # < 3m
         term %= m
         term *= weight
-        mul += term
-    return mul
+        axes = [1] * len(radix)  # term's (m, m) axes sit at factor i
+        axes[i] = m
+        mul += term.reshape(len(term), *axes, q, *axes)
+    return mul.reshape(q * math.prod(radix), -1)
 
 
 def build_cyclic(n: int, budget: Budget) -> Group:
@@ -223,7 +228,7 @@ def build_sl2(q: int, budget: Budget) -> Group:
     if k > 1:
         c = f.generator
         gens += [(1, c, 0, 1), (1, 0, c, 1)]
-    g = generate_group((1, 0, 0, 1), gens, partial(mat_mul, f), f"SL(2,{q})", budget)
+    g = generate_group((1, 0, 0, 1), gens, lambda xs, s: np.column_stack(mat_mul(f, xs.T, s)), f"SL(2,{q})", budget)
     if g.order != expected:
         raise ActionInconsistentError(f"SL(2,{q}) closure has order {g.order}, expected {expected}")
     return g
@@ -399,7 +404,11 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 def _cap_check(order: int, budget: Budget):
     if order > budget.order_cap:
-        raise BudgetExceededError(f"group order {order} exceeds cap {budget.order_cap}")
+        try:
+            text = f"group order {order}"
+        except ValueError:  # more digits than Python prints (sys.get_int_max_str_digits)
+            text = f"group order of {order.bit_length()} bits"
+        raise BudgetExceededError(f"{text} exceeds cap {budget.order_cap}")
 
 
 # --- spec dispatch ---------------------------------------------------------------

@@ -9,6 +9,8 @@ byte for byte.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,7 @@ from .errors import (
 from .fields import perm_compose
 
 
-_LIGHT_BLOCK_BYTES = 1 << 22
+_BLOCK_BYTES = 1 << 17  # temporaries below glibc's default mmap threshold come from the heap
 
 
 def _validate_table(mul: np.ndarray, generators) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -37,8 +39,8 @@ def _validate_table(mul: np.ndarray, generators) -> tuple[np.ndarray, tuple[int,
     The elements passing that test are closed under the product, so the test
     is exact once right multiplication by S reaches every element from the
     identity; that closure runs without the Lagrange cutoff, which presumes
-    a group.  Each generator's test compares blocks of rows x, two
-    temporaries of about ``_LIGHT_BLOCK_BYTES`` each, not two n x n tables.
+    a group.  The test compares a block of rows x for every s at once, two
+    temporaries of about ``_BLOCK_BYTES`` each.
 
     No Latin-square check is needed: once every entry is an element, 0 is a
     two-sided identity, every row holds 0 and S generates, Light's test makes
@@ -64,12 +66,13 @@ def _validate_table(mul: np.ndarray, generators) -> tuple[np.ndarray, tuple[int,
         raise InvalidElementError(f"generator index out of range 0..{n - 1}")
     if close_under_product(mul, gens, cutoff_to_full=False).size != n:
         raise InvalidElementError("generators do not generate the table")
-    step = max(1, _LIGHT_BLOCK_BYTES // (n * mul.itemsize))  # rows x per block
-    for s in gens:
-        for lo in range(0, n, step):
-            rows = slice(lo, lo + step)
-            if not np.array_equal(mul[mul[rows, s]], mul[rows][:, mul[s]]):
-                raise InvalidElementError(f"associativity fails at generator {s}")
+    s_y = mul[list(gens)]  # s_y[i, y] = s_i y
+    step = max(1, _BLOCK_BYTES // (n * max(len(gens), 1) * mul.itemsize))  # rows x per block
+    for lo in range(0, n, step):
+        x = mul[lo : lo + step]
+        if not (mul[x[:, list(gens)]] == np.take(x, s_y, axis=1)).all():  # (x s) y == x (s y), (rows, |S|, n)
+            bad = next(s for s, sy in zip(gens, s_y) if not (mul[mul[:, s]] == mul[:, sy]).all())
+            raise InvalidElementError(f"associativity fails at generator {bad}")
     return inv, gens
 
 
@@ -190,43 +193,43 @@ def _right_table(identity, generators, mul_fn, order_cap: int) -> np.ndarray:
     """Breadth-first closure, elements numbered in discovery order.
 
     Returns right[x, i] = x * generators[i]; row 0 holds the generators' indices.
+    A whole level is multiplied at once, ``mul_fn(xs, g)`` giving x * g for
+    each row x of ``xs``; its new elements, looked up by the bytes of their
+    rows, are numbered by first appearance in (x, generator) order, as a walk
+    one element at a time numbers them.
     """
-    index = {identity: 0}
-    elems = [identity]
-    right = []
-    for x in elems:
-        row = []
-        for g in generators:
-            y = mul_fn(x, g)
-            if y not in index:
-                if len(elems) >= order_cap:
-                    raise BudgetExceededError(
-                        f"closure exceeds order cap {order_cap}", partial=len(elems)
-                    )
-                index[y] = len(elems)
-                elems.append(y)
-            row.append(index[y])
-        right.append(row)
-    return np.array(right, dtype=np.intp)
+    level = np.array([identity])
+    index = {level.tobytes(): 0}
+    rows = []
+    while len(level):
+        products = np.stack([mul_fn(level, g) for g in generators], axis=1).astype(level.dtype).reshape(-1, level.shape[1])
+        keys = products.view(np.dtype((np.void, products[0].nbytes))).ravel().tolist()
+        size = len(index)
+        index.update(zip(dict.fromkeys(itertools.filterfalse(index.__contains__, keys)), itertools.count(size)))
+        if len(index) > max(size, order_cap):  # a new element past the cap, met where a sequential walk meets it
+            raise BudgetExceededError(f"closure exceeds order cap {order_cap}", partial=max(size, order_cap))
+        ids = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+        rows.append(ids.reshape(len(level), len(generators)))
+        # a new element first appears where the running maximum of the ids passes size - 1
+        level = products[np.diff(np.maximum.accumulate(np.maximum(ids, size - 1)), prepend=size - 1) > 0]
+    return np.concatenate(rows)
 
 
-def _bfs_edges(right: np.ndarray) -> list[tuple[int, int, int]]:
-    """Tree edges (y, x, i) of the breadth-first walk from 0, in discovery order.
-
-    ``right[x, i]`` is x times the i-th generator; y is first reached as x * s_i.
-    """
-    rows = right.tolist()
-    seen = [False] * len(rows)
+def _bfs_levels(right: np.ndarray):
+    """Tree edges of the breadth-first walk from 0, where ``right[x, i]`` = x * s_i, as arrays (y, x, i) per
+    level: y is first reached as x * s_i, first in (x, i) order, and the levels come in discovery order."""
+    n, k = right.shape
+    seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    queue = [0]
-    edges = []
-    for x in queue:
-        for i, y in enumerate(rows[x]):
-            if not seen[y]:
-                seen[y] = True
-                queue.append(y)
-                edges.append((y, x, i))
-    return edges
+    level = np.zeros(1, dtype=np.intp)
+    while level.size:
+        products = right[level].ravel()
+        first = np.full(n, products.size)
+        np.minimum.at(first, products, np.arange(products.size))
+        pos = np.sort(first[~seen & (first < products.size)])
+        x, level = level[pos // k], products[pos]
+        seen[level] = True
+        yield level, x, pos % k
 
 
 def _table_from_bfs(right: np.ndarray) -> np.ndarray:
@@ -234,17 +237,29 @@ def _table_from_bfs(right: np.ndarray) -> np.ndarray:
 
     If b is first reached as x * s, then a * b = (a * x) * s for every a, so
     column b is right[mul[:, x], s]: n * |S| element products fill the table.
+    The columns are written as rows of the transpose, a block of one BFS
+    level's rows at a time, and the transpose is turned back in place, tile
+    by tile.
     """
     n = right.shape[0]
-    mul = np.empty((n, n), dtype=np.uint16)
-    mul[:, 0] = np.arange(n)
-    for b, x, i in _bfs_edges(right):
-        mul[:, b] = right[mul[:, x], i]
-    return mul
+    cols = np.ascontiguousarray(right.T, dtype=np.uint16)  # cols[s, a] = a * s
+    t = np.empty((n, n), dtype=np.uint16)  # t[b, a] = a * b
+    t[0] = np.arange(n)
+    step = max(1, _BLOCK_BYTES // (n * np.dtype(np.intp).itemsize))
+    for y, x, i in _bfs_levels(right):
+        for lo in range(0, y.size, step):
+            t[y[lo : lo + step]] = cols[i[lo : lo + step, None], t[x[lo : lo + step]]]
+    side = math.isqrt(_BLOCK_BYTES // t.itemsize)
+    for r in range(0, n, side):  # swap tile (r, c) with the transpose of tile (c, r)
+        for c in range(r, n, side):
+            tile = t[r : r + side, c : c + side].T.copy()
+            t[r : r + side, c : c + side] = t[c : c + side, r : r + side].T
+            t[c : c + side, r : r + side] = tile
+    return t
 
 
 def generate_group(identity, generators, mul_fn, label: str, budget: Budget = DEFAULT_BUDGET) -> Group:
-    """The group that ``generators`` generate under ``mul_fn``, numbered by breadth-first discovery from ``identity``."""
+    """The group ``generators`` generate under ``mul_fn(xs, g)`` (x * g for each row x of ``xs``), in BFS order from ``identity``."""
     right = _right_table(identity, list(generators), mul_fn, budget.order_cap)
     return Group(_table_from_bfs(right), label, right[0])
 
@@ -256,7 +271,7 @@ def generate_permutation_group(generators, label: str, budget: Budget = DEFAULT_
     for g in generators:
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise InvalidElementError(f"not a permutation of degree {degree}: {g}")
-    return generate_group(tuple(range(degree)), [tuple(g) for g in generators], perm_compose, label, budget)
+    return generate_group(np.arange(degree), [np.asarray(g) for g in generators], perm_compose, label, budget)
 
 
 # --- products and quotients ---------------------------------------------------
@@ -281,9 +296,10 @@ def automorphism_from_generator_images(g: Group, images: dict[int, int]) -> np.n
     bijective homomorphism.
     """
     gens = list(g.generators)
+    image = np.array([images[s] for s in gens], dtype=np.intp)
     table = np.zeros(g.order, dtype=np.intp)
-    for y, x, i in _bfs_edges(g.mul[:, gens]):
-        table[y] = g.mul[table[x], images[gens[i]]]
+    for y, x, i in _bfs_levels(g.mul[:, gens]):
+        table[y] = g.mul[table[x], image[i]]
     return _automorphism(g, table).astype(np.uint16)
 
 
@@ -291,8 +307,7 @@ def direct_product(g: Group, h: Group, budget: Budget = DEFAULT_BUDGET, label: s
     """g x h, the split extension in which h acts trivially: (x, y) is numbered x*|h| + y."""
     if g.order * h.order > budget.order_cap:
         raise BudgetExceededError(f"direct product order {g.order * h.order} exceeds cap {budget.order_cap}")
-    identity = np.arange(g.order)
-    return semidirect_product(g, h, dict.fromkeys(h.generators, identity), budget, label or f"{g.label} x {h.label}")
+    return semidirect_product(g, h, dict.fromkeys(h.generators, np.arange(g.order)), budget, label or f"{g.label} x {h.label}")
 
 
 def semidirect_product(
@@ -317,18 +332,19 @@ def semidirect_product(
         raise BudgetExceededError(f"semidirect product order {na * nb} exceeds cap {budget.order_cap}")
     if set(action) != set(b.generators):
         raise ActionInconsistentError("action must be given exactly on the generators of b")
-    action = {s: _automorphism(a, table) for s, table in action.items()}
-
-    gens = list(b.generators)
-    act = np.empty((nb, na), dtype=np.intp)
-    act[0] = np.arange(na)
-    for z, y, i in _bfs_edges(b.mul[:, gens]):
-        act[z] = act[y][action[gens[i]]]
-    for s in gens:
-        if not np.array_equal(act[b.mul[:, s]], act[:, action[s]]):
-            raise ActionInconsistentError(
-                "generator assignment does not extend to a homomorphism into Aut(a)"
-            )
+    identity = np.arange(na)
+    if all(np.array_equal(table, identity) for table in action.values()):
+        act = identity[None]  # the trivial action, one row broadcast over b
+    else:
+        gens = list(b.generators)
+        tables = np.array([_automorphism(a, action[s]) for s in gens])
+        act = np.empty((nb, na), dtype=np.intp)
+        act[0] = identity
+        for z, y, i in _bfs_levels(b.mul[:, gens]):
+            act[z] = np.take_along_axis(act[y], tables[i], axis=1)  # act(y s_i) = act(y) o act(s_i)
+        for s, table in zip(gens, tables):
+            if not np.array_equal(act[b.mul[:, s]], act[:, table]):
+                raise ActionInconsistentError("generator assignment does not extend to a homomorphism into Aut(a)")
 
     # mul[x1, y1, x2, y2] = (x1 * act(y1)(x2)) * nb + y1 y2, in uint16 as every entry is below na * nb
     mul = np.add((a.mul[:, act] * nb)[:, :, :, None], b.mul[None, :, None, :], order="C")
@@ -338,15 +354,14 @@ def semidirect_product(
 
 def quotient_group(g: Group, normal_members, budget: Budget = DEFAULT_BUDGET) -> tuple[Group, np.ndarray]:
     """Quotient by a normal subgroup, cosets numbered by least member index, and the coset map G -> G/N."""
-    members = np.unique(np.asarray(normal_members, dtype=np.intp))
-    mask = np.zeros(g.order, dtype=bool)
-    mask[members] = True
+    mask = np.bincount(np.asarray(normal_members, dtype=np.intp), minlength=g.order).astype(bool)
+    members = np.flatnonzero(mask)
     # N is normal when each generator of G conjugates N into N
     if not mask[g.conjugates(np.asarray(g.generators, dtype=np.intp)[:, None], members)].all():
         raise NotNormalError("subgroup is not normal")
     cosets = g.mul[:, members]  # row x = coset x*N
     reps = cosets.min(axis=1)
-    rep_values = np.unique(reps)
+    rep_values = np.flatnonzero(np.bincount(reps, minlength=g.order))
     coset_index = np.full(g.order, -1, dtype=np.intp)
     coset_index[rep_values] = np.arange(rep_values.size)
     elem_to_coset = coset_index[reps]
@@ -388,24 +403,19 @@ class OrderProfile:
 
 def order_fingerprint(g: Group, members=None) -> OrderProfile:
     """Profile of the whole group, or of a subgroup given by its members."""
-    if members is None:
-        members = np.arange(g.order, dtype=np.intp)
-    else:
-        members = np.unique(np.asarray(members, dtype=np.intp))
-    orders = g.element_orders()[members]
-    values, counts = np.unique(orders, return_counts=True)
+    given = np.arange(g.order) if members is None else np.asarray(members, dtype=np.intp)
+    members = np.flatnonzero(np.bincount(given, minlength=g.order))
+    counts = np.bincount(g.element_orders()[members])
+    values = np.flatnonzero(counts)
     block = g.mul[np.ix_(members, members)]
-    abelian = bool(np.array_equal(block, block.T))
-    # center of the subgroup itself
-    if abelian:
-        center_order = members.size
-    else:
-        center_order = int((block == block.T).all(axis=1).sum())
+    commute = block == block.T
+    abelian = bool(commute.all())
+    center_order = int(commute.all(axis=1).sum())  # center of the subgroup itself
     comms = commutators(g, members, members)
     derived = close_under_product(g.mul, comms)
     return OrderProfile(
         int(members.size),
-        tuple((int(v), int(c)) for v, c in zip(values, counts)),
+        tuple((int(v), int(counts[v])) for v in values),
         abelian,
         center_order,
         int(derived.size),

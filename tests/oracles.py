@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -396,6 +397,65 @@ def cyclic_extension_product(q: int, factors) -> np.ndarray:
             digits = [(ei * pow(r, t, m) + fi + c * wrap) % m for ei, fi, (m, r, c) in zip(e, f, factors)]
             mul[i, j] = index[((s + t) % q, *digits)]
     return mul
+
+
+def int64_cyclic_extension(q: int, factors) -> np.ndarray:
+    """The same table as ``cyclic_extension_product``, by the int64 n x n formula the catalog used before its uint16 fill.
+
+    Index arithmetic on whole n x n arrays: s and each digit e_i are read off
+    the mixed-radix index, and each digit of the product is
+    e_i r_i^s' + e'_i + c_i floor((s + s')/q) mod m_i.
+    """
+    weight = math.prod(m for m, _, _ in factors)
+    idx = np.arange(q * weight)
+    s = idx // weight
+    mul = s[:, None] + s[None, :]
+    carry = mul // q
+    mul %= q
+    mul *= weight
+    for m, r, c in factors:
+        weight //= m
+        e = idx // weight % m
+        rpow = np.array([pow(r % m, t, m) for t in range(q)])
+        mul += (e[:, None] * rpow[s] + e + c * carry) % m * weight
+    return mul
+
+
+def sequential_right_table(identity, generators, mul_fn, order_cap: int):
+    """Breadth-first closure one element at a time: (elements, right) with right[x, i] = x * generators[i].
+
+    Each element in turn, in discovery order, is multiplied by every
+    generator; a product not seen before gets the next index, and the walk
+    raises ``BudgetExceededError`` with ``partial`` = the count so far when a
+    new element would pass ``order_cap``.
+    """
+    from fgt.errors import BudgetExceededError
+
+    index = {identity: 0}
+    elems = [identity]
+    right = []
+    for x in elems:
+        row = []
+        for g in generators:
+            y = mul_fn(x, g)
+            if y not in index:
+                if len(elems) >= order_cap:
+                    raise BudgetExceededError(f"closure exceeds order cap {order_cap}", partial=len(elems))
+                index[y] = len(elems)
+                elems.append(y)
+            row.append(index[y])
+        right.append(row)
+    return elems, np.array(right, dtype=np.intp)
+
+
+def permutation_table(elems) -> np.ndarray:
+    """Cayley table of a list of permutations (tuples of images): mul[a, b] is the index of a o b, b applied first."""
+    perms = np.array(elems, dtype=np.int64)
+    degree = perms.shape[1]
+    weights = degree ** np.arange(degree)
+    lookup = dict(zip((perms @ weights).tolist(), range(len(elems))))
+    products = perms[:, perms]  # products[a, b, p] = a(b(p))
+    return np.array([lookup[key] for key in (products @ weights).ravel().tolist()]).reshape(len(elems), -1)
 
 
 def heisenberg_product(p: int, n: int) -> np.ndarray:

@@ -7,11 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import (
     cyclic_extension_product,
     frobenius_product,
     generate_matrix_group,
     heisenberg_product,
+    int64_cyclic_extension,
     unitary_matrices_gf9,
 )
 
@@ -120,6 +123,15 @@ CONSTRUCT_DIGESTS = {
 def test_built_table_is_byte_identical_to_recorded_digest(spec, budget):
     g = _build_uncached(parse_spec(spec), budget)
     assert hashlib.sha256(g.mul.tobytes()).hexdigest() == CONSTRUCT_DIGESTS[spec, budget]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.lists(st.tuples(st.integers(1, 12), st.integers(-30, 30), st.integers(-12, 12)), max_size=3))
+def test_cyclic_extension_matches_the_int64_formula(q, factors):
+    """The uint16 mixed-radix sum equals the whole-table int64 formula for any (q, [(m, r, c)]), group or not."""
+    assume(q * math.prod(m for m, _, _ in factors) <= 600)
+    table = catalog._cyclic_extension(q, factors)
+    assert table.dtype == np.uint16 and np.array_equal(table, int64_cyclic_extension(q, factors))
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -362,6 +374,31 @@ def test_c2sq_semi_c4_reproduces_normalizer_data():
 def test_budget_exceeded_is_typed():
     with pytest.raises(BudgetExceededError):
         build_group(GroupSpec("Sym", (7,)), Budget(order_cap=1200))
+
+
+@pytest.mark.parametrize("text", [
+    "ElementaryAbelian(2,100000)",
+    "Modular(2,100000)",
+    "HeisenbergLike(2,100000)",
+    "PowerAction(2,100000,(3,1,1))",
+    "PowerAction(2,1,(3,100000,1))",
+    "PSL2(1000000000039)",
+    "SL2(2305843009213693951)",  # the prime 2^61 - 1
+])
+def test_huge_orders_raise_a_budget_error_in_bounded_time(text):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"^group order .* exceeds cap 1200$"):
+        build_group(parse_spec(text), Budget(order_cap=1200))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_budget_message_prints_every_printable_order():
+    with pytest.raises(BudgetExceededError) as printable:
+        build_group(parse_spec("ElementaryAbelian(2,20)"), Budget(order_cap=1200))
+    assert str(printable.value) == "group order 1048576 exceeds cap 1200"
+    with pytest.raises(BudgetExceededError) as huge:
+        build_group(parse_spec("ElementaryAbelian(2,100000)"), Budget(order_cap=1200))
+    assert str(huge.value) == "group order of 100001 bits exceeds cap 1200"
 
 
 def test_one_group_per_spec_under_every_cap_that_fits(monkeypatch):

@@ -105,6 +105,12 @@ def test_order_cap_flag_limits_builds(capsys):
     assert code == 3
 
 
+def test_an_order_too_long_to_print_exits_three(capsys):
+    code, _, err = run_cli(capsys, "group", "info", "ElementaryAbelian(2,100000)")
+    assert code == 3
+    assert err.strip() == "budget exceeded: group order of 100001 bits exceeds cap 1200"
+
+
 def test_search_with_range_universe(capsys):
     code, out, _ = run_cli(capsys, "search", "pnc", "--universe", "Dihedral(3..6)")
     assert code == 0

@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from fgt.fields import (
     FIXED_MODULI,
     MAX_FIELD_SIZE,
     field_make,
+    is_prime,
     mat_mul,
     perm_compose,
     perm_from_cycles,
@@ -192,9 +195,9 @@ def test_field_pow_matches_repeated_mul_gf343(a, e1, e2):
 def test_perm_compose_examples():
     swap = perm_from_cycles(3, (0, 1))
     cyc = perm_from_cycles(3, (0, 1, 2))
-    assert perm_compose(swap, swap) == (0, 1, 2)
-    assert perm_compose(cyc, cyc) == perm_from_cycles(3, (0, 2, 1))
-    assert perm_compose(cyc, (0, 1, 2)) == cyc
+    assert np.array_equal(perm_compose(swap, swap), (0, 1, 2))
+    assert np.array_equal(perm_compose(cyc, cyc), perm_from_cycles(3, (0, 2, 1)))
+    assert np.array_equal(perm_compose(cyc, (0, 1, 2)), cyc)
     with pytest.raises(DegreeMismatchError):
         perm_compose((0, 1, 2), (0, 1, 2, 3))
     with pytest.raises(DegreeMismatchError):
@@ -209,11 +212,42 @@ def test_perm_compose_applies_right_factor_first():
         assert composed[point] == a[b[point]]
 
 
+def test_perm_compose_composes_each_row_with_the_right_factor():
+    perms = [tuple(p) for p in itertools.permutations(range(4))]
+    b = perm_from_cycles(4, (1, 2, 3))
+    batch = perm_compose(np.array(perms), b)
+    assert batch.shape == (24, 4)
+    assert all(np.array_equal(row, perm_compose(a, b)) for row, a in zip(batch, perms))
+
+
 def test_perm_associativity_degree_up_to_4_exhaustive():
     for degree in (2, 3, 4):
         perms = [tuple(p) for p in itertools.permutations(range(degree))]
         for a, b, c in itertools.product(perms, repeat=3):
-            assert perm_compose(perm_compose(a, b), c) == perm_compose(a, perm_compose(b, c))
+            assert np.array_equal(perm_compose(perm_compose(a, b), c), perm_compose(a, perm_compose(b, c)))
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_20000():
+    assert [n for n in range(-3, 20000) if is_prime(n)] == [n for n in range(-3, 20000) if _trial_division_is_prime(n)]
+
+
+@pytest.mark.parametrize("n, prime", [
+    (561, False),  # Carmichael
+    (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5 and 7
+    (318665857834031151167461, False),  # strong pseudoprime to the first 12 prime bases
+    (10**12 + 39, True),
+    (2**61 - 1, True),
+    (2**64 - 59, True),  # the largest prime below 2^64
+    ((2**31 - 1) * (2**61 - 1), False),
+])
+def test_is_prime_is_exact_on_large_inputs_in_bounded_time(n, prime):
+    start = time.perf_counter()
+    assert is_prime(n) == prime
+    assert time.perf_counter() - start < 0.1
 
 
 def test_mat_mul_known_values():

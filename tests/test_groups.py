@@ -1,9 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_closure, brute_is_associative, latin_square
+from oracles import (
+    brute_closure,
+    brute_is_associative,
+    latin_square,
+    permutation_table,
+    sequential_right_table,
+)
 
 from fgt.catalog import build_cyclic, build_dihedral, build_group, parse_spec, standard_catalog
 from fgt.config import Budget
@@ -14,7 +25,7 @@ from fgt.errors import (
     NotAutomorphismError,
     NotNormalError,
 )
-from fgt.fields import perm_from_cycles
+from fgt.fields import perm_compose, perm_from_cycles
 import fgt.catalog
 import fgt.groups
 from fgt.groups import (
@@ -146,14 +157,15 @@ def test_validation_rejects_a_non_associative_loop_above_the_old_sampling_order(
 
 def test_light_test_finds_a_failure_in_a_later_row_block(monkeypatch):
     # C2^6 as xor with the intercalate rows {50, 51} x columns {4, 5} swapped: generator 1
-    # passes, and generator 2 fails only at rows 48..51, in the last of three 24-row blocks
+    # passes, and generator 2 fails only at rows 48..51, in the 13th of sixteen 4-row blocks
+    # (each block tests all six generators)
     n = 64
     i = np.arange(n)
     mul = i[:, None] ^ i[None, :]
     mul[50, 4], mul[50, 5], mul[51, 4], mul[51, 5] = 55, 54, 54, 55
     assert np.array_equal(mul[mul[:, 1]], mul[:, mul[1]])
     assert np.flatnonzero((mul[mul[:, 2]] != mul[:, mul[2]]).any(axis=1)).tolist() == [48, 49, 50, 51]
-    monkeypatch.setattr(fgt.groups, "_LIGHT_BLOCK_BYTES", 24 * n * 2)  # 24 rows of the uint16 table
+    monkeypatch.setattr(fgt.groups, "_BLOCK_BYTES", 24 * n * 2)  # 4 rows x 6 generators of the uint16 table
     with pytest.raises(InvalidElementError, match="^associativity fails at generator 2$"):
         Group(mul, "loop", [1, 2, 4, 8, 16, 32])
 
@@ -180,6 +192,56 @@ def test_closure_generate_respects_order_cap():
     gens = [perm_from_cycles(5, (0, 1)), perm_from_cycles(5, (0, 1, 2, 3, 4))]
     with pytest.raises(BudgetExceededError):
         generate_permutation_group(gens, "S5", Budget(order_cap=60))
+
+
+@st.composite
+def _permutation_generators(draw):
+    """(degree, generators): one to three permutations of degree at most 7, as tuples of images."""
+    degree = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return degree, [tuple(g) for g in gens]
+
+
+def _compose_tuples(x, g):
+    return tuple(x[i] for i in g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_permutation_generators())
+def test_level_closure_matches_the_sequential_walk(case):
+    """The right table, a BFS level at a time, equals the walk one element at a time; so does the Cayley table."""
+    degree, gens = case
+    elems, want = sequential_right_table(tuple(range(degree)), gens, _compose_tuples, 5040)
+    right = fgt.groups._right_table(np.arange(degree), [np.asarray(g) for g in gens], perm_compose, 5040)
+    assert right.dtype == want.dtype and np.array_equal(right, want)
+    if len(elems) <= 720:
+        assert np.array_equal(fgt.groups._table_from_bfs(right), permutation_table(elems))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permutation_generators(), st.integers(0, 150))
+def test_level_closure_stops_where_the_sequential_walk_does(case, cap):
+    """Under a tight order cap both walks raise the same message with the same ``partial``, or neither raises."""
+    degree, gens = case
+    try:
+        sequential_right_table(tuple(range(degree)), gens, _compose_tuples, cap)
+        want = None
+    except BudgetExceededError as e:
+        want = (str(e), e.partial)
+    try:
+        fgt.groups._right_table(np.arange(degree), [np.asarray(g) for g in gens], perm_compose, cap)
+        got = None
+    except BudgetExceededError as e:
+        got = (str(e), e.partial)
+    assert got == want
+
+
+def test_table_fill_blocks_and_tiles_give_the_same_table(monkeypatch):
+    """Blocks of one row and tiles of 4 x 4 give the table that one block and one tile give."""
+    gens = [perm_from_cycles(5, (0, 1)), perm_from_cycles(5, (0, 1, 2, 3, 4))]
+    whole = generate_permutation_group(gens, "S5", BUDGET).mul
+    monkeypatch.setattr(fgt.groups, "_BLOCK_BYTES", 32)
+    assert np.array_equal(generate_permutation_group(gens, "S5", BUDGET).mul, whole)
 
 
 def test_bfs_numbering_is_deterministic():
@@ -251,6 +313,21 @@ def test_semidirect_table_follows_the_pair_rule(spec, monkeypatch):
     assert np.array_equal(g.mul, want)
 
 
+def test_semidirect_with_a_nonabelian_action_follows_the_pair_rule():
+    """S3 permuting the three coordinates of C2^3: an action whose image is not abelian, so that
+    act(y s) = act(y) o act(s) differs from act(s) o act(y)."""
+    a, b = build("ElementaryAbelian(2,3)"), build("Sym(3)")  # C2^3 indices are bit vectors under xor
+
+    def moving_bits(sigma):  # bit i of v moves to bit sigma(i)
+        return np.array([sum((v >> i & 1) << sigma[i] for i in range(3)) for v in range(8)])
+
+    action = {s: moving_bits(sigma) for s, sigma in zip(b.generators, [(1, 0, 2), (1, 2, 0)])}
+    am, bm, act = a.mul.tolist(), b.mul.tolist(), _acting_table(a.order, b, action)
+    assert len({tuple(row) for row in act}) == 6
+    want = _pairs_table(a.order, b.order, lambda x1, y1, x2, y2: (am[x1][act[y1][x2]], bm[y1][y2]))
+    assert np.array_equal(semidirect_product(a, b, action, BUDGET).mul, want)
+
+
 @pytest.mark.parametrize("spec", ["Direct(Cyclic(2),Sym(3),Cyclic(3))", "Direct(Cyclic(1),Dihedral(4))",
                                   "Direct(Sym(3),Cyclic(1))"])
 def test_direct_product_table_follows_the_pair_rule(spec):
@@ -261,6 +338,19 @@ def test_direct_product_table_follows_the_pair_rule(spec):
         left, right = want.tolist(), f.mul.tolist()
         want = _pairs_table(len(left), f.order, lambda x1, y1, x2, y2: (left[x1][x2], right[y1][y2]))
     assert np.array_equal(build(spec).mul, want)
+
+
+def test_trivial_action_is_neither_extended_nor_checked(monkeypatch):
+    """A direct product builds its table without walking b's BFS tree or checking the identity maps."""
+    def forbidden(*args):
+        raise AssertionError("called for the trivial action")
+
+    a, b = build("Sym(3)"), build("Dihedral(4)")
+    monkeypatch.setattr(fgt.groups, "_bfs_levels", forbidden)
+    monkeypatch.setattr(fgt.groups, "_automorphism", forbidden)
+    g = direct_product(a, b, BUDGET)
+    am, bm = a.mul.tolist(), b.mul.tolist()
+    assert np.array_equal(g.mul, _pairs_table(a.order, b.order, lambda x1, y1, x2, y2: (am[x1][x2], bm[y1][y2])))
 
 
 def test_semidirect_rejects_non_automorphism():
@@ -366,6 +456,26 @@ def test_conjugates_match_the_scalar_definition(spec):
     rows, cols = rng.choice(n, size=7, replace=False), rng.choice(n, size=5, replace=False)
     assert np.array_equal(g.conjugates(rows[:, None], cols), want[np.ix_(rows, cols)])
     assert np.array_equal(g.conjugates(ys[:, None], ys), want)
+
+
+NUMPY_MA_SCRIPT = """
+import sys
+from fgt.catalog import build_group, parse_spec
+from fgt.groups import close_under_product, commutators, order_fingerprint, quotient_group
+g = build_group(parse_spec("Sym(4)"))
+a4 = close_under_product(g.mul, commutators(g, range(24), range(24)))
+v4 = close_under_product(g.mul, commutators(g, a4, a4))
+q, _ = quotient_group(g, v4)
+print(q.order, order_fingerprint(g, v4).order, "numpy.ma" in sys.modules)
+"""
+
+
+def test_quotient_and_fingerprint_leave_numpy_ma_unimported():
+    """No value-only ``np.unique``, which imports ``numpy.ma``, on the quotient path: a fresh process shows it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["6", "4", "False"]
 
 
 def test_quotient_projection_is_verified_hom():
