@@ -146,7 +146,7 @@ def build_cyclic(n: int, budget: Budget) -> Group:
 
 
 def build_elementary_abelian(p: int, k: int, budget: Budget) -> Group:
-    if not is_prime(p) or k < 1:
+    if k < 1 or p <= budget.order_cap and not is_prime(p):  # a larger p is refused by the cap, untested
         raise InvalidElementError("need a prime p and k >= 1")
     _cap_check(p**k, budget)
     gens = [p**d for d in range(k)]
@@ -198,7 +198,7 @@ def build_alternating(n: int, budget: Budget) -> Group:
 
 def build_modular(p: int, n: int, budget: Budget) -> Group:
     """Order p^(n+1):  <a, x | a^(p^n) = x^p = 1, x^-1 a x = a^(1+p^(n-1))>."""
-    if not is_prime(p) or n < 2:
+    if n < 2 or p <= budget.order_cap and not is_prime(p):  # a larger p is refused by the cap, untested
         raise InvalidElementError("Modular(p,n) needs prime p and n >= 2")
     pn = p**n
     _cap_check(p * pn, budget)
@@ -210,7 +210,7 @@ def build_heisenberg_like(p: int, n: int, budget: Budget) -> Group:
 
     The split extension (C_{p^n} x C_p) : C_p where x maps (a, b) to (a, a + b).
     """
-    if not is_prime(p) or n < 1:
+    if n < 1 or p <= budget.order_cap and not is_prime(p):  # a larger p is refused by the cap, untested
         raise InvalidElementError("HeisenbergLike(p,n) needs prime p and n >= 1")
     _cap_check(p**n * p * p, budget)
     base = direct_product(build_cyclic(p**n, budget), build_cyclic(p, budget), budget)
@@ -220,8 +220,10 @@ def build_heisenberg_like(p: int, n: int, budget: Budget) -> Group:
 
 
 def build_sl2(q: int, budget: Budget) -> Group:
-    p, k = _prime_power(q)
     expected = q * (q * q - 1)
+    if q > budget.order_cap:  # so is the order: refused before q is factored
+        _cap_check(expected, budget)
+    p, k = _prime_power(q)
     _cap_check(expected, budget)
     f = field_make(p, k)
     gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
@@ -241,8 +243,10 @@ def build_psl2(q: int, budget: Budget) -> Group:
     at index q), generated by x -> x+1, x -> s*x and x -> -1/x where s is a
     generator of the squares (the full multiplicative group for even q).
     """
-    p, k = _prime_power(q)
     expected = q * (q * q - 1) // math.gcd(2, q - 1)
+    if q > budget.order_cap:  # so is the order: refused before q is factored
+        _cap_check(expected, budget)
+    p, k = _prime_power(q)
     _cap_check(expected, budget)
     f = field_make(p, k)
     infinity = q
@@ -302,6 +306,8 @@ def build_irreducible_frobenius(q: int, k: int, p: int, budget: Budget) -> Group
     has order p (an irreducible factor of x^p - 1); irreducibility of the
     polynomial makes the action irreducible.
     """
+    if 2 <= k <= 3 and min(q, p) > 0 and max(q, p) > budget.order_cap:  # q^k p passes it: no primality test
+        _cap_check(q**k * p, budget)
     if not (is_prime(q) and is_prime(p)) or q == p:
         raise InvalidElementError("need distinct primes q (kernel) and p (action)")
     if k < 2 or k > 3:

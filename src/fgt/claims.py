@@ -667,7 +667,7 @@ def _component_lemma(spec: GroupSpec, g: Group, budget: Budget):
             continue  # factors must commute elementwise
         derived_g = derived_subgroup_members(g)
         da, db = commutator_subgroup(g, a, a), commutator_subgroup(g, b, b)
-        rhs = close_under_product(g.mul, np.union1d(da.members, db.members))
+        rhs = close_under_product(g.mul, np.concatenate([da.members, db.members]))
         escapes = not np.isin(derived_g, rhs, assume_unique=True).all()
         yield _witness(spec, detail=f"G' (size {derived_g.size}) escapes A'B' (size {rhs.size})") if escapes else None
 
@@ -773,7 +773,7 @@ def _d4_needs_containment(d4: Group, budget: Budget) -> bool:
         for k in lat.subgroups:
             if k.order != 2 or np.isin(k.members, n.members).all():
                 continue
-            if np.intersect1d(k.members, n.members).size != 1 or is_nc_subgroup(d4, k):
+            if np.intersect1d(k.members, n.members, assume_unique=True).size != 1 or is_nc_subgroup(d4, k):
                 continue
             q, coset = quotient_group(d4, n.members, budget)
             if is_nc_subgroup(q, Subgroup(q, coset[k.members])):
@@ -799,9 +799,7 @@ def _d4_s3_semidirect_fails(g: Group, budget: Budget) -> bool:
             continue
         if _profile_key(g, s.members) != c22_key:
             continue
-        in_d4 = normal_closure_members(g, s.members, within=d4_members)
-        norm_in_d4 = np.intersect1d(normalizer_members(g, s.members), d4_members)
-        if np.unique(g.mul[np.ix_(in_d4, norm_in_d4)]).size == 8 and not is_nc_subgroup(g, s):
+        if is_nc_subgroup(g, s, within=d4_members) and not is_nc_subgroup(g, s):
             return True
     return False
 
@@ -840,11 +838,8 @@ def _run_gu23_remarks(budget: Budget) -> ClaimResult:
             if not s32.mask()[s.members].all():
                 continue
             normal_in = bool(s.mask()[g.conjugates(s32.members[:, None], s.members)].all())
-            closure_in = normal_closure_members(g, s.members, within=s32.members)
-            norm_in = np.intersect1d(normalizer_members(g, s.members), s32.members, assume_unique=True)
-            nc_in = np.unique(g.mul[np.ix_(closure_in, norm_in)]).size == 32
-            if not normal_in and not nc_in:
-                near.append((s, nc, subnormal, norm_in))
+            if not normal_in and not is_nc_subgroup(g, s, within=s32.members):
+                near.append((s, nc, subnormal, s32))
                 if nc and subnormal:
                     witnesses.append(_witness(spec, s, "full witness"))
     if witnesses:
@@ -861,7 +856,8 @@ def _run_gu23_remarks(budget: Budget) -> ClaimResult:
             "neither normal nor NC; but full normal closure makes it non-subnormal"
         )
     if sub_only:
-        s, _, _, norm_in = sub_only[0]
+        s, _, _, s32 = sub_only[0]
+        norm_in = np.intersect1d(normalizer_members(g, s.members), s32.members, assume_unique=True)
         notes.append(
             "subnormal half realized: a C2xC4 that is subnormal, neither normal nor NC in two of its "
             f"Sylow overgroups, with inner normalizer of C4oD4 profile ({_profile_key(g, norm_in) == cp_key}); "
@@ -1021,7 +1017,7 @@ def _hall_sufficiency(spec: GroupSpec, g: Group, budget: Budget):
             spec,
             all_subgroups(g, budget).class_representatives(),
             lambda h: not np.isin(
-                kernel.members, np.union1d(normalizer_members(g, h.members), normal_closure_members(g, h.members))
+                kernel.members, np.concatenate([normalizer_members(g, h.members), normal_closure_members(g, h.members)])
             ).all(),
             "some a in A avoids both N_G(H) and H^G",
         )
@@ -1053,7 +1049,7 @@ def _hall_dedekind_hypothesis(g: Group, budget: Budget) -> Subgroup | None:
                 d
                 for d in lat.subgroups
                 if d.order == g.order // a_sub.order
-                and np.intersect1d(d.members, a_sub.members).size == 1
+                and np.intersect1d(d.members, a_sub.members, assume_unique=True).size == 1
             ),
             None,
         )

@@ -14,7 +14,7 @@ import sys
 
 from .catalog import GroupSpec, build_group, parse_spec, standard_catalog
 from .claims import counterexample_search, emit_report, run_all_claims, run_claim
-from .config import MAX_ORDER_CAP, Budget, CliConfig
+from .config import MAX_ORDER_CAP, Budget
 from .errors import BudgetExceededError, FgtError, UnknownClaimError, UnknownConstructorError
 from .groups import order_fingerprint
 from .lattice import (
@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--order-cap", type=int, default=None,
                         help=f"maximum group order (hard limit {MAX_ORDER_CAP}; env FGT_ORDER_CAP)")
     common.add_argument("--max-subgroups", type=int, default=None, help="lattice subgroup budget")
-    common.add_argument("--max-joins", type=int, default=None, help="lattice join-attempt budget")
     common.add_argument("--parallelism", type=int, default=1, help="worker processes for check --all")
 
     parser = argparse.ArgumentParser(prog="fgt", description=__doc__, parents=[common])
@@ -117,14 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> CliConfig:
+def _budget_from_args(args) -> Budget:
     defaults = Budget()
-    budget = Budget(
+    return Budget(
         order_cap=args.order_cap if args.order_cap is not None else defaults.order_cap,
         max_subgroups=args.max_subgroups if args.max_subgroups is not None else defaults.max_subgroups,
-        max_join_attempts=args.max_joins if args.max_joins is not None else defaults.max_join_attempts,
     )
-    return CliConfig(budget=budget, parallelism=args.parallelism)
 
 
 def _parse_universe(text: str) -> list[GroupSpec]:
@@ -210,10 +207,9 @@ def _cmd_predicate(args, budget: Budget) -> int:
     return 0
 
 
-def _cmd_check(args, config: CliConfig) -> int:
-    budget = config.budget
+def _cmd_check(args, budget: Budget) -> int:
     if args.all:
-        results = run_all_claims(budget, parallelism=config.parallelism)
+        results = run_all_claims(budget, parallelism=args.parallelism)
     elif args.claim:
         results = [run_claim(args.claim, budget)]
     else:
@@ -246,8 +242,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        config = _config_from_args(args)
-        budget = config.budget
+        budget = _budget_from_args(args)
+        if args.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
         if args.command == "catalog":
             return _cmd_catalog_list(args, budget)
         if args.command == "group":
@@ -257,7 +254,7 @@ def main(argv=None) -> int:
         if args.command == "predicate":
             return _cmd_predicate(args, budget)
         if args.command == "check":
-            return _cmd_check(args, config)
+            return _cmd_check(args, budget)
         if args.command == "search":
             return _cmd_search(args, budget)
         parser.print_usage(sys.stderr)

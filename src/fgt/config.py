@@ -1,4 +1,4 @@
-"""Budget and output configuration used by constructors, lattices and the CLI."""
+"""The budget used by constructors, lattices and the CLI."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 DEFAULT_ORDER_CAP = 1200
 MAX_ORDER_CAP = 5040
 DEFAULT_MAX_SUBGROUPS = 200_000
-DEFAULT_MAX_JOIN_ATTEMPTS = 5_000_000
 
 ORDER_CAP_ENV = "FGT_ORDER_CAP"
 
@@ -25,17 +24,15 @@ def _default_order_cap() -> int:
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits for group construction and lattice enumeration.
+    """Resource limits: ``order_cap`` bounds the order of every group built, ``max_subgroups`` every lattice.
 
-    ``max_join_attempts`` bounds the zuppo joins ``all_subgroups`` computes after
-    dropping those that give a conjugate or a copy of a known join; it is checked
-    before each class representative's batch.  A lattice read off a parent
-    group's lattice computes no joins, so only ``max_subgroups`` can stop it.
+    A group keeps one lattice, so a lattice built under one budget is served
+    under any ``max_subgroups`` at or above its size, and refused, with the
+    error a fresh enumeration raises, below it.
     """
 
     order_cap: int = field(default_factory=_default_order_cap)
     max_subgroups: int = DEFAULT_MAX_SUBGROUPS
-    max_join_attempts: int = DEFAULT_MAX_JOIN_ATTEMPTS
 
     def __post_init__(self):
         if self.order_cap > MAX_ORDER_CAP:
@@ -45,12 +42,3 @@ class Budget:
 # Built with the fixed default so that importing fgt never reads the environment.
 DEFAULT_BUDGET = Budget(order_cap=DEFAULT_ORDER_CAP)
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    budget: Budget = DEFAULT_BUDGET
-    parallelism: int = 1
-
-    def __post_init__(self):
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")

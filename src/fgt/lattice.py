@@ -102,14 +102,13 @@ class ClassSizes(NamedTuple):
 
 
 class SubgroupLattice:
-    def __init__(self, group: Group, subgroups: list[Subgroup], orbit: np.ndarray, budget: Budget, generators):
+    def __init__(self, group: Group, subgroups: list[Subgroup], orbit: np.ndarray, generators):
         """``orbit[i]`` labels the conjugacy class of ``subgroups[i]``, which are sorted by (order, bitset).
 
         ``generators[i]`` generates ``subgroups[i]`` and is not empty: 0 generates the trivial subgroup.
         """
         self.group = group
         self.subgroups = subgroups
-        self.budget = budget
         self.index_by_key = {s.key: i for i, s in enumerate(subgroups)}
         # class ids rank the orbits by their first index, so the first index of each id is its representative
         _, first, inverse = np.unique(orbit, return_index=True, return_inverse=True)
@@ -260,6 +259,29 @@ def _mask(shape, index) -> np.ndarray:
 
 
 def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
+    """Every subgroup of g, in g's one lattice, kept in its cache.
+
+    The lattice g holds; else, for a group made by ``subgroup_as_group(G, H)``
+    while G holds a lattice, one read off G's (``_restricted_lattice``); else an
+    enumeration (``_enumerate``).  A lattice of more than
+    ``budget.max_subgroups`` subgroups then raises the error an enumeration
+    raises when it passes that count, so the answer does not depend on which
+    budget built the lattice.
+    """
+    lattice = g._cache.get("lattice")
+    if lattice is None:
+        embedding = g._cache.get("embedding")
+        if embedding is not None and "lattice" in embedding[0]._cache:
+            lattice = _restricted_lattice(g, embedding[0]._cache["lattice"], embedding[1])
+        else:
+            lattice = _enumerate(g, budget.max_subgroups)
+        g._cache["lattice"] = lattice
+    if len(lattice.subgroups) > budget.max_subgroups:
+        raise BudgetExceededError(f"subgroup budget {budget.max_subgroups} exceeded", partial=budget.max_subgroups)
+    return lattice
+
+
+def _enumerate(g: Group, max_subgroups: int) -> SubgroupLattice:
     """Every subgroup of g: cyclic seeds, then joins with zuppos until fixpoint.
 
     Each new subgroup's conjugacy class is added whole, so joins are only
@@ -292,28 +314,15 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     found since it was queued: those of every normal representative of a
     generation are formed in one pass, in runs under ``_BLOCK_BYTES``.  The
     walk in queue order then adds them, so subgroups are found in the order
-    of one representative at a time.  ``budget.max_join_attempts`` counts the
-    joins left after the reductions, closed or not, checked before each
-    representative's joins are added.
+    of one representative at a time.  Past ``max_subgroups`` subgroups the
+    enumeration stops with ``BudgetExceededError``, whose ``partial`` is that
+    count.
 
     Every subgroup keeps a generating set, from which the lattice reads its
     containment: 0 for the trivial subgroup, x for <x>, H's generators and x
     for a join <H, x>, and for a conjugate the conjugates of its parent's
     generators along the orbit walk.
-
-    A group made by ``subgroup_as_group(G, H)`` while G holds a lattice is not
-    enumerated: its lattice is read off G's (``_restricted_lattice``).
     """
-    cache_key = ("lattice", budget.max_subgroups, budget.max_join_attempts)
-    cached = g._cache.get(cache_key)
-    if cached is not None:
-        return cached
-    embedding = g._cache.get("embedding")
-    if embedding is not None:
-        parent_lattice = _cached_lattice(embedding[0])
-        if parent_lattice is not None:
-            lattice = g._cache[cache_key] = _restricted_lattice(g, parent_lattice, embedding[1], budget)
-            return lattice
     n = g.order
     mul = g.mul
     gens = np.asarray(g.generators, dtype=np.intp)
@@ -338,8 +347,8 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     zuppo = np.array([_is_prime_power(int(size)) for size in cyc_size], dtype=bool)
     # the seeds are 1 and the cyclic subgroups; their classes are the orbits of the generators' permutations
     seeds = [np.zeros(1, dtype=np.intp)] + cyclic
-    if len(seeds) > budget.max_subgroups:
-        raise BudgetExceededError(f"subgroup budget {budget.max_subgroups} exceeded", partial=budget.max_subgroups)
+    if len(seeds) > max_subgroups:
+        raise BudgetExceededError(f"subgroup budget {max_subgroups} exceeded", partial=max_subgroups)
     cyc_class = _orbit_labels(cyc_of[gen_rows[:, cyc_gen]], len(cyclic))
     label = np.append(0, 1 + cyc_class)  # the trivial subgroup is a class of its own
     first, inverse, sizes = np.unique(label, return_index=True, return_inverse=True, return_counts=True)[1:]
@@ -353,8 +362,8 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     def _add(members: np.ndarray, key: bytes, generators) -> bool:
         if key in found:
             return False
-        if len(found) >= budget.max_subgroups:
-            raise BudgetExceededError(f"subgroup budget {budget.max_subgroups} exceeded", partial=len(found))
+        if len(found) >= max_subgroups:
+            raise BudgetExceededError(f"subgroup budget {max_subgroups} exceeded", partial=len(found))
         found[key] = members
         orbit_of.append(len(reps))
         gens_of.append(generators)
@@ -415,7 +424,7 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
 
     # the series a predicate cached, else one not kept: kept for every lattice, it raised a claim run's peak RSS
     residual = _mask(n, (g._cache.get("derived") or commutator_series(g)).terms[-1])
-    join_attempts = head = 0
+    head = 0
     while head < len(reps):
         # one generation: the representatives queued so far, but 1 (whose joins are the seeds) and G
         generation = [rep for rep in reps[head:] if rep[0].size not in (1, n)]
@@ -424,7 +433,7 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
         for base, orbit_size, base_gens in generation:
             if orbit_size == 1:
                 keys, xs = next(batch)
-                count, closing = len(keys), []
+                closing = []
             else:
                 cand = np.flatnonzero(zuppo & ~_mask(n, base)[cyc_gen])
                 norm = normalizer_members(g, base, base_gens)
@@ -441,14 +450,11 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
                 first = np.unique(mul[cyc_gen[cand][:, None], base].min(axis=1), return_index=True)[1]
                 cand = cand[np.sort(first)]
                 normalizing = _mask(n, norm)[cyc_gen[cand]]
-                count, c = cand.size, cand[normalizing]
+                c = cand[normalizing]
                 keys, xs = product_sets(base, np.zeros(1, np.intp), np.array(base.shape), 0 * c, c), cyc_gen[c].tolist()
                 # a join that no product set reaches is perfect, so it lies in the solvable residual
                 outside = cyc_gen[cand[~normalizing]]
                 closing = outside[residual[outside]].tolist() if residual[base].all() else []
-            join_attempts += count
-            if join_attempts > budget.max_join_attempts:
-                raise BudgetExceededError(f"join budget {budget.max_join_attempts} exceeded", partial=len(found))
             for key, x in zip(keys, xs):
                 if key not in found:
                     orbit_add(key, base_gens + [x], *pending.pop(key))
@@ -462,10 +468,7 @@ def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     # every member array found is sorted and duplicate-free, and its key is the one packed above
     subs = [Subgroup._sorted(g, m, key) for key, m in found.items()]
     order = sorted(range(len(subs)), key=lambda t: subs[t].sort_key())
-    lattice = g._cache[cache_key] = SubgroupLattice(
-        g, [subs[t] for t in order], np.array(orbit_of)[order], budget, [gens_of[t] for t in order]
-    )
-    return lattice
+    return SubgroupLattice(g, [subs[t] for t in order], np.array(orbit_of)[order], [gens_of[t] for t in order])
 
 
 def _orbit_labels(perms, count: int) -> np.ndarray:
@@ -484,11 +487,6 @@ def _orbit_labels(perms, count: int) -> np.ndarray:
 def _is_prime_power(k: int) -> bool:
     p = next(d for d in range(2, k + 1) if k % d == 0)
     return p ** k.bit_length() % k == 0  # k divides a power of its least prime p when p is its only prime
-
-
-def _cached_lattice(g: Group) -> SubgroupLattice | None:
-    """Any lattice ``g`` already holds: a lattice that was built is complete, whatever its budget."""
-    return next((v for k, v in g._cache.items() if isinstance(k, tuple) and k[0] == "lattice"), None)
 
 
 def _runs(cost: np.ndarray):
@@ -514,7 +512,7 @@ def _row_keys(mask: np.ndarray) -> list[bytes]:
     return [packed[i : i + width] for i in range(0, len(packed), width)]
 
 
-def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup, budget: Budget) -> SubgroupLattice:
+def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup) -> SubgroupLattice:
     """The lattice of g = ``subgroup_as_group(G, H)``, read off the interval [1, H] of G's lattice.
 
     Element i of g is element ``H.members[i]`` of G.  That map is increasing,
@@ -529,8 +527,6 @@ def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup, budget: 
     j = parent.subgroup_index(h)
     idx = np.append(parent.below(j), j)
     count, n = idx.size, g.order
-    if count > budget.max_subgroups:
-        raise BudgetExceededError(f"subgroup budget {budget.max_subgroups} exceeded", partial=budget.max_subgroups)
     pos = np.zeros(parent.group.order, dtype=np.intp)
     pos[h.members] = np.arange(n)
     sizes = [parent.subgroups[i].order for i in idx]
@@ -547,7 +543,7 @@ def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup, budget: 
             raise ConsistencyError("a conjugate subgroup is missing from the parent lattice")
         perms.append(perm)
     generators = [pos[parent.gen_flat[parent.gen_start[i] : parent.gen_start[i + 1]]] for i in idx]
-    lattice = SubgroupLattice(g, subgroups, _orbit_labels(perms, count), budget, generators)
+    lattice = SubgroupLattice(g, subgroups, _orbit_labels(perms, count), generators)
     # orbit-stabilizer: a wrong permutation or two classes merged as one breaks it
     for i in lattice.rep_indices:
         if normalizer_members(g, subgroups[i].members, generators[i]).size * lattice.conjugacy_class_size(i) != n:
@@ -622,10 +618,13 @@ def derived_series(g: Group) -> SeriesReport:
     return g._cache["derived"]
 
 
-def normality_sizes(g: Group, members) -> ClassSizes:
+def normality_sizes(g: Group, members, within=None) -> ClassSizes:
+    """``ClassSizes`` of H = ``members`` in K, the subgroup with members ``within`` (default G): N_K(H), H^K, their meet."""
     norm = normalizer_members(g, members)
-    closure = normal_closure_members(g, members)
-    return ClassSizes(norm.size, closure.size, np.intersect1d(norm, closure, assume_unique=True).size)
+    if within is not None:
+        norm = norm[_mask(g.order, within)[norm]]
+    closure = normal_closure_members(g, members, within)
+    return ClassSizes(norm.size, closure.size, int(_mask(g.order, closure)[norm].sum()))
 
 
 def centralizer_members(g: Group, members) -> np.ndarray:

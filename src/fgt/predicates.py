@@ -69,9 +69,9 @@ def _is_nc(order: int, sizes: ClassSizes) -> bool:
     return sizes.closure * sizes.normalizer // sizes.meet == order
 
 
-def is_nc_subgroup(g: Group, h: Subgroup) -> bool:
-    """H^G N_G(H) = G."""
-    return _is_nc(g.order, normality_sizes(g, h.members))
+def is_nc_subgroup(g: Group, h: Subgroup, within=None) -> bool:
+    """H^K N_K(H) = K, for the members ``within`` of a subgroup K of G containing H (default G)."""
+    return _is_nc(g.order if within is None else len(within), normality_sizes(g, h.members, within))
 
 
 def is_ne_subgroup(g: Group, h: Subgroup) -> bool:
@@ -473,9 +473,6 @@ class PredicateProfile:
 
 
 def classify_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> PredicateProfile:
-    cached = g._cache.get("predicate_profile")
-    if cached is not None:
-        return cached
     primes = primes_of(g.order)
     nilp, klass = is_nilpotent(g, budget)
     profile = PredicateProfile(
@@ -506,5 +503,4 @@ def classify_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> PredicateProfil
     ):
         if holds and not implied:
             raise ConsistencyError(f"{g.label}: {message}")
-    g._cache["predicate_profile"] = profile
     return profile

@@ -7,14 +7,21 @@ referenced somewhere outside its own definition: a module-level name as
 ``f`` (the package and scripts import names, not modules), a method as
 ``x.f`` on any object.  Imports do not count as references.  Module-level
 names in ``fgt.__all__`` are the package's exported API and are exempt.
+
+The option surface is pinned too, so that adding a knob is a visible test
+change: the fields of ``Budget`` and the option strings of the CLI.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import dataclasses
 from pathlib import Path
 
 import fgt
+from fgt.cli import _build_parser
+from fgt.config import Budget
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "fgt").glob("*.py"))
@@ -75,3 +82,25 @@ def test_the_check_flags_names_read_only_inside_their_own_definition(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("from mod import Box, recursive\n\nBox().open()\n")
     assert unreferenced_public_names([mod], [mod, user]) == ["mod.recursive", "mod.Box.read"]
+
+
+def test_the_budget_has_exactly_two_knobs():
+    assert {f.name for f in dataclasses.fields(Budget)} == {"order_cap", "max_subgroups"}
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of ``parser`` and of its subcommands, at any depth."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return found
+
+
+def test_the_cli_options_are_exactly_the_documented_set():
+    assert _option_strings(_build_parser()) == {
+        "-h", "--help", "--order-cap", "--max-subgroups", "--parallelism",
+        "--json", "--dot", "--subgroup", "--all", "--report", "--universe",
+    }

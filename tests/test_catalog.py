@@ -392,6 +392,20 @@ def test_huge_orders_raise_a_budget_error_in_bounded_time(text):
     assert time.perf_counter() - start < 1.0
 
 
+MERSENNE_11213 = 2**11213 - 1  # a prime of 3 376 digits: Miller-Rabin on it takes seconds
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec("ElementaryAbelian", (MERSENNE_11213, 1)),
+    GroupSpec("SL2", (MERSENNE_11213,)),
+], ids=["ElementaryAbelian", "SL2"])
+def test_a_prime_parameter_above_the_cap_is_refused_before_its_primality_test(spec):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"^group order .* exceeds cap 1200$"):
+        build_group(parse_spec(spec.to_string()), Budget(order_cap=1200))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_budget_message_prints_every_printable_order():
     with pytest.raises(BudgetExceededError) as printable:
         build_group(parse_spec("ElementaryAbelian(2,20)"), Budget(order_cap=1200))

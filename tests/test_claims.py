@@ -1,6 +1,9 @@
 import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -246,6 +249,21 @@ REPORT_SHA256 = "a94c6f77f572e3fe7f462139ca0fac3872751b250c5c628ed6ad5fe6a710a52
 def test_two_worker_processes_give_the_serial_report():
     report = emit_report(run_all_claims(BUDGET, parallelism=2), "json", timing=False)
     assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256
+
+
+# the claims that once reached numpy.ma through value-only set routines (np.unique, np.union1d, np.intersect1d)
+SET_ROUTINE_CLAIMS = ["component-lemma", "nc-quotient-correspondence", "nc-direct-factor", "gu23-remarks",
+                      "sufficiency-hall"]
+
+
+def test_claims_with_subgroup_set_arithmetic_leave_numpy_ma_unimported():
+    """Masks, ``np.isin`` and ``assume_unique=True`` stand in for value-only set routines, which import numpy.ma."""
+    script = f"import sys\nfrom fgt.claims import run_claim\nfor c in {SET_ROUTINE_CLAIMS!r}: run_claim(c)\n"
+    script += "print('numpy.ma' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]
 
 
 def test_budget_error_in_a_worker_process_exits_3(capsys):

@@ -194,3 +194,9 @@ def test_the_cached_parser_keeps_no_state_between_calls(capsys):
     fresh = subprocess.run([sys.executable, "-m", "fgt", "lattice", "Cyclic(4)"], env=env, capture_output=True, text=True)
     assert code == fresh.returncode == 0
     assert out == fresh.stdout and json.loads(out)["order"] == 4
+
+
+@pytest.mark.parametrize("argv", [["lattice", "Sym(3)"], ["check", "--all"], ["catalog", "list"]])
+def test_parallelism_below_one_is_a_usage_error_for_every_command(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--parallelism", "0")
+    assert (code, out, err) == (2, "", "error: parallelism must be >= 1\n")

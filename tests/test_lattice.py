@@ -180,7 +180,7 @@ def assert_readers_match_containment_oracle(lat, where):
         assert np.array_equal(lat.normal_above(j), np.flatnonzero(above)), (where, j)
     assert hasse_edges(lat) == [(int(i), int(j)) for i, j in zip(*np.nonzero(covers))], where
     second = np.flatnonzero(covers[:, lat.maximal].any(axis=1))
-    assert [lat.subgroup_index(s) for s in second_maximal_subgroups(lat.group, lat.budget)] == second.tolist(), where
+    assert [lat.subgroup_index(s) for s in second_maximal_subgroups(lat.group, BUDGET)] == second.tolist(), where
 
 
 # subgroup counts at the edges of the packed rows: one subgroup, two, and one whole byte
@@ -491,32 +491,46 @@ def test_budget_exhaustion_raises_with_partial_count():
     with pytest.raises(BudgetExceededError) as err:
         all_subgroups(build("Sym(4)"), Budget(max_subgroups=3))
     assert err.value.partial is not None
-    with pytest.raises(BudgetExceededError) as err:
-        all_subgroups(build("Sym(4)"), Budget(max_join_attempts=2))
-    assert err.value.partial is not None
 
 
-def test_join_budget_is_checked_before_each_batch():
-    """A join budget stops the enumeration before a representative's joins, so ``partial`` counts whole batches.
+def _budget_outcome(g, m):
+    """What ``all_subgroups(g, Budget(max_subgroups=m))`` gives: the error's text and partial, or the lattice's JSON."""
+    try:
+        return lattice_to_json(all_subgroups(g, Budget(max_subgroups=m)))
+    except BudgetExceededError as err:
+        return str(err), err.partial
 
-    The trivial subgroup is the first representative with joins, so a budget
-    of 0 stops with exactly the cyclic subgroups found.  A larger budget stops
-    at a later batch and never past the whole lattice.
+
+def _lattices_held(g):
+    return [v for v in g._cache.values() if isinstance(v, fgt.lattice.SubgroupLattice)]
+
+
+@pytest.mark.parametrize("spec", ["Sym(4)", "Dihedral(12)", "ElementaryAbelian(2,4)", "SL2(3)"])
+def test_a_held_lattice_raises_what_a_fresh_enumeration_raises(monkeypatch, spec):
+    """The one lattice a group keeps answers every ``max_subgroups`` as enumerating afresh under it would.
+
+    The reference is a fresh group on the same table, enumerated under each
+    budget m.  It is checked against a group that already holds its lattice
+    from the default budget, and against a child, its largest proper
+    subgroup, whose lattice was read off the parent's.  After calls under
+    several budgets each group holds exactly one lattice.
     """
-    g = build("Sym(4)")
-    cyclic = {frozenset(brute_closure(g.mul, [x]).tolist()) for x in range(g.order)}
-    total = len(all_subgroups(g, BUDGET).subgroups)
-    partials = []
-    while True:
-        try:
-            lat = all_subgroups(g, Budget(max_join_attempts=len(partials)))
-        except BudgetExceededError as err:
-            partials.append(err.partial)
-        else:
-            assert lattice_sets(g) == {frozenset(int(x) for x in s.members) for s in lat.subgroups}
-            break
-    assert partials[0] == len(cyclic) == 17
-    assert partials == sorted(partials) and partials[-1] <= total
+    restricted = []
+    restrict = fgt.lattice._restricted_lattice
+    monkeypatch.setattr(fgt.lattice, "_restricted_lattice", lambda *a: restricted.append(1) or restrict(*a))
+    built = build(spec)
+    parent = Group(built.mul, built.label, built.generators)
+    child = subgroup_as_group(parent, all_subgroups(parent, BUDGET).subgroups[-2])
+    all_subgroups(child, BUDGET)
+    assert restricted == [1]
+    for g in (parent, child):
+        total = len(all_subgroups(g, BUDGET).subgroups)
+        for m in sorted({0, 1, total // 3, total // 2, total - 1, total, total + 1}):
+            expected = _budget_outcome(Group(g.mul, g.label, g.generators), m)
+            assert _budget_outcome(g, m) == expected, (spec, g.label, m)
+            if m < total:
+                assert expected == (f"subgroup budget {m} exceeded", m), (spec, g.label, m)
+        assert len(_lattices_held(g)) == 1, (spec, g.label)
 
 
 @pytest.mark.parametrize(
@@ -632,13 +646,15 @@ def test_recorded_generators_close_to_their_subgroups(spec):
 
 
 def test_tight_budgets_raise_with_a_partial_count_on_batched_and_closed_joins():
-    """C2 x S5 has normal representatives (batched joins) and closed joins in its residual A5."""
+    """C2 x S5 has normal representatives (batched joins) and closed joins in its residual A5.
+
+    Each tight budget stops a fresh enumeration, on a group that holds no lattice yet.
+    """
     g = build("Direct(Cyclic(2),Sym(5))")
     total = len(all_subgroups(g, BUDGET).subgroups)
-    for budget in (Budget(max_subgroups=40), Budget(max_subgroups=total - 1), Budget(max_join_attempts=0),
-                   Budget(max_join_attempts=60), Budget(max_join_attempts=600)):
+    for budget in (Budget(max_subgroups=40), Budget(max_subgroups=total - 1)):
         with pytest.raises(BudgetExceededError) as err:
-            all_subgroups(g, budget)
+            all_subgroups(Group(g.mul, g.label, g.generators), budget)
         assert 0 < err.value.partial <= total, budget
     assert len(all_subgroups(g, Budget(max_subgroups=total)).subgroups) == total
 

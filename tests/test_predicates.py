@@ -24,7 +24,7 @@ from fgt.catalog import build_group, parse_spec, standard_catalog
 from fgt.claims import _pa_spec, _power_action_universe
 from fgt import groups, lattice, predicates
 from fgt.config import Budget
-from fgt.errors import NotApplicableError, NotSolvableError
+from fgt.errors import BudgetExceededError, NotApplicableError, NotSolvableError
 from fgt.groups import order_fingerprint
 from fgt.lattice import Subgroup, all_subgroups, is_subnormal, subgroup_as_group, subgroup_from_generators
 from fgt.predicates import (
@@ -166,6 +166,15 @@ def test_classify_known_examples():
     assert classify_group(build("Dihedral(6)"), BUDGET).pnc
     profile = classify_group(build("Sym(3)"), BUDGET)
     assert profile.on and profile.pnc and profile.nsn
+
+
+def test_classify_group_honours_the_budget_after_a_profile_was_made():
+    """A tight ``max_subgroups`` raises in ``classify_group`` as in the predicates it reads, whatever ran before."""
+    g = build("Sym(4)")
+    classify_group(g, BUDGET)
+    for predicate in (classify_group, is_pnc_group, all_subgroups):
+        with pytest.raises(BudgetExceededError, match=r"^subgroup budget 3 exceeded$"):
+            predicate(g, Budget(max_subgroups=3))
 
 
 def _catalog_and_power_action_groups():
