@@ -148,7 +148,7 @@ def build_cyclic(n: int, budget: Budget) -> Group:
 def build_elementary_abelian(p: int, k: int, budget: Budget) -> Group:
     if k < 1 or p <= budget.order_cap and not is_prime(p):  # a larger p is refused by the cap, untested
         raise InvalidElementError("need a prime p and k >= 1")
-    _cap_check(p**k, budget)
+    _cap_check_powers([(p, k)], budget)
     gens = [p**d for d in range(k)]
     return Group(_cyclic_extension(p, [(p, 1, 0)] * (k - 1)), f"C{p}^{k}", gens)
 
@@ -200,8 +200,8 @@ def build_modular(p: int, n: int, budget: Budget) -> Group:
     """Order p^(n+1):  <a, x | a^(p^n) = x^p = 1, x^-1 a x = a^(1+p^(n-1))>."""
     if n < 2 or p <= budget.order_cap and not is_prime(p):  # a larger p is refused by the cap, untested
         raise InvalidElementError("Modular(p,n) needs prime p and n >= 2")
+    _cap_check_powers([(p, n + 1)], budget)
     pn = p**n
-    _cap_check(p * pn, budget)
     return Group(_cyclic_extension(p, [(pn, 1 + p ** (n - 1), 0)]), f"Mod({p},{n})", [1, pn])
 
 
@@ -212,7 +212,7 @@ def build_heisenberg_like(p: int, n: int, budget: Budget) -> Group:
     """
     if n < 1 or p <= budget.order_cap and not is_prime(p):  # a larger p is refused by the cap, untested
         raise InvalidElementError("HeisenbergLike(p,n) needs prime p and n >= 1")
-    _cap_check(p**n * p * p, budget)
+    _cap_check_powers([(p, n + 2)], budget)
     base = direct_product(build_cyclic(p**n, budget), build_cyclic(p, budget), budget)
     a, b = np.divmod(np.arange(base.order), p)
     shear = a * p + (a + b) % p
@@ -408,6 +408,21 @@ def _prime_power(q: int) -> tuple[int, int]:
     raise InvalidElementError(f"unsupported field order {q}")
 
 
+# A prime-power order of more bits than this is refused without being computed.
+_ORDER_BITS = 1 << 20
+
+
+def _cap_check_powers(powers, budget: Budget) -> None:
+    """``_cap_check`` on the product of p**k over ``powers`` (p >= 2, k >= 1).
+
+    A p of b bits is at least 2**(b - 1), so a product whose lower bound
+    2**sum(k (b - 1)) has more than ``_ORDER_BITS`` bits is refused unbuilt.
+    """
+    if sum(k * (p.bit_length() - 1) for p, k in powers) > _ORDER_BITS:
+        raise BudgetExceededError(f"group order of more than {_ORDER_BITS} bits exceeds cap {budget.order_cap}")
+    _cap_check(math.prod(p**k for p, k in powers), budget)
+
+
 def _cap_check(order: int, budget: Budget):
     if order > budget.order_cap:
         try:
@@ -471,12 +486,16 @@ def _build_uncached(spec: GroupSpec, budget: Budget) -> Group:
             g = direct_product(g, build_group(sub, budget), budget)
         return g
     if name == "PowerAction":
-        if len(spec.params) < 3:
+        if len(spec.params) < 3 or not all(isinstance(x, int) for x in spec.params[:2]):
             raise UnknownConstructorError("PowerAction(p,alpha,(p1,a1,t1),...)")
         p, alpha = spec.params[0], spec.params[1]
         triples = spec.params[2:]
         if not all(isinstance(t, tuple) and len(t) == 3 for t in triples):
             raise UnknownConstructorError("PowerAction factors must be (prime,exp,twist) triples")
+        powers = [(p, alpha), *((q, a) for q, a, _ in triples)]
+        cap = budget.order_cap
+        if all(q >= 2 and a >= 1 for q, a in powers) and any(a > cap.bit_length() or q**a > cap for q, a in powers):
+            _cap_check_powers(powers, budget)  # a factor alone passes the cap: refused before arithmetic modulo it
         pa = PowerActionSpec(p, alpha, tuple(triples))
         return build_power_action(pa, budget)
     entry = _CONSTRUCTORS.get(name)
@@ -498,10 +517,15 @@ def parse_spec(text: str) -> GroupSpec:
     return spec
 
 
+# The catalog nests specs two deep; a deeper text is refused before it can exhaust the stack.
+_MAX_SPEC_DEPTH = 32
+
+
 class _SpecParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -521,6 +545,9 @@ class _SpecParser:
             raise UnknownConstructorError(f"expected constructor name at {start} in {self.text!r}")
         if self.peek() != "(":
             return GroupSpec(name)
+        self.depth += 1
+        if self.depth > _MAX_SPEC_DEPTH:
+            raise UnknownConstructorError(f"specs nested more than {_MAX_SPEC_DEPTH} deep at {self.pos}")
         self.pos += 1
         params = []
         if self.peek() != ")":
@@ -531,6 +558,7 @@ class _SpecParser:
         if self.peek() != ")":
             raise UnknownConstructorError(f"expected ')' in {self.text!r}")
         self.pos += 1
+        self.depth -= 1
         return GroupSpec(name, tuple(params))
 
     def parse_param(self):

@@ -185,11 +185,6 @@ def _first_failure(spec: GroupSpec, subs, fails, detail: str) -> dict | None:
     return None if bad is None else _witness(spec, bad, detail)
 
 
-def _must_hold_result(claim_id, checked, counterexamples, skipped, notes):
-    verdict = "fail" if counterexamples else "pass"
-    return ClaimResult(claim_id, verdict, checked, counterexamples, skipped, list(notes))
-
-
 def _reference_profile(spec_text: str) -> tuple:
     return order_fingerprint(build_group(parse_spec(spec_text))).key()
 
@@ -217,7 +212,7 @@ def _class_sizes(g: Group, budget: Budget):
 #   a str                   a note, which is not an instance.
 # A member whose construction, filter or check exceeds the budget becomes a
 # skip entry.  Remarks run after the universe, in order, on the result so far:
-# probes of named groups and the notes that close a claim.
+# probes of named groups, the notes that close a claim and fixed skip entries.
 
 Member = tuple[GroupSpec, Group]
 Check = Callable[[GroupSpec, Group, Budget], Iterable]
@@ -309,22 +304,24 @@ def _quantified(claim_id, expectation, universe, check, remarks):
     return run
 
 
-def probe(spec_text: str, holds: Callable[[Group, Budget], bool], note: str | None, detail: str,
-          counted: bool = True) -> Remark:
-    """A remark on one named group: ``note`` when ``holds``, else a counterexample
-    with ``detail``; a counted probe adds one to checkedCount either way."""
+def probe(spec_text: str, holds: Callable[[Group, Budget], bool],
+          note: str | Callable[[Group, Budget], str] | None, detail: str, counted: bool = True) -> Remark:
+    """A remark on one named group: ``note`` (or ``note(group, budget)``) when ``holds``,
+    else a counterexample with ``detail``; a counted probe adds one to checkedCount either way."""
     spec = parse_spec(spec_text)
 
     def remark(budget: Budget, result: ClaimResult) -> None:
         try:
-            ok = holds(build_group(spec, budget), budget)
+            g = build_group(spec, budget)
+            ok = holds(g, budget)
+            text = note(g, budget) if ok and callable(note) else note
         except BudgetExceededError as e:
             _skip(result.skipped, spec, e)
             return
         if not ok:
             result.counterexamples.append(_witness(spec, detail=detail))
-        elif note:
-            result.notes.append(note)
+        elif text:
+            result.notes.append(text)
         result.checked_count += counted
 
     return remark
@@ -332,6 +329,11 @@ def probe(spec_text: str, holds: Callable[[Group, Budget], bool], note: str | No
 
 def fixed_note(text: str) -> Remark:
     return lambda budget, result: result.notes.append(text)
+
+
+def fixed_skip(group: str, reason: str) -> Remark:
+    """A skip entry for a group the claim names but never builds."""
+    return lambda budget, result: result.skipped.append({"group": group, "reason": reason})
 
 
 def _family(constructor: str, ns) -> list[GroupSpec]:
@@ -351,7 +353,7 @@ CATALOG_DIRECT = Universe.of_specs(
     lambda budget: [s for s in standard_catalog() if s.constructor == "Direct" and len(s.params) == 2],
     max_order=500,
 )
-NILPOTENT = CATALOG.where("nilpotent catalog members", lambda g, budget: is_nilpotent(g, budget)[0])
+NILPOTENT = CATALOG.where("nilpotent catalog members", lambda g, budget: is_nilpotent(g)[0])
 PNC = CATALOG.where("PNC catalog members", lambda g, budget: is_pnc_group(g, budget))
 PNC_120 = CATALOG_120.where("PNC catalog members of order <= 120", lambda g, budget: is_pnc_group(g, budget))
 SOLVABLE_PNC = CATALOG.where("solvable PNC catalog members", _is_solvable_pnc)
@@ -817,16 +819,22 @@ def _pnc_iff_4_does_not_divide_n(spec: GroupSpec, g: Group, budget: Budget):
 
 
 def _run_gu23_remarks(budget: Budget) -> ClaimResult:
+    """The one existence claim: a budget error on the groups it builds becomes its skip entry."""
     spec = GroupSpec("GU2_3")
-    g = build_group(spec, budget)
-    lat = all_subgroups(g, budget)
+    try:
+        g = build_group(spec, budget)
+        lat = all_subgroups(g, budget)
+        wr_key = _profile_key(_wreath_c4_c2(budget))
+        cp_key = _profile_key(_central_product_c4_d4(budget))
+    except BudgetExceededError as e:
+        result = ClaimResult("gu23-remarks", "skipped", 0)
+        _skip(result.skipped, spec, e)
+        return result
     c2xc4 = _reference_profile("Direct(Cyclic(2),Cyclic(4))")
     notes, counterexamples = [], []
     sylows = [s for s in lat.subgroups if s.order == 32]
-    wr_key = _profile_key(_wreath_c4_c2(budget))
     if all(_profile_key(g, s.members) == wr_key for s in sylows):
         notes.append("all order-32 Sylow subgroups carry the C4 wr C2 profile")
-    cp_key = _profile_key(_central_product_c4_d4(budget))
     c4sq_key = _reference_profile("Direct(Cyclic(4),Cyclic(4))")
     witnesses, near = [], []
     for s in lat.subgroups:
@@ -1134,8 +1142,14 @@ def _thm1_shapes(spec: GroupSpec, g: Group, budget: Budget):
 
 
 def _on_sides_note(budget: Budget, result: ClaimResult) -> None:
-    s3, d4 = (build_group(parse_spec(text), budget) for text in ("Sym(3)", "Dihedral(4)"))
-    if is_on_group(s3, budget) and not is_on_group(d4, budget):
+    sides = []
+    for spec in (parse_spec("Sym(3)"), parse_spec("Dihedral(4)")):
+        try:
+            sides.append(is_on_group(build_group(spec, budget), budget))
+        except BudgetExceededError as e:
+            _skip(result.skipped, spec, e)
+            return
+    if sides == [True, False]:
         result.notes.append("positive side includes Sym(3) and the Dedekind members; Dihedral(4) is negative")
 
 
@@ -1172,38 +1186,20 @@ def _second_maximals_not_solvable_pnc(g: Group, budget: Budget) -> tuple[list[Su
     return [lat.subgroups[i] for i in bad], sum(lat.conjugacy_class_size(i) for i in bad)
 
 
-def _run_simple_second_maximal(budget: Budget) -> ClaimResult:
-    skipped = [
-        {"group": "PSL2(13)", "reason": "order-budget: permanently skipped (order 1092 lattice)"},
-        {"group": "PSL2(27)", "reason": "order-budget: permanently skipped (order 9828)"},
-    ]
-    counterexamples, notes = [], []
-    for q in (4, 5, 8):
-        spec = GroupSpec("PSL2", (q,))
-        bad, _ = _second_maximals_not_solvable_pnc(build_group(spec, budget), budget)
-        if bad:
-            counterexamples.append(_witness(spec, bad[0], "second maximal not solvable PNC"))
-    spec7 = GroupSpec("PSL2", (7,))
-    bad7, count7 = _second_maximals_not_solvable_pnc(build_group(spec7, budget), budget)
-    if bad7:
-        notes.append(
-            f"excluded case: PSL(2,7) has {count7} second maximal subgroups that are not solvable PNC "
-            f"(first witness order {bad7[0].order})"
-        )
-    else:
-        counterexamples.append(_witness(spec7, detail="expected a non-PNC second maximal subgroup"))
-    return _must_hold_result("simple-second-maximal", 4, counterexamples, skipped, notes)
+def _second_maximals_solvable_pnc(spec: GroupSpec, g: Group, budget: Budget):
+    bad, _ = _second_maximals_not_solvable_pnc(g, budget)
+    yield _witness(spec, bad[0], "second maximal not solvable PNC") if bad else None
 
 
-def _run_nonsolvable_second_maximal(budget: Budget) -> ClaimResult:
-    skipped = [
-        {"group": "SL2(27)", "reason": "order-budget: permanently skipped (order 19656)"},
-        {"group": "SL2(243)", "reason": "order-budget: permanently skipped"},
-    ]
-    spec = GroupSpec("SL2", (5,))
-    bad, _ = _second_maximals_not_solvable_pnc(build_group(spec, budget), budget)
-    counterexamples = [_witness(spec, b, "second maximal not solvable PNC") for b in bad[:1]]
-    return _must_hold_result("nonsolvable-second-maximal", 1, counterexamples, skipped, [])
+def _psl27_note(g: Group, budget: Budget) -> str:
+    bad, count = _second_maximals_not_solvable_pnc(g, budget)
+    return (f"excluded case: PSL(2,7) has {count} second maximal subgroups that are not solvable PNC "
+            f"(first witness order {bad[0].order})")
+
+
+SIMPLE_PSL2 = Universe.of_specs("PSL(2,q), q in {4,5,8}; q = 7 probed, 13 and 27 skipped",
+                                lambda budget: _family("PSL2", (4, 5, 8)))
+SL2_5 = Universe.of_specs("SL(2,5); SL(2,3^r) for r >= 3 skipped", lambda budget: _family("SL2", (5,)))
 
 
 def _sn_status(spec: GroupSpec, g: Group, budget: Budget):
@@ -1215,10 +1211,9 @@ def _sn_status(spec: GroupSpec, g: Group, budget: Budget):
     yield None
 
 
-def _run_c3_semi_d4_remark(budget: Budget) -> ClaimResult:
-    d4 = build_group(GroupSpec("Dihedral", (4,)), budget)
+def _c3_semi_d4(spec: GroupSpec, g: Group, budget: Budget):
+    d4 = build_group(spec.params[1], budget)
     # count automorphisms by brute force over generator images
-    orders = d4.element_orders()
     count = 0
     for xa in range(8):
         for xb in range(8):
@@ -1227,19 +1222,17 @@ def _run_c3_semi_d4_remark(budget: Budget) -> ClaimResult:
                 count += 1
             except NotAutomorphismError:
                 pass
-    notes = [f"Aut(D4) has order {count}; it has no element of order 3, so no nontrivial C3 action exists"]
-    c3 = build_group(GroupSpec("Cyclic", (3,)), budget)
-    prod = direct_product(c3, d4, budget)
+    yield f"Aut(D4) has order {count}; it has no element of order 3, so no nontrivial C3 action exists"
     s3_key = _reference_profile("Sym(3)")
-    lat = all_subgroups(prod, budget)
-    has_s3 = any(s.order == 6 and _profile_key(prod, s.members) == s3_key for s in lat.subgroups)
-    notes.append(
-        f"the degenerate product C3 x D4 contains an S3-profile subgroup: {has_s3}; "
-        "the stated counterexample cannot be realized as described"
-    )
-    notes.append("the fully specified D4:S3 counterexample is verified under nc-direct-factor instead")
-    return ClaimResult("c3-semi-d4-remark", "reportOnly", 1, [], [], notes)
+    has_s3 = any(s.order == 6 and _profile_key(g, s.members) == s3_key for s in all_subgroups(g, budget).subgroups)
+    yield (f"the degenerate product C3 x D4 contains an S3-profile subgroup: {has_s3}; "
+           "the stated counterexample cannot be realized as described")
+    yield "the fully specified D4:S3 counterexample is verified under nc-direct-factor instead"
+    yield None
 
+
+C3_X_D4 = Universe.of_specs("the degenerate product C3 x D4",
+                            lambda budget: [parse_spec("Direct(Cyclic(3),Dihedral(4))")])
 
 
 # --- registry and runner -------------------------------------------------------------
@@ -1272,7 +1265,7 @@ def claim_registry() -> list[Claim]:
         )]),
         forall("nilpotent-subgroups-dedekind", SOLVABLE_PNC, lambda spec, g, budget: [_first_failure(
             spec, all_subgroups(g, budget).class_representatives(),
-            lambda rep: is_nilpotent(subgroup_as_group(g, rep), budget)[0]
+            lambda rep: is_nilpotent(subgroup_as_group(g, rep))[0]
             and not is_dedekind(subgroup_as_group(g, rep), budget),
             "nilpotent subgroup is not Dedekind",
         )]),
@@ -1344,12 +1337,16 @@ def claim_registry() -> list[Claim]:
             (_witness(spec), is_on_group(g, budget), is_dedekind(g, budget) or on_structural(g, budget))
         ], _on_sides_note),
         forall("maximal-pnc-dichotomy", MAXIMALS_SOLVABLE_PNC, _maximal_pnc_dichotomy),
-        Claim("simple-second-maximal", "mustHold", "PSL(2,q), q in {4,5,7,8}; 13 and 27 skipped",
-              _run_simple_second_maximal),
-        Claim("nonsolvable-second-maximal", "mustHold", "SL(2,5); SL(2,3^r) for r >= 3 skipped",
-              _run_nonsolvable_second_maximal),
+        forall("simple-second-maximal", SIMPLE_PSL2, _second_maximals_solvable_pnc,
+               probe("PSL2(7)", lambda g, budget: bool(_second_maximals_not_solvable_pnc(g, budget)[0]),
+                     _psl27_note, "expected a non-PNC second maximal subgroup"),
+               fixed_skip("PSL2(13)", "order-budget: permanently skipped (order 1092 lattice)"),
+               fixed_skip("PSL2(27)", "order-budget: permanently skipped (order 9828)")),
+        forall("nonsolvable-second-maximal", SL2_5, _second_maximals_solvable_pnc,
+               fixed_skip("SL2(27)", "order-budget: permanently skipped (order 19656)"),
+               fixed_skip("SL2(243)", "order-budget: permanently skipped")),
         forall("sn-probe", SYMMETRIC, _sn_status, expectation="reportOnly"),
-        Claim("c3-semi-d4-remark", "reportOnly", "automorphism count + degenerate product", _run_c3_semi_d4_remark),
+        forall("c3-semi-d4-remark", C3_X_D4, _c3_semi_d4, expectation="reportOnly"),
         forall("self-normalizer-probe", SOLVABLE_PNC, lambda spec, g, budget: [
             f"{spec.to_string()}: some subgroup has proper normalizer = "
             f"{any(s.normalizer < g.order for s in _class_sizes(g, budget))}, "

@@ -26,40 +26,16 @@ from .lattice import (
     subgroup_from_generators,
 )
 from .predicates import (
+    GROUP_CLASSES,
     classify_group,
-    is_abelian,
-    is_dedekind,
     is_h_subgroup,
-    is_metabelian,
     is_nc_subgroup,
     is_ne_subgroup,
-    is_nilpotent,
     is_normally_embedded,
-    is_nsn_group,
-    is_on_group,
-    is_pe_group,
-    is_pnc_group,
     is_pronormal,
-    is_simple,
-    is_solvable,
-    is_supersolvable,
-    is_t_group,
 )
 
-GROUP_PREDICATES = {
-    "is_pnc": is_pnc_group,
-    "is_pe": is_pe_group,
-    "is_on": is_on_group,
-    "is_nsn": is_nsn_group,
-    "is_dedekind": is_dedekind,
-    "is_t_group": is_t_group,
-    "is_supersolvable": is_supersolvable,
-    "is_solvable": lambda g, budget: is_solvable(g),
-    "is_nilpotent": lambda g, budget: is_nilpotent(g, budget)[0],
-    "is_metabelian": lambda g, budget: is_metabelian(g),
-    "is_abelian": lambda g, budget: is_abelian(g),
-    "is_simple": is_simple,
-}
+GROUP_PREDICATES = {f"is_{name}": test for name, test in GROUP_CLASSES.items()}
 
 SUBGROUP_PREDICATES = {
     "is_nc": lambda g, h, budget: is_nc_subgroup(g, h),

@@ -670,26 +670,9 @@ def second_maximal_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> list[
     return [lattice.subgroups[i] for i in np.flatnonzero(second)]
 
 
-def product_set(mul: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The product set AB = {xy : x in A, y in B} as a sorted index array.
-
-    It is the subgroup <A, B> when one factor normalizes the other.
-    """
-    return np.flatnonzero(_mask(mul.shape[0], mul[a[:, None], b]))
-
-
 def subgroup_product(g: Group, a: Subgroup, b: Subgroup) -> tuple[int, bool]:
-    """Size of the product set AB, and whether it is all of G.
-
-    When either factor is normal the product is a subgroup and the size
-    follows from |A||B|/|A n B|; otherwise the literal product set is
-    enumerated.
-    """
-    if is_normal(g, a) or is_normal(g, b):
-        meet = np.intersect1d(a.members, b.members, assume_unique=True)
-        size = a.order * b.order // meet.size
-    else:
-        size = product_set(g.mul, a.members, b.members).size
+    """Size of the product set AB, |A||B|/|A n B| for any two subgroups, and whether it is all of G."""
+    size = a.order * b.order // np.intersect1d(a.members, b.members, assume_unique=True).size
     return size, size == g.order
 
 

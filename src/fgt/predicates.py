@@ -7,7 +7,8 @@ one representative per conjugacy class of subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -214,11 +215,10 @@ def is_metabelian(g: Group) -> bool:
     return report.terminated and len(report.terms) <= 3
 
 
-def is_nilpotent(g: Group, budget: Budget = DEFAULT_BUDGET) -> tuple[bool, int | None]:
-    """All Sylow subgroups normal, that is each the only one; class read off the lower central series."""
-    if any(len(sylow_subgroups(g, p, budget)) > 1 for p in primes_of(g.order)):
-        return False, None
-    return True, len(commutator_series(g, central=True).terms) - 1
+def is_nilpotent(g: Group) -> tuple[bool, int | None]:
+    """Whether the lower central series reaches 1, and if it does the nilpotency class: the series' length."""
+    report = commutator_series(g, central=True)
+    return (True, len(report.terms) - 1) if report.terminated else (False, None)
 
 
 def is_simple(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -324,7 +324,7 @@ def generalized_fitting(g: Group, budget: Budget = DEFAULT_BUDGET):
     layer = _least_normal_above(lattice, components)
     fstar = lattice.subgroups[_least_normal_above(lattice, [layer, _fitting_above(lattice, 0)])]
     child = subgroup_as_group(g, fstar)
-    nilp, klass = is_nilpotent(child, budget)
+    nilp, klass = is_nilpotent(child)
     return [lattice.subgroups[i] for i in components], lattice.subgroups[layer], fstar, (klass if nilp else None)
 
 
@@ -408,8 +408,32 @@ def is_t_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> bool:
 # --- the profile --------------------------------------------------------------------
 
 
+# Each group class: its flag name (``fgt predicate`` prefixes ``is_``) and its test, in report order.
+GROUP_CLASSES: dict[str, Callable[[Group, Budget], bool]] = {
+    "abelian": lambda g, budget: is_abelian(g),
+    "dedekind": is_dedekind,
+    "nilpotent": lambda g, budget: is_nilpotent(g)[0],
+    "solvable": lambda g, budget: is_solvable(g),
+    "supersolvable": is_supersolvable,
+    "metabelian": lambda g, budget: is_metabelian(g),
+    "t_group": is_t_group,
+    "pnc": is_pnc_group,
+    "pe": is_pe_group,
+    "on": is_on_group,
+    "nsn": is_nsn_group,
+    "simple": is_simple,
+}
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
 @dataclass
 class PredicateProfile:
+    """The order, the nilpotency class, one flag per entry of ``GROUP_CLASSES`` and three records per prime."""
+
     order: int
     abelian: bool
     dedekind: bool
@@ -429,67 +453,26 @@ class PredicateProfile:
     cp: dict[int, bool]
 
     def to_json(self) -> dict:
-        per_prime = {
-            str(p): {
-                "pNilpotent": self.p_nilpotent[p],
-                "pLength": self.p_length[p],
-                "cp": self.cp[p],
-            }
-            for p in sorted(self.p_nilpotent)
+        """Every field under its camelCase name, in field order; the per-prime dicts go under ``perPrime``."""
+        doc, per_prime = {}, {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            (per_prime if isinstance(value, dict) else doc)[_camel(f.name)] = value
+        doc["perPrime"] = {
+            str(p): {key: values[p] for key, values in per_prime.items()} for p in sorted(self.p_nilpotent)
         }
-        return {
-            "order": self.order,
-            "abelian": self.abelian,
-            "dedekind": self.dedekind,
-            "nilpotent": self.nilpotent,
-            "nilpotencyClass": self.nilpotency_class,
-            "solvable": self.solvable,
-            "supersolvable": self.supersolvable,
-            "metabelian": self.metabelian,
-            "tGroup": self.t_group,
-            "pnc": self.pnc,
-            "pe": self.pe,
-            "on": self.on,
-            "nsn": self.nsn,
-            "simple": self.simple,
-            "perPrime": per_prime,
-        }
+        return doc
 
     def flags(self) -> dict[str, bool]:
-        return {
-            "abelian": self.abelian,
-            "dedekind": self.dedekind,
-            "nilpotent": self.nilpotent,
-            "solvable": self.solvable,
-            "supersolvable": self.supersolvable,
-            "metabelian": self.metabelian,
-            "t_group": self.t_group,
-            "pnc": self.pnc,
-            "pe": self.pe,
-            "on": self.on,
-            "nsn": self.nsn,
-            "simple": self.simple,
-        }
+        return {name: getattr(self, name) for name in GROUP_CLASSES}
 
 
 def classify_group(g: Group, budget: Budget = DEFAULT_BUDGET) -> PredicateProfile:
     primes = primes_of(g.order)
-    nilp, klass = is_nilpotent(g, budget)
     profile = PredicateProfile(
         order=g.order,
-        abelian=is_abelian(g),
-        dedekind=is_dedekind(g, budget),
-        nilpotent=nilp,
-        nilpotency_class=klass,
-        solvable=is_solvable(g),
-        supersolvable=is_supersolvable(g, budget),
-        metabelian=is_metabelian(g),
-        t_group=is_t_group(g, budget),
-        pnc=is_pnc_group(g, budget),
-        pe=is_pe_group(g, budget),
-        on=is_on_group(g, budget),
-        nsn=is_nsn_group(g, budget),
-        simple=is_simple(g, budget),
+        nilpotency_class=is_nilpotent(g)[1],
+        **{name: test(g, budget) for name, test in GROUP_CLASSES.items()},
         p_nilpotent={p: is_p_nilpotent(g, p, budget) for p in primes},
         p_length={p: (p_length(g, p, budget) if is_solvable(g) else None) for p in primes},
         cp={p: satisfies_cp(g, p, budget) for p in primes},

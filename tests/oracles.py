@@ -524,7 +524,7 @@ def all_subgroups_generalized_fitting(group, budget):
             components.append(i)
     layer = _least_normal_above(lattice, components)
     fstar = lattice.subgroups[_least_normal_above(lattice, [layer, _fitting_above(lattice, 0)])]
-    nilp, klass = is_nilpotent(subgroup_as_group(group, fstar), budget)
+    nilp, klass = is_nilpotent(subgroup_as_group(group, fstar))
     return [lattice.subgroups[i] for i in components], lattice.subgroups[layer], fstar, (klass if nilp else None)
 
 

@@ -382,6 +382,9 @@ def test_budget_exceeded_is_typed():
     "HeisenbergLike(2,100000)",
     "PowerAction(2,100000,(3,1,1))",
     "PowerAction(2,1,(3,100000,1))",
+    "PowerAction(2,1,(3,3000000,1))",  # its order alone has 4.75M bits
+    "ElementaryAbelian(3,10000000)",
+    "Modular(2,10000000)",
     "PSL2(1000000000039)",
     "SL2(2305843009213693951)",  # the prime 2^61 - 1
 ])
@@ -413,6 +416,27 @@ def test_budget_message_prints_every_printable_order():
     with pytest.raises(BudgetExceededError) as huge:
         build_group(parse_spec("ElementaryAbelian(2,100000)"), Budget(order_cap=1200))
     assert str(huge.value) == "group order of 100001 bits exceeds cap 1200"
+
+
+def test_an_order_past_the_work_bound_is_refused_uncomputed():
+    with pytest.raises(BudgetExceededError) as refused:
+        build_group(parse_spec("ElementaryAbelian(3,10000000)"), Budget(order_cap=1200))
+    assert str(refused.value) == f"group order of more than {catalog._ORDER_BITS} bits exceeds cap 1200"
+
+
+def test_spec_nesting_is_bounded():
+    def nested(depth):
+        return "Direct(" * (depth - 1) + "Cyclic(2)" + ",Cyclic(1))" * (depth - 1)
+
+    assert parse_spec(nested(catalog._MAX_SPEC_DEPTH)).constructor == "Direct"
+    with pytest.raises(UnknownConstructorError, match="nested more than"):
+        parse_spec(nested(catalog._MAX_SPEC_DEPTH + 1))
+
+
+@pytest.mark.parametrize("text", ["PowerAction(Cyclic(2),1,(3,1,1))", "PowerAction(2,Cyclic(2),(3,1,1))"])
+def test_power_action_needs_integer_prime_and_exponent(text):
+    with pytest.raises(UnknownConstructorError):
+        build_group(parse_spec(text))
 
 
 def test_one_group_per_spec_under_every_cap_that_fits(monkeypatch):

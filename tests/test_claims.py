@@ -266,10 +266,27 @@ def test_claims_with_subgroup_set_arithmetic_leave_numpy_ma_unimported():
     assert proc.stdout.split() == ["False"]
 
 
-def test_budget_error_in_a_worker_process_exits_3(capsys):
-    # simple-second-maximal builds PSL(2,8), of order 504
-    assert main(["check", "--all", "--order-cap", "150", "--parallelism", "2"]) == 3
-    assert "group order 504 exceeds cap 150" in capsys.readouterr().err
+def test_a_budget_error_in_a_worker_process_is_a_skip_entry(tmp_path):
+    """Under cap 150 only gu23-remarks fails, and the workers' report is the serial one."""
+    path = tmp_path / "report.json"
+    assert main(["check", "--all", "--order-cap", "150", "--parallelism", "2", "--report", str(path)]) == 1
+    claims = json.loads(path.read_text())["claims"]
+    assert [c["id"] for c in claims if c["verdict"] == "fail"] == ["gu23-remarks"]
+    second_maximal = next(c for c in claims if c["id"] == "simple-second-maximal")
+    assert {"group": "PSL2(8)", "reason": "group order 504 exceeds cap 150"} in second_maximal["skipped"]
+    for c in claims:
+        c["elapsedMs"] = 0.0
+    serial = emit_report(run_all_claims(Budget(order_cap=150)), "json", timing=False)
+    assert claims == json.loads(serial)["claims"]
+
+
+@pytest.mark.parametrize("cap", [1, 8, 95, 150, 503])
+def test_the_registry_finishes_under_every_order_cap(cap):
+    """Every member, probe or remark group above the cap is a skip entry; no claim raises."""
+    results = run_all_claims(Budget(order_cap=cap))
+    assert [r.claim_id for r in results] == sorted(c.id for c in claim_registry())
+    assert all(r.verdict != "fail" or r.claim_id == "gu23-remarks" for r in results)
+    assert any(s["reason"].endswith(f"exceeds cap {cap}") for r in results for s in r.skipped)
 
 
 def _recording_pool(monkeypatch, failing=()):

@@ -149,6 +149,23 @@ def test_bad_env_order_cap_exits_two_without_a_traceback(value):
     assert "Traceback" not in proc.stderr
 
 
+def test_deep_nesting_exits_two_without_a_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    spec = "Direct(" * 5000 + "Cyclic(2)" + ",Cyclic(1))" * 5000
+    proc = subprocess.run([sys.executable, "-m", "fgt", "group", "info", spec], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_group_predicates_are_the_group_classes():
+    from fgt.cli import GROUP_PREDICATES
+    from fgt.predicates import GROUP_CLASSES
+
+    assert list(GROUP_PREDICATES) == [f"is_{name}" for name in GROUP_CLASSES]
+
+
 @pytest.mark.parametrize("spec", LATTICE_DIGESTS)
 def test_lattice_output_is_byte_identical_to_recorded_digest(capsys, spec):
     code, out, _ = run_cli(capsys, "lattice", spec)

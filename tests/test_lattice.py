@@ -29,14 +29,12 @@ from fgt.lattice import (
     all_subgroups,
     centralizer_members,
     hasse_edges,
-    is_normal,
     is_subnormal,
     lattice_to_dot,
     lattice_to_json,
     normal_closure_members,
     normality_sizes,
     normalizer_members,
-    product_set,
     second_maximal_subgroups,
     subgroup_as_group,
     subgroup_from_generators,
@@ -281,7 +279,8 @@ def test_product_set_is_the_join_when_c_normalizes_h(spec):
         h = subgroups[i].members
         x = rng.choice(normalizer_members(g, h))
         c = brute_closure(g.mul, [x])
-        assert np.array_equal(product_set(g.mul, h, c), brute_closure(g.mul, np.concatenate([h, c]))), (i, x)
+        product_set = np.unique(g.mul[np.ix_(h, c)])
+        assert np.array_equal(product_set, brute_closure(g.mul, np.concatenate([h, c]))), (i, x)
 
 
 def test_exhaustive_oracle_agreement_order_20_24():
@@ -422,18 +421,17 @@ def test_subgroup_product_examples():
     assert subgroup_product(g, triv, triv) == (1, False)
 
 
-def test_subgroup_product_formula_matches_enumeration():
-    g = build("Dihedral(6)")
-    lat = all_subgroups(g, BUDGET)
+@pytest.mark.parametrize("spec", ["Dihedral(6)", "Sym(4)", "SL2(3)", "D4SemiS3"])
+def test_subgroup_product_formula_matches_enumeration(spec):
+    """|AB| = |A||B|/|A n B| for every pair, whether or not a factor is normal."""
+    g = build(spec)
+    subs = all_subgroups(g, BUDGET).subgroups
     rng = np.random.default_rng(7)
-    subs = lat.subgroups
     for _ in range(100):
         a = subs[rng.integers(len(subs))]
         b = subs[rng.integers(len(subs))]
         literal = int(np.unique(g.mul[np.ix_(a.members, b.members)]).size)
-        if is_normal(g, a) or is_normal(g, b):
-            size, _ = subgroup_product(g, a, b)
-            assert size == literal
+        assert subgroup_product(g, a, b) == (literal, literal == g.order), (a.members, b.members)
 
 
 def test_join_meet_examples():

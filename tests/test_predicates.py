@@ -26,8 +26,16 @@ from fgt import groups, lattice, predicates
 from fgt.config import Budget
 from fgt.errors import BudgetExceededError, NotApplicableError, NotSolvableError
 from fgt.groups import order_fingerprint
-from fgt.lattice import Subgroup, all_subgroups, is_subnormal, subgroup_as_group, subgroup_from_generators
+from fgt.lattice import (
+    Subgroup,
+    all_subgroups,
+    is_subnormal,
+    subgroup_as_group,
+    subgroup_from_generators,
+    sylow_subgroups,
+)
 from fgt.predicates import (
+    GROUP_CLASSES,
     classify_group,
     fitting_chain,
     commutator_subgroup,
@@ -119,7 +127,6 @@ def test_pronormal_examples():
     for i, s in enumerate(lat.subgroups):
         if lat.normal[i]:
             assert is_pronormal(g, s)
-    from fgt.lattice import sylow_subgroups
 
     for spec in ("Sym(4)", "SL2(3)", "Dihedral(6)", "PowerAction(2,2,(5,1,3))"):
         gg = build(spec)
@@ -197,11 +204,25 @@ def test_supersolvable_examples_and_quotient_recursion_oracle():
 
 
 def test_nilpotent_solvable_metabelian_examples():
-    nil, klass = is_nilpotent(build("Dicyclic(2)"), BUDGET)
+    nil, klass = is_nilpotent(build("Dicyclic(2)"))
     assert nil and klass == 2
     s3 = build("Sym(3)")
-    assert is_solvable(s3) and is_metabelian(s3) and not is_nilpotent(s3, BUDGET)[0]
+    assert is_solvable(s3) and is_metabelian(s3) and not is_nilpotent(s3)[0]
     assert not is_solvable(build("Alt(5)"))
+
+
+def test_nilpotent_exactly_when_every_sylow_subgroup_is_normal():
+    """The lower central series against the Sylow criterion, over the catalog."""
+    for spec in standard_catalog():
+        g = build_group(spec, BUDGET)
+        sylows_normal = all(len(sylow_subgroups(g, p, BUDGET)) == 1 for p in primes_of(g.order))
+        assert is_nilpotent(g)[0] == sylows_normal, spec
+
+
+def test_profile_flags_are_the_group_classes():
+    profile = classify_group(build("Sym(3)"), BUDGET)
+    assert list(profile.flags()) == list(GROUP_CLASSES)
+    assert profile.flags() == {name: test(build("Sym(3)"), BUDGET) for name, test in GROUP_CLASSES.items()}
 
 
 def test_p_nilpotent_examples():
@@ -238,7 +259,7 @@ def test_fitting_subgroup_matches_largest_nilpotent_normal_scan():
         best = 0
         for n in lat.normal_subgroups():
             child = subgroup_as_group(g, n)
-            if is_nilpotent(child, BUDGET)[0]:
+            if is_nilpotent(child)[0]:
                 best = max(best, n.order)
         assert fitting_subgroup(g, BUDGET).order == best, spec
 
