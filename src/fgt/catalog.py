@@ -1,10 +1,10 @@
 """Named group constructors and the serializable GroupSpec catalog.
 
 Every group the verification harness touches is rebuilt deterministically
-from a GroupSpec (constructor name + parameters).  Specs have a compact
-string form ``Name(arg,...)`` (nesting allowed, e.g.
-``Direct(Cyclic(5),Sym(3))``) and a JSON form
-``{"constructor": ..., "params": {...}}``.
+from a GroupSpec (constructor name + parameters).  Specs have one text
+form, ``Name(arg,...)`` (nesting allowed, e.g. ``Direct(Cyclic(5),Sym(3))``),
+and a universe list is a comma-separated list of specs, ranges and
+``catalog`` in the same grammar.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_BUDGET, Budget
+from .config import DEFAULT_BUDGET, MAX_ORDER_CAP, Budget
 from .errors import (
     ActionInconsistentError,
     BudgetExceededError,
@@ -41,12 +41,6 @@ class GroupSpec:
         if not self.params:
             return self.constructor
         return f"{self.constructor}({','.join(_render_param(p) for p in self.params)})"
-
-    def to_json(self) -> dict:
-        return {"constructor": self.constructor, "params": _params_to_json(self)}
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.to_string()
 
 
 def _render_param(p) -> str:
@@ -517,6 +511,24 @@ def parse_spec(text: str) -> GroupSpec:
     return spec
 
 
+def parse_universe(text: str) -> list[GroupSpec]:
+    """The specs of a comma-separated universe list, in order.
+
+    An item is a spec, ``catalog`` (the standard catalog) or a range
+    ``Name(lo..hi)`` of a one-integer constructor.  A range is a whole item,
+    never a parameter inside a spec.
+    """
+    parser = _SpecParser(text)
+    specs: list[GroupSpec] = []
+    while parser.peek():
+        specs += parser.parse_item()
+        if parser.peek() != ",":
+            break
+        parser.pos += 1
+    parser.expect_end()
+    return specs
+
+
 # The catalog nests specs two deep; a deeper text is refused before it can exhaust the stack.
 _MAX_SPEC_DEPTH = 32
 
@@ -535,7 +547,7 @@ class _SpecParser:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse_spec(self) -> GroupSpec:
+    def parse_name(self) -> str:
         self._skip_ws()
         start = self.pos
         while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
@@ -543,6 +555,29 @@ class _SpecParser:
         name = self.text[start : self.pos]
         if not name or name[0].isdigit():
             raise UnknownConstructorError(f"expected constructor name at {start} in {self.text!r}")
+        return name
+
+    def parse_item(self) -> list[GroupSpec]:
+        """One universe item: ``catalog``, a range ``Name(lo..hi)`` or a spec."""
+        start = self.pos
+        name = self.parse_name()
+        if self.peek() != "(":
+            return standard_catalog() if name == "catalog" else [GroupSpec(name)]
+        self.pos += 1
+        if self.peek().isdigit() or self.peek() == "-":
+            lo = self.parse_int()
+            if self.peek() == "." and self.text.startswith("..", self.pos):
+                self.pos += 2
+                hi = self.parse_int()
+                if self.peek() != ")":
+                    raise UnknownConstructorError(f"expected ')' after range in {self.text!r}")
+                self.pos += 1
+                return _spec_range(name, lo, hi)
+        self.pos = start
+        return [self.parse_spec()]
+
+    def parse_spec(self) -> GroupSpec:
+        name = self.parse_name()
         if self.peek() != "(":
             return GroupSpec(name)
         self.depth += 1
@@ -595,21 +630,17 @@ class _SpecParser:
             raise UnknownConstructorError(f"trailing input at {self.pos} in {self.text!r}")
 
 
-# --- JSON form -------------------------------------------------------------------
-
-def _params_to_json(spec: GroupSpec) -> dict:
-    if spec.constructor == "Direct":
-        return {"factors": [p.to_json() for p in spec.params]}
-    if spec.constructor == "PowerAction":
-        return {
-            "p": spec.params[0],
-            "alpha": spec.params[1],
-            "factors": [
-                {"prime": t[0], "exp": t[1], "twist": t[2]} for t in spec.params[2:]
-            ],
-        }
-    names, _ = _CONSTRUCTORS.get(spec.constructor, ((), None))
-    return {name: value for name, value in zip(names, spec.params)}
+def _spec_range(name: str, lo: int, hi: int) -> list[GroupSpec]:
+    """Name(lo), ..., Name(hi).  Every one-integer constructor needs its parameter
+    at least 1 and builds a group of order at least the parameter, so nothing
+    outside 1..MAX_ORDER_CAP could be built; such a range is refused unlisted."""
+    if len(_CONSTRUCTORS.get(name, ((),))[0]) != 1:
+        raise UnknownConstructorError(f"a range needs a one-integer constructor, not {name!r}")
+    if lo < 1 or hi > MAX_ORDER_CAP:
+        raise UnknownConstructorError(
+            f"range {name}({lo}..{hi}) leaves 1..{MAX_ORDER_CAP}: no {name} outside it can be built"
+        )
+    return [GroupSpec(name, (n,)) for n in range(lo, hi + 1)]
 
 
 # --- the standard catalog ---------------------------------------------------------

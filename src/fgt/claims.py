@@ -60,6 +60,7 @@ from .lattice import (
     sylow_subgroups,
 )
 from .predicates import (
+    GROUP_CLASSES,
     classify_group,
     commutator_subgroup,
     derived_subgroup_members,
@@ -929,13 +930,21 @@ def _theorem3_sweep(budget: Budget, result: ClaimResult) -> None:
     )
     mismatches = 0
     sweep_sides = {True: 0, False: 0}
+    skipped = {entry["group"] for entry in result.skipped}
     for pa in universe:
+        spec = _pa_spec(pa)
+        try:
+            lhs = is_pnc_group(build_group(spec, budget), budget)
+        except BudgetExceededError as e:
+            if spec.to_string() not in skipped:
+                _skip(result.skipped, spec, e)
+            continue
         rhs = _valuation_side(pa.factors)
         sweep_sides[rhs] += 1
-        mismatches += is_pnc_group(build_group(_pa_spec(pa), budget), budget) != rhs
+        mismatches += lhs != rhs
     result.notes.append(
         "exploratory sweep without the prime-order hypothesis: "
-        f"{len(universe)} specs, biconditional sides (rhs true/false) = "
+        f"{sum(sweep_sides.values())} specs, biconditional sides (rhs true/false) = "
         f"{sweep_sides[True]}/{sweep_sides[False]}, mismatches = {mismatches}"
     )
     result.notes.append(
@@ -1408,6 +1417,7 @@ def counterexample_search(expression: str, universe: list[GroupSpec], budget: Bu
 
 
 def _compile_profile_expression(expression: str):
+    """The expression as a function of the profile flags; syntax and names are checked before any group is built."""
     import ast
 
     cleaned = expression.replace("&", " and ").replace("|", " or ").replace("~", " not ").replace("!", " not ")
@@ -1419,25 +1429,11 @@ def _compile_profile_expression(expression: str):
     for node in ast.walk(tree):
         if not isinstance(node, allowed):
             raise UnknownClaimError(f"unsupported syntax in expression {expression!r}")
-
-    def predicate(flags: dict[str, bool]) -> bool:
-        def ev(node):
-            if isinstance(node, ast.Expression):
-                return ev(node.body)
-            if isinstance(node, ast.BoolOp):
-                vals = [ev(v) for v in node.values]
-                return all(vals) if isinstance(node.op, ast.And) else any(vals)
-            if isinstance(node, ast.UnaryOp):
-                return not ev(node.operand)
-            if isinstance(node, ast.Name):
-                if node.id not in flags:
-                    raise UnknownClaimError(f"unknown predicate name {node.id!r}")
-                return flags[node.id]
-            raise UnknownClaimError("unsupported expression node")
-
-        return ev(tree)
-
-    return predicate
+        if isinstance(node, ast.Name) and node.id not in GROUP_CLASSES:
+            raise UnknownClaimError(f"unknown predicate name {node.id!r}")
+    # only boolean operators over known flag names are left, so eval sees nothing else
+    code = compile(tree, "<expression>", "eval")
+    return lambda flags: eval(code, {"__builtins__": {}}, flags)
 
 
 # --- report emission -----------------------------------------------------------------

@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .catalog import GroupSpec, build_group, parse_spec, standard_catalog
+from .catalog import build_group, parse_spec, parse_universe, standard_catalog
 from .claims import counterexample_search, emit_report, run_all_claims, run_claim
 from .config import MAX_ORDER_CAP, Budget
 from .errors import BudgetExceededError, FgtError, UnknownClaimError, UnknownConstructorError
@@ -50,45 +50,46 @@ SUBGROUP_PREDICATES = {
 
 @functools.cache  # one parser per process: main runs once per command
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order-cap", type=int, default=None,
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--order-cap", type=int, default=None,
                         help=f"maximum group order (hard limit {MAX_ORDER_CAP}; env FGT_ORDER_CAP)")
-    common.add_argument("--max-subgroups", type=int, default=None, help="lattice subgroup budget")
-    common.add_argument("--parallelism", type=int, default=1, help="worker processes for check --all")
+    budget.add_argument("--max-subgroups", type=int, default=None, help="lattice subgroup budget")
 
-    parser = argparse.ArgumentParser(prog="fgt", description=__doc__, parents=[common])
+    parser = argparse.ArgumentParser(prog="fgt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cat = sub.add_parser("catalog", help="catalog operations", parents=[common])
-    cat_sub = cat.add_subparsers(dest="catalog_command", required=True)
-    cat_sub.add_parser("list", help="list all catalog GroupSpecs with orders", parents=[common])
+    def command(group, name, handler, help):
+        """A leaf command: it takes the budget options and runs ``handler(args, budget)``."""
+        leaf = group.add_parser(name, help=help, parents=[budget])
+        leaf.set_defaults(handler=handler)
+        return leaf
 
-    info = sub.add_parser("group", help="group operations", parents=[common])
-    info_sub = info.add_subparsers(dest="group_command", required=True)
-    info_cmd = info_sub.add_parser("info", help="order profile and predicate profile", parents=[common])
-    info_cmd.add_argument("spec")
+    cat = sub.add_parser("catalog", help="catalog operations").add_subparsers(dest="catalog_command", required=True)
+    command(cat, "list", _cmd_catalog_list, "list all catalog GroupSpecs with orders")
 
-    lat = sub.add_parser("lattice", help="export the subgroup lattice", parents=[common])
+    info = sub.add_parser("group", help="group operations").add_subparsers(dest="group_command", required=True)
+    command(info, "info", _cmd_group_info, "order profile and predicate profile").add_argument("spec")
+
+    lat = command(sub, "lattice", _cmd_lattice, "export the subgroup lattice (JSON unless --dot)")
     lat.add_argument("spec")
-    fmt = lat.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--dot", action="store_true")
+    lat.add_argument("--dot", action="store_true")
 
-    pred = sub.add_parser("predicate", help="evaluate one predicate", parents=[common])
+    pred = command(sub, "predicate", _cmd_predicate, "evaluate one predicate")
     pred.add_argument("name")
     pred.add_argument("spec")
     pred.add_argument("--subgroup", help="comma-separated generator indices of the subgroup")
 
-    check = sub.add_parser("check", help="run claims", parents=[common])
+    check = command(sub, "check", _cmd_check, "run claims")
     check.add_argument("claim", nargs="?", help="claim id (omit with --all)")
     check.add_argument("--all", action="store_true", help="run every registered claim")
     check.add_argument("--report", help="also write the JSON report to this path")
     check.add_argument("--json", action="store_true", help="print JSON instead of the table")
+    check.add_argument("--parallelism", type=int, default=1, help="worker processes for --all")
 
-    search = sub.add_parser("search", help="search for groups satisfying a predicate expression", parents=[common])
+    search = command(sub, "search", _cmd_search, "search for groups satisfying a predicate expression")
     search.add_argument("expr", help="boolean expression over profile flags, e.g. 'pnc and not dedekind'")
     search.add_argument("--universe", default="catalog",
-                        help="comma-separated specs, ranges like Dihedral(3..20), or 'catalog'")
+                        help=f"comma-separated specs, ranges like Dihedral(3..20) up to {MAX_ORDER_CAP}, or 'catalog'")
     return parser
 
 
@@ -98,38 +99,6 @@ def _budget_from_args(args) -> Budget:
         order_cap=args.order_cap if args.order_cap is not None else defaults.order_cap,
         max_subgroups=args.max_subgroups if args.max_subgroups is not None else defaults.max_subgroups,
     )
-
-
-def _parse_universe(text: str) -> list[GroupSpec]:
-    specs: list[GroupSpec] = []
-    depth = 0
-    item = ""
-    items = []
-    for ch in text:
-        if ch == "," and depth == 0:
-            items.append(item)
-            item = ""
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        item += ch
-    if item:
-        items.append(item)
-    for raw in items:
-        raw = raw.strip()
-        if raw == "catalog":
-            specs.extend(standard_catalog())
-            continue
-        if ".." in raw and raw.endswith(")") and "(" in raw:
-            name, _, inner = raw.partition("(")
-            lo, _, hi = inner[:-1].partition("..")
-            for n in range(int(lo), int(hi) + 1):
-                specs.append(GroupSpec(name.strip(), (n,)))
-            continue
-        specs.append(parse_spec(raw))
-    return specs
 
 
 def _cmd_catalog_list(args, budget: Budget) -> int:
@@ -184,6 +153,8 @@ def _cmd_predicate(args, budget: Budget) -> int:
 
 
 def _cmd_check(args, budget: Budget) -> int:
+    if args.parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     if args.all:
         results = run_all_claims(budget, parallelism=args.parallelism)
     elif args.claim:
@@ -200,7 +171,7 @@ def _cmd_check(args, budget: Budget) -> int:
 
 
 def _cmd_search(args, budget: Budget) -> int:
-    universe = _parse_universe(args.universe)
+    universe = parse_universe(args.universe)
     matches, skipped = counterexample_search(args.expr, universe, budget)
     doc = {
         "expression": args.expr,
@@ -218,23 +189,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        budget = _budget_from_args(args)
-        if args.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if args.command == "catalog":
-            return _cmd_catalog_list(args, budget)
-        if args.command == "group":
-            return _cmd_group_info(args, budget)
-        if args.command == "lattice":
-            return _cmd_lattice(args, budget)
-        if args.command == "predicate":
-            return _cmd_predicate(args, budget)
-        if args.command == "check":
-            return _cmd_check(args, budget)
-        if args.command == "search":
-            return _cmd_search(args, budget)
-        parser.print_usage(sys.stderr)
-        return 2
+        return args.handler(args, _budget_from_args(args))
     except BudgetExceededError as e:
         sys.stderr.write(f"budget exceeded: {e}\n")
         return 3

@@ -88,19 +88,28 @@ def test_the_budget_has_exactly_two_knobs():
     assert {f.name for f in dataclasses.fields(Budget)} == {"order_cap", "max_subgroups"}
 
 
-def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
-    """Every option string of ``parser`` and of its subcommands, at any depth."""
-    found = set()
+def _option_strings(parser: argparse.ArgumentParser, path: str = "") -> dict[str, set[str]]:
+    """The option strings of ``parser`` and of each subcommand, keyed by command path (``"catalog list"``)."""
+    found = {path: set()}
     for action in parser._actions:
-        found.update(action.option_strings)
+        found[path].update(action.option_strings)
         if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                found |= _option_strings(sub)
+            for name, sub in action.choices.items():
+                found |= _option_strings(sub, f"{path} {name}".strip())
     return found
 
 
 def test_the_cli_options_are_exactly_the_documented_set():
+    help_only = {"-h", "--help"}
+    budget = help_only | {"--order-cap", "--max-subgroups"}
     assert _option_strings(_build_parser()) == {
-        "-h", "--help", "--order-cap", "--max-subgroups", "--parallelism",
-        "--json", "--dot", "--subgroup", "--all", "--report", "--universe",
+        "": help_only,
+        "catalog": help_only,
+        "catalog list": budget,
+        "group": help_only,
+        "group info": budget,
+        "lattice": budget | {"--dot"},
+        "predicate": budget | {"--subgroup"},
+        "check": budget | {"--all", "--report", "--json", "--parallelism"},
+        "search": budget | {"--universe"},
     }

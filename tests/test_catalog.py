@@ -25,6 +25,7 @@ from fgt.catalog import (
     build_group,
     build_power_action,
     parse_spec,
+    parse_universe,
     standard_catalog,
     _build_uncached,
     _companion_of_order,
@@ -54,16 +55,40 @@ def test_spec_string_roundtrip_over_catalog():
         assert parse_spec(spec.to_string()) == spec
 
 
-def test_spec_json_roundtrip_over_catalog():
-    # The JSON form is plain JSON (it survives a dump/load unchanged), keeps the
-    # constructor name, and tells apart every spec of the catalog.
-    docs = set()
-    for spec in standard_catalog():
-        doc = spec.to_json()
-        assert json.loads(json.dumps(doc)) == doc
-        assert doc["constructor"] == spec.constructor
-        docs.add(json.dumps(doc, sort_keys=True))
-    assert len(docs) == len(set(standard_catalog()))
+def test_universe_items_are_specs_ranges_and_the_catalog():
+    assert parse_universe(" Dihedral( 3 .. 5 ) , catalog,Direct(Cyclic(2), Sym(3)),PowerAction(2,2,(5,1,3)) ") == [
+        GroupSpec("Dihedral", (3,)), GroupSpec("Dihedral", (4,)), GroupSpec("Dihedral", (5,)),
+        *standard_catalog(),
+        GroupSpec("Direct", (GroupSpec("Cyclic", (2,)), GroupSpec("Sym", (3,)))),
+        GroupSpec("PowerAction", (2, 2, (5, 1, 3))),
+    ]
+    assert parse_universe("Cyclic(5..3)") == parse_universe("") == []
+    assert parse_universe("Sym(3),") == [GroupSpec("Sym", (3,))]
+    assert parse_universe("Cyclic(5040..5040)") == [GroupSpec("Cyclic", (5040,))]
+
+
+@pytest.mark.parametrize("text", [
+    "Direct(Cyclic(2),Cyclic(3..4))",  # a range is a whole item, not a parameter
+    "ElementaryAbelian(2..3)",  # two-integer constructor
+    "NoSuchThing(1..3)",
+    "Dihedral(3..6..8)",
+    "Sym(3),,Sym(4)",
+    "Sym(3) Sym(4)",
+    "Cyclic(0..3)",
+    "Cyclic(1..5041)",
+])
+def test_universe_lists_that_are_refused(text):
+    with pytest.raises(UnknownConstructorError):
+        parse_universe(text)
+
+
+def test_a_range_past_the_hard_limit_is_refused_before_it_is_listed():
+    start = time.perf_counter()
+    with pytest.raises(UnknownConstructorError, match="5040"):
+        parse_universe("Cyclic(1..3000000)")
+    with pytest.raises(UnknownConstructorError):
+        parse_universe("Cyclic(-1000000000000..5)")
+    assert time.perf_counter() - start < 1
 
 
 def test_spec_parse_nested_and_tuples():

@@ -13,6 +13,7 @@ from fgt.catalog import GroupSpec, build_group, parse_spec
 from fgt.claims import (
     STATEMENTS,
     _power_action_formulas,
+    _power_action_universe,
     ClaimResult,
     claim_registry,
     counterexample_search,
@@ -101,6 +102,19 @@ def test_theorem3_is_vacuous_on_its_stated_universe():
     assert any("VacuousSide" in note for note in r.notes)
     assert any("rejected" in note for note in r.notes)
     assert any("exploratory sweep" in note and "mismatches = 0" in note for note in r.notes)
+
+
+@pytest.mark.parametrize("max_subgroups", [10, 100])
+def test_a_tight_subgroup_budget_skips_sweep_members_instead_of_stopping_the_run(max_subgroups):
+    results = run_all_claims(Budget(max_subgroups=max_subgroups))
+    assert len(results) == 35
+    r = next(r for r in results if r.claim_id == "theorem3-valuations")
+    groups = [entry["group"] for entry in r.skipped]
+    assert groups and len(groups) == len(set(groups))
+    # every sweep spec is either counted by the sweep note or skipped once
+    sweep = next(note for note in r.notes if note.startswith("exploratory sweep"))
+    counted = int(sweep.split(": ")[1].split(" specs")[0])
+    assert counted + len(groups) == len(_power_action_universe(400)[0])
 
 
 def test_gu23_remarks_fails_with_split_witness_analysis():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -213,7 +214,30 @@ def test_the_cached_parser_keeps_no_state_between_calls(capsys):
     assert out == fresh.stdout and json.loads(out)["order"] == 4
 
 
-@pytest.mark.parametrize("argv", [["lattice", "Sym(3)"], ["check", "--all"], ["catalog", "list"]])
-def test_parallelism_below_one_is_a_usage_error_for_every_command(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--parallelism", "0")
+def test_parallelism_below_one_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "check", "--all", "--parallelism", "0")
     assert (code, out, err) == (2, "", "error: parallelism must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-subgroups", "3", "lattice", "Sym(5)"],  # options follow the command they act on
+    ["--order-cap", "100", "group", "info", "Sym(5)"],
+    ["catalog", "--order-cap", "100", "list"],
+    ["lattice", "Sym(5)", "--parallelism", "2"],  # only check reads it
+    ["lattice", "Sym(3)", "--json"],
+])
+def test_an_option_the_command_does_not_take_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("usage: fgt")
+
+
+def test_an_unknown_search_name_is_refused_before_any_group_is_built(capsys):
+    code, out, err = run_cli(capsys, "search", "bogus", "--universe", "Sym(7)")
+    assert (code, out, err) == (2, "", "error: unknown predicate name 'bogus'\n")
+
+
+def test_a_search_range_past_the_hard_limit_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "search", "pnc", "--universe", "Cyclic(1..3000000)")
+    assert code == 2 and out == "" and err.startswith("error: range Cyclic(1..3000000)")
+    assert time.perf_counter() - start < 1

@@ -16,6 +16,7 @@ from oracles import (
     brute_normalizer,
     exhaustive_subgroups,
     proper_containment,
+    subset_scan_subgroups,
 )
 
 from fgt.catalog import build_group, parse_spec, standard_catalog
@@ -281,6 +282,14 @@ def test_product_set_is_the_join_when_c_normalizes_h(spec):
         c = brute_closure(g.mul, [x])
         product_set = np.unique(g.mul[np.ix_(h, c)])
         assert np.array_equal(product_set, brute_closure(g.mul, np.concatenate([h, c]))), (i, x)
+
+
+def test_the_element_search_finds_the_sets_of_the_subset_scan():
+    # every catalog group of order at most 20, the scan's reach in a few seconds
+    for spec in standard_catalog():
+        g = build_group(spec, BUDGET)
+        if g.order <= 20:
+            assert exhaustive_subgroups(g.mul) == subset_scan_subgroups(g.mul), spec.to_string()
 
 
 def test_exhaustive_oracle_agreement_order_20_24():
