@@ -486,9 +486,10 @@ def _build_uncached(spec: GroupSpec, budget: Budget) -> Group:
         triples = spec.params[2:]
         if not all(isinstance(t, tuple) and len(t) == 3 for t in triples):
             raise UnknownConstructorError("PowerAction factors must be (prime,exp,twist) triples")
-        powers = [(p, alpha), *((q, a) for q, a, _ in triples)]
+        # every prime power of the right shape, even beside a malformed one, which PowerActionSpec refuses
+        powers = [(q, a) for q, a in [(p, alpha), *((q, a) for q, a, _ in triples)] if q >= 2 and a >= 1]
         cap = budget.order_cap
-        if all(q >= 2 and a >= 1 for q, a in powers) and any(a > cap.bit_length() or q**a > cap for q, a in powers):
+        if any(a > cap.bit_length() or q**a > cap for q, a in powers):
             _cap_check_powers(powers, budget)  # a factor alone passes the cap: refused before arithmetic modulo it
         pa = PowerActionSpec(p, alpha, tuple(triples))
         return build_power_action(pa, budget)

@@ -390,7 +390,7 @@ def _sylow_normal(g: Group, budget: Budget, p: int) -> Subgroup | None:
 def _all_maximals_satisfy(g: Group, budget: Budget, pred) -> bool:
     """``pred`` on every maximal subgroup, tested on one per conjugacy class: ``pred`` is an isomorphism invariant."""
     lat = all_subgroups(g, budget)
-    return all(pred(subgroup_as_group(g, lat.subgroups[i])) for i in lat.rep_indices if lat.maximal[i])
+    return all(pred(subgroup_as_group(lat, i)) for i in lat.rep_indices if lat.maximal[i])
 
 
 def _minimal_non_abelian(g: Group, budget: Budget) -> bool:
@@ -543,6 +543,7 @@ def on_structural(g: Group, budget: Budget) -> bool:
     """Structural side of the ON characterization (non-Dedekind branch)."""
     if g.order == 1:
         return False
+    lat = all_subgroups(g, budget)
     orders = g.element_orders()
     for p in primes_of(g.order):
         sylow = sylow_subgroups(g, p, budget)[0]
@@ -551,14 +552,14 @@ def on_structural(g: Group, budget: Budget) -> bool:
         if normalizer_members(g, sylow.members).size != sylow.order:
             continue
         others = [_sylow_normal(g, budget, q) for q in primes_of(g.order) if q != p]
-        if any(nq is None or not is_abelian(subgroup_as_group(g, nq)) for nq in others):
+        if any(nq is None or not is_abelian(subgroup_as_group(lat, lat.subgroup_index(nq))) for nq in others):
             continue
         # generator of the cyclic Sylow, and <x^p> = O_p(G)
         x = int(sylow.members[np.argmax(orders[sylow.members] == sylow.order)])
         if not np.array_equal(subgroup_from_generators(g, [g.power(x, p)]).members, p_core_members(g, p, budget)):
             continue
         # the other Sylow subgroups are normal, so their join is the normal p-complement
-        h1 = next(s for s in all_subgroups(g, budget).normal_subgroups() if s.order == g.order // sylow.order)
+        h1 = next(s for s in lat.normal_subgroups() if s.order == g.order // sylow.order)
         good = True
         for w in h1.members:
             if w == 0:
@@ -648,7 +649,8 @@ def _structure_bundle(spec: GroupSpec, g: Group, budget: Budget):
         failures.append("fitting-height")
     if any(p_length(g, p, budget) > 1 for p in primes_of(g.order)):
         failures.append("p-length")
-    if not is_abelian(subgroup_as_group(g, frattini_subgroup(g, budget))):
+    lat = all_subgroups(g, budget)
+    if not is_abelian(subgroup_as_group(lat, lat.subgroup_index(frattini_subgroup(g, budget)))):
         failures.append("frattini-abelian")
     if not is_metabelian(g):
         failures.append("metabelian")
@@ -715,21 +717,23 @@ def _d4_converse(d4: Group, budget: Budget) -> bool:
 
 
 def _normal_subgroups_pnc(spec: GroupSpec, g: Group, budget: Budget):
-    for n in all_subgroups(g, budget).normal_subgroups():
-        ok = is_pnc_group(subgroup_as_group(g, n), budget)
-        yield None if ok else _witness(spec, n, "normal subgroup of PNC group not PNC")
+    lat = all_subgroups(g, budget)
+    for i in np.flatnonzero(lat.normal):
+        ok = is_pnc_group(subgroup_as_group(lat, i), budget)
+        yield None if ok else _witness(spec, lat.subgroups[i], "normal subgroup of PNC group not PNC")
 
 
 def _has_non_pnc_a4(big: Group, budget: Budget) -> bool:
     a4_key = _reference_profile("Alt(4)")
+    lat = all_subgroups(big, budget)
     witness = next(
-        (s for s in all_subgroups(big, budget).subgroups if s.order == 12 and _profile_key(big, s.members) == a4_key),
+        (i for i, s in enumerate(lat.subgroups) if s.order == 12 and _profile_key(big, s.members) == a4_key),
         None,
     )
     return (
         witness is not None
         and is_pnc_group(big, budget)
-        and not is_pnc_group(subgroup_as_group(big, witness), budget)
+        and not is_pnc_group(subgroup_as_group(lat, witness), budget)
     )
 
 
@@ -1048,10 +1052,11 @@ def _hall_dedekind_hypothesis(g: Group, budget: Budget) -> Subgroup | None:
     """
     lat = all_subgroups(g, budget)
     orders = g.element_orders()
-    for a_sub in lat.normal_subgroups():
+    for k in np.flatnonzero(lat.normal):
+        a_sub = lat.subgroups[k]
         if math.gcd(a_sub.order, g.order // a_sub.order) != 1:
             continue
-        if not is_abelian(subgroup_as_group(g, a_sub)):
+        if not is_abelian(subgroup_as_group(lat, k)):
             continue
         a_mask = a_sub.mask()
         inside_ok = all(
@@ -1061,17 +1066,18 @@ def _hall_dedekind_hypothesis(g: Group, budget: Budget) -> Subgroup | None:
         )
         if not inside_ok:
             continue
-        comp = next(
+        c = next(
             (
-                d
-                for d in lat.subgroups
+                i
+                for i, d in enumerate(lat.subgroups)
                 if d.order == g.order // a_sub.order
                 and np.intersect1d(d.members, a_sub.members, assume_unique=True).size == 1
             ),
             None,
         )
-        if comp is None or not is_dedekind(subgroup_as_group(g, comp), budget):
+        if c is None or not is_dedekind(subgroup_as_group(lat, c), budget):
             continue
+        comp = lat.subgroups[c]
         good = True
         for a in a_sub.members:
             if a == 0 or not good:
@@ -1114,11 +1120,9 @@ def _min_non_pe_gate(g: Group, budget: Budget, proper_condition) -> bool:
     """Not PE, while every proper subgroup satisfies ``proper_condition(child)``."""
     if is_pe_group(g, budget):
         return False
-    return all(
-        proper_condition(subgroup_as_group(g, rep))
-        for rep in all_subgroups(g, budget).class_representatives()
-        if rep.order != g.order
-    )
+    lat = all_subgroups(g, budget)
+    proper = (i for i in lat.rep_indices if lat.subgroups[i].order < g.order)
+    return all(proper_condition(subgroup_as_group(lat, i)) for i in proper)
 
 
 def _min_non_pe_over_solvable_pnc(g: Group, budget: Budget) -> bool:
@@ -1190,7 +1194,7 @@ def _second_maximals_not_solvable_pnc(g: Group, budget: Budget) -> tuple[list[Su
     second = {lat.subgroup_index(s) for s in second_maximal_subgroups(g, budget)}
     bad = [
         i for i in lat.rep_indices
-        if i in second and not _is_solvable_pnc(subgroup_as_group(g, lat.subgroups[i]), budget)
+        if i in second and not _is_solvable_pnc(subgroup_as_group(lat, i), budget)
     ]
     return [lat.subgroups[i] for i in bad], sum(lat.conjugacy_class_size(i) for i in bad)
 
@@ -1273,9 +1277,9 @@ def claim_registry() -> list[Claim]:
             "normalizer has proper normal closure",
         )]),
         forall("nilpotent-subgroups-dedekind", SOLVABLE_PNC, lambda spec, g, budget: [_first_failure(
-            spec, all_subgroups(g, budget).class_representatives(),
-            lambda rep: is_nilpotent(subgroup_as_group(g, rep))[0]
-            and not is_dedekind(subgroup_as_group(g, rep), budget),
+            spec, (lat := all_subgroups(g, budget)).class_representatives(),
+            lambda rep: is_nilpotent(child := subgroup_as_group(lat, lat.subgroup_index(rep)))[0]
+            and not is_dedekind(child, budget),
             "nilpotent subgroup is not Dedekind",
         )]),
         forall(

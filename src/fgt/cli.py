@@ -8,8 +8,10 @@ partial result.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 
 from .catalog import build_group, parse_spec, parse_universe, standard_catalog
@@ -35,6 +37,8 @@ from .predicates import (
     is_pronormal,
 )
 
+ORDER_CAP_ENV = "FGT_ORDER_CAP"
+
 GROUP_PREDICATES = {f"is_{name}": test for name, test in GROUP_CLASSES.items()}
 
 SUBGROUP_PREDICATES = {
@@ -52,7 +56,7 @@ SUBGROUP_PREDICATES = {
 def _build_parser() -> argparse.ArgumentParser:
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--order-cap", type=int, default=None,
-                        help=f"maximum group order (hard limit {MAX_ORDER_CAP}; env FGT_ORDER_CAP)")
+                        help=f"maximum group order (hard limit {MAX_ORDER_CAP}; env {ORDER_CAP_ENV})")
     budget.add_argument("--max-subgroups", type=int, default=None, help="lattice subgroup budget")
 
     parser = argparse.ArgumentParser(prog="fgt", description=__doc__)
@@ -94,11 +98,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _budget_from_args(args) -> Budget:
-    defaults = Budget()
-    return Budget(
-        order_cap=args.order_cap if args.order_cap is not None else defaults.order_cap,
-        max_subgroups=args.max_subgroups if args.max_subgroups is not None else defaults.max_subgroups,
-    )
+    """The budget options given; else, for the order cap, ``FGT_ORDER_CAP``; else the defaults."""
+    options = {"order_cap": args.order_cap, "max_subgroups": args.max_subgroups}
+    if args.order_cap is None and ORDER_CAP_ENV in os.environ:
+        options["order_cap"] = int(os.environ[ORDER_CAP_ENV])
+    return Budget(**{name: value for name, value in options.items() if value is not None})
 
 
 def _cmd_catalog_list(args, budget: Budget) -> int:
@@ -155,15 +159,13 @@ def _cmd_predicate(args, budget: Budget) -> int:
 def _cmd_check(args, budget: Budget) -> int:
     if args.parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    if args.all:
-        results = run_all_claims(budget, parallelism=args.parallelism)
-    elif args.claim:
-        results = [run_claim(args.claim, budget)]
-    else:
+    if not (args.all or args.claim):
         raise UnknownClaimError("check needs a claim id or --all")
-    report = emit_report(results, "json")
-    if args.report:
-        with open(args.report, "w") as fh:
+    # opened before any claim runs, so that a path that cannot be written costs no run
+    with open(args.report, "w") if args.report else contextlib.nullcontext() as fh:
+        results = run_all_claims(budget, parallelism=args.parallelism) if args.all else [run_claim(args.claim, budget)]
+        report = emit_report(results, "json")
+        if fh:
             fh.write(report)
     sys.stdout.write(report if args.json else emit_report(results, "markdown"))
     # only mustHold and iff claims can end with verdict "fail"
@@ -193,7 +195,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         sys.stderr.write(f"budget exceeded: {e}\n")
         return 3
-    except (FgtError, ValueError) as e:
+    except (FgtError, ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

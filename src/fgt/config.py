@@ -2,24 +2,11 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_ORDER_CAP = 1200
 MAX_ORDER_CAP = 5040
 DEFAULT_MAX_SUBGROUPS = 200_000
-
-ORDER_CAP_ENV = "FGT_ORDER_CAP"
-
-
-def _default_order_cap() -> int:
-    raw = os.environ.get(ORDER_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORDER_CAP
-    cap = int(raw)
-    if not 1 <= cap <= MAX_ORDER_CAP:
-        raise ValueError(f"{ORDER_CAP_ENV} must be in [1, {MAX_ORDER_CAP}], got {cap}")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -31,14 +18,12 @@ class Budget:
     error a fresh enumeration raises, below it.
     """
 
-    order_cap: int = field(default_factory=_default_order_cap)
+    order_cap: int = DEFAULT_ORDER_CAP
     max_subgroups: int = DEFAULT_MAX_SUBGROUPS
 
     def __post_init__(self):
-        if self.order_cap > MAX_ORDER_CAP:
-            raise ValueError(f"order cap above hard limit {MAX_ORDER_CAP}")
+        if not 1 <= self.order_cap <= MAX_ORDER_CAP:
+            raise ValueError(f"order cap must be in [1, {MAX_ORDER_CAP}], got {self.order_cap}")
 
 
-# Built with the fixed default so that importing fgt never reads the environment.
-DEFAULT_BUDGET = Budget(order_cap=DEFAULT_ORDER_CAP)
-
+DEFAULT_BUDGET = Budget()

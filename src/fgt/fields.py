@@ -21,16 +21,6 @@ from .errors import DegreeMismatchError, NotPrimeError, UnsupportedExtensionErro
 MAX_FIELD_SIZE = 1 << 10
 MAX_EXTENSION_DEGREE = 3
 
-# Fixed monic moduli (coefficients low-degree first, including the leading 1)
-# so element numbering is reproducible across runs.
-FIXED_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 2): (1, 1, 1),  # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),  # x^3 + x + 1
-    (3, 2): (1, 0, 1),  # x^2 + 1
-    (3, 3): (1, 2, 0, 1),  # x^3 + 2x + 1
-    (5, 2): (2, 0, 1),  # x^2 + 2
-}
-
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the first 13 prime bases, exact below 3 317 044 064 679 887 385 961 981, the least strong
@@ -61,7 +51,8 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 
 
 def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
-    # Lexicographically first monic irreducible of degree k over GF(p).
+    # The modulus of GF(p^k), coefficients low-degree first with the leading 1: the monic irreducible of degree k
+    # over GF(p) with the least c_0 + c_1 p + ... + c_(k-1) p^(k-1); x for k = 1.
     for code in range(p**k):
         coeffs = tuple(code // p**i % p for i in range(k)) + (1,)
         if is_irreducible(coeffs, p):
@@ -126,14 +117,7 @@ def field_make(p: int, k: int) -> Field:
         raise UnsupportedExtensionError(f"extension degree {k} outside [1, {MAX_EXTENSION_DEGREE}]")
     if p**k > MAX_FIELD_SIZE:
         raise UnsupportedExtensionError(f"field size {p**k} exceeds {MAX_FIELD_SIZE}")
-    if k == 1:
-        modulus: tuple[int, ...] = (0, 1)
-    elif (p, k) in FIXED_MODULI:
-        modulus = FIXED_MODULI[(p, k)]
-        if not is_irreducible(modulus, p):  # pragma: no cover - fixed table is checked in tests
-            raise UnsupportedExtensionError(f"fixed modulus for GF({p}^{k}) is reducible")
-    else:
-        modulus = _first_irreducible(p, k)
+    modulus = _first_irreducible(p, k)
     weights = p ** np.arange(k)
     digits = np.arange(p**k)[:, None] // weights % p
     # Schoolbook product of every pair, then each coefficient above x^(k-1),

@@ -32,10 +32,10 @@ _BLOCK_BYTES = 1 << 17  # temporaries below glibc's default mmap threshold come 
 def _validate_table(mul: np.ndarray, generators) -> tuple[np.ndarray, tuple[int, ...]]:
     """Check that ``mul`` is a group table generated by ``generators``.
 
-    Returns the inverse map and the generating set: the one supplied, or the
-    greedy one when none is.  Associativity is Light's test: if S generates a
-    loop, the loop is associative iff (x s) y = x (s y) for all x, y and every
-    s in S (Clifford-Preston, The Algebraic Theory of Semigroups I, 1961).
+    Returns the inverse map and the generating set as a tuple.  Associativity
+    is Light's test: if S generates a loop, the loop is associative iff
+    (x s) y = x (s y) for all x, y and every s in S (Clifford-Preston, The
+    Algebraic Theory of Semigroups I, 1961).
     The elements passing that test are closed under the product, so the test
     is exact once right multiplication by S reaches every element from the
     identity; that closure runs without the Lagrange cutoff, which presumes
@@ -61,7 +61,7 @@ def _validate_table(mul: np.ndarray, generators) -> tuple[np.ndarray, tuple[int,
     inv = np.argmin(mul, axis=1).astype(mul.dtype)  # position of 0 in each row
     if not np.array_equal(mul[ar, inv], np.zeros(n, dtype=mul.dtype)):
         raise InvalidElementError("missing inverses")
-    gens = tuple(int(s) for s in generators) or _greedy_generators(mul)
+    gens = tuple(int(s) for s in generators)
     if not all(0 <= s < n for s in gens):
         raise InvalidElementError(f"generator index out of range 0..{n - 1}")
     if close_under_product(mul, gens, cutoff_to_full=False).size != n:
@@ -76,28 +76,11 @@ def _validate_table(mul: np.ndarray, generators) -> tuple[np.ndarray, tuple[int,
     return inv, gens
 
 
-def _greedy_generators(mul: np.ndarray) -> tuple[int, ...]:
-    """Deterministic generating set: each element, in index order, not yet in the closure of those before."""
-    n = mul.shape[0]
-    gens: list[int] = []
-    closed = np.zeros(n, dtype=bool)
-    closed[0] = True
-    for x in range(1, n):
-        if closed[x]:
-            continue
-        gens.append(x)
-        members = close_under_product(mul, gens, cutoff_to_full=False)
-        closed[members] = True
-        if members.size == n:
-            break
-    return tuple(gens)
-
-
 class Group:
     """Immutable finite group on indices 0..n-1 (identity = 0).
 
-    ``generators`` always generates the group: the table is checked against
-    the supplied set, or against a greedy one when the caller passes none.
+    ``generators`` always generates the group: every builder passes the set it
+    built the table from, and the table is checked against it.
     """
 
     __slots__ = ("label", "mul", "inv", "generators", "_cache")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_BUDGET, Budget
-from .errors import BudgetExceededError, ConsistencyError, InvalidElementError
+from .errors import BudgetExceededError, ConsistencyError
 from .groups import Group, close_under_product, commutators
 
 
@@ -73,23 +73,23 @@ def full_subgroup(g: Group) -> Subgroup:
     return Subgroup(g, np.arange(g.order))
 
 
-def subgroup_as_group(g: Group, h: Subgroup) -> Group:
-    """H as a group of its own, element i being ``h.members[i]``; kept in g's cache.
+def subgroup_as_group(lattice: SubgroupLattice, i: int) -> Group:
+    """Subgroup i of the lattice as a group of its own, element j being its j-th member; kept in G's cache.
 
-    The child records its embedding (g, h), from which ``all_subgroups`` reads
-    its lattice off g's when g holds one.
+    Its generators are the ones the lattice records for i, relabelled, and it
+    records its embedding (lattice, i), from which ``all_subgroups`` reads
+    its lattice.
     """
-    cache_key = ("child", h.key)
-    child = g._cache.get(cache_key)
+    g = lattice.group
+    child = g._cache.get(("child", i))
     if child is None:
-        members = h.members
-        pos = np.full(g.order, -1, dtype=np.intp)
+        members = lattice.subgroups[i].members
+        pos = np.zeros(g.order, dtype=np.intp)
         pos[members] = np.arange(members.size)
+        gens = pos[lattice.gen_flat[lattice.gen_start[i] : lattice.gen_start[i + 1]]]
         table = pos[g.mul[np.ix_(members, members)]]
-        if (table < 0).any():
-            raise InvalidElementError("member set is not closed under multiplication")
-        child = g._cache[cache_key] = Group(table, f"{g.label}|sub{members.size}", [])
-        child._cache["embedding"] = (g, h)
+        child = g._cache[("child", i)] = Group(table, f"{g.label}|sub{members.size}", gens)
+        child._cache["embedding"] = (lattice, i)
     return child
 
 
@@ -261,20 +261,16 @@ def _mask(shape, index) -> np.ndarray:
 def all_subgroups(g: Group, budget: Budget = DEFAULT_BUDGET) -> SubgroupLattice:
     """Every subgroup of g, in g's one lattice, kept in its cache.
 
-    The lattice g holds; else, for a group made by ``subgroup_as_group(G, H)``
-    while G holds a lattice, one read off G's (``_restricted_lattice``); else an
-    enumeration (``_enumerate``).  A lattice of more than
-    ``budget.max_subgroups`` subgroups then raises the error an enumeration
-    raises when it passes that count, so the answer does not depend on which
-    budget built the lattice.
+    The lattice g holds; else, for a group made by ``subgroup_as_group``, one
+    read off its parent's (``_restricted_lattice``); else an enumeration
+    (``_enumerate``).  A lattice of more than ``budget.max_subgroups``
+    subgroups then raises the error an enumeration raises when it passes that
+    count, so the answer does not depend on which budget built the lattice.
     """
     lattice = g._cache.get("lattice")
     if lattice is None:
         embedding = g._cache.get("embedding")
-        if embedding is not None and "lattice" in embedding[0]._cache:
-            lattice = _restricted_lattice(g, embedding[0]._cache["lattice"], embedding[1])
-        else:
-            lattice = _enumerate(g, budget.max_subgroups)
+        lattice = _enumerate(g, budget.max_subgroups) if embedding is None else _restricted_lattice(g, *embedding)
         g._cache["lattice"] = lattice
     if len(lattice.subgroups) > budget.max_subgroups:
         raise BudgetExceededError(f"subgroup budget {budget.max_subgroups} exceeded", partial=budget.max_subgroups)
@@ -512,8 +508,8 @@ def _row_keys(mask: np.ndarray) -> list[bytes]:
     return [packed[i : i + width] for i in range(0, len(packed), width)]
 
 
-def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup) -> SubgroupLattice:
-    """The lattice of g = ``subgroup_as_group(G, H)``, read off the interval [1, H] of G's lattice.
+def _restricted_lattice(g: Group, parent: SubgroupLattice, j: int) -> SubgroupLattice:
+    """The lattice of g = ``subgroup_as_group(parent, j)``, read off the interval [1, H] of G's lattice, H = subgroup j.
 
     Element i of g is element ``H.members[i]`` of G.  That map is increasing,
     so it keeps the (order, bitset) sort: two subsets of H first differ at an
@@ -524,11 +520,10 @@ def _restricted_lattice(g: Group, parent: SubgroupLattice, h: Subgroup) -> Subgr
     matched to its index by key.  No joins are computed: each subgroup keeps
     its generators in G, relabelled.
     """
-    j = parent.subgroup_index(h)
     idx = np.append(parent.below(j), j)
     count, n = idx.size, g.order
     pos = np.zeros(parent.group.order, dtype=np.intp)
-    pos[h.members] = np.arange(n)
+    pos[parent.subgroups[j].members] = np.arange(n)
     sizes = [parent.subgroups[i].order for i in idx]
     rows = np.repeat(np.arange(count), sizes)
     flat = pos[np.concatenate([parent.subgroups[i].members for i in idx])]

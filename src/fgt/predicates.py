@@ -313,7 +313,7 @@ def generalized_fitting(g: Group, budget: Budget = DEFAULT_BUDGET):
             continue  # not perfect: s' is the normal closure in s of its generators' commutators
         if not is_subnormal(g, s):
             continue
-        child = subgroup_as_group(g, s)
+        child = subgroup_as_group(lattice, i)
         centre = centralizer_members(child, np.arange(child.order))
         if centre.size == child.order:
             continue  # abelian, not quasisimple
@@ -322,10 +322,10 @@ def generalized_fitting(g: Group, budget: Budget = DEFAULT_BUDGET):
         if child_lattice.normal_above(child_lattice.subgroup_index(Subgroup(child, centre))).size == 2:
             components.append(i)
     layer = _least_normal_above(lattice, components)
-    fstar = lattice.subgroups[_least_normal_above(lattice, [layer, _fitting_above(lattice, 0)])]
-    child = subgroup_as_group(g, fstar)
-    nilp, klass = is_nilpotent(child)
-    return [lattice.subgroups[i] for i in components], lattice.subgroups[layer], fstar, (klass if nilp else None)
+    fstar = _least_normal_above(lattice, [layer, _fitting_above(lattice, 0)])
+    nilp, klass = is_nilpotent(subgroup_as_group(lattice, fstar))
+    subs = lattice.subgroups
+    return [subs[i] for i in components], subs[layer], subs[fstar], (klass if nilp else None)
 
 
 # --- group classes -----------------------------------------------------------------

@@ -540,7 +540,7 @@ def all_subgroups_generalized_fitting(group, budget):
             continue  # not perfect
         if not is_subnormal(group, s):
             continue
-        child = subgroup_as_group(group, s)
+        child = subgroup_as_group(lattice, i)
         centre = centralizer_members(child, np.arange(child.order))
         if centre.size == child.order:
             continue  # abelian, not quasisimple
@@ -548,9 +548,10 @@ def all_subgroups_generalized_fitting(group, budget):
         if child_lattice.normal_above(child_lattice.subgroup_index(Subgroup(child, centre))).size == 2:
             components.append(i)
     layer = _least_normal_above(lattice, components)
-    fstar = lattice.subgroups[_least_normal_above(lattice, [layer, _fitting_above(lattice, 0)])]
-    nilp, klass = is_nilpotent(subgroup_as_group(group, fstar))
-    return [lattice.subgroups[i] for i in components], lattice.subgroups[layer], fstar, (klass if nilp else None)
+    fstar = _least_normal_above(lattice, [layer, _fitting_above(lattice, 0)])
+    nilp, klass = is_nilpotent(subgroup_as_group(lattice, fstar))
+    subs = lattice.subgroups
+    return [subs[i] for i in components], subs[layer], subs[fstar], (klass if nilp else None)
 
 
 def loop_derived_series(group) -> tuple[list[np.ndarray], bool]:

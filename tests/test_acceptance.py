@@ -113,11 +113,12 @@ def test_criterion_03_counterexample_remarks():
 
     big = build("Direct(Cyclic(7),Alt(5))")
     a4_key = order_fingerprint(build("Alt(4)")).key()
-    a4_sub = next(
-        s for s in all_subgroups(big, BUDGET).subgroups
+    big_lattice = all_subgroups(big, BUDGET)
+    a4_index = next(
+        i for i, s in enumerate(big_lattice.subgroups)
         if s.order == 12 and order_fingerprint(big, s.members).key() == a4_key
     )
-    checks.append(is_pnc_group(big, BUDGET) and not is_pnc_group(subgroup_as_group(big, a4_sub), BUDGET))
+    checks.append(is_pnc_group(big, BUDGET) and not is_pnc_group(subgroup_as_group(big_lattice, a4_index), BUDGET))
 
     report(3, "counterexample remarks reproduce exactly", all(checks),
            detail=f"subchecks={checks}")

@@ -35,6 +35,7 @@ from fgt.config import Budget
 from fgt.errors import (
     ActionInconsistentError,
     BudgetExceededError,
+    FgtError,
     InvalidElementError,
     UnknownConstructorError,
     UnsupportedExtensionError,
@@ -53,6 +54,52 @@ def build(text):
 def test_spec_string_roundtrip_over_catalog():
     for spec in standard_catalog():
         assert parse_spec(spec.to_string()) == spec
+
+
+# small integers and primes reach the builders; the wide range reaches the cap checks and the refusals
+_DRAWN_INTS = st.one_of(st.sampled_from([2, 3, 5, 7]), st.integers(-2, 12), st.integers(-10**30, 10**30))
+_DRAWN_NAMES = st.sampled_from(sorted(catalog._CONSTRUCTORS) + ["Direct", "PowerAction", "Cyclc", "catalog", "X_1"])
+_DRAWN_PARAMS = st.one_of(_DRAWN_INTS, st.lists(_DRAWN_INTS, min_size=1, max_size=4).map(tuple))
+# a named constructor with as many integers as it takes
+_DRAWN_NAMED = st.sampled_from(sorted((name, len(entry[0])) for name, entry in catalog._CONSTRUCTORS.items())).flatmap(
+    lambda named: st.tuples(*[_DRAWN_INTS] * named[1]).map(lambda params: GroupSpec(named[0], params))
+)
+_DRAWN_POWER_ACTION = st.builds(
+    lambda p, alpha, triples: GroupSpec("PowerAction", (p, alpha, *triples)),
+    _DRAWN_INTS, _DRAWN_INTS, st.lists(st.tuples(_DRAWN_INTS, _DRAWN_INTS, _DRAWN_INTS), max_size=3),
+)
+_DRAWN_ANY = st.builds(GroupSpec, _DRAWN_NAMES, st.lists(_DRAWN_PARAMS, max_size=4).map(tuple))
+# well-formed shapes drawn more often than arbitrary ones, so that some specs build
+_DRAWN_SPECS = st.recursive(
+    st.one_of(_DRAWN_NAMED, _DRAWN_NAMED, _DRAWN_NAMED, _DRAWN_POWER_ACTION, _DRAWN_ANY),
+    lambda inner: st.one_of(
+        st.builds(GroupSpec, st.just("Direct"), st.lists(inner, min_size=2, max_size=3).map(tuple)),
+        st.builds(GroupSpec, _DRAWN_NAMES, st.lists(inner | _DRAWN_PARAMS, max_size=3).map(tuple)),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DRAWN_SPECS, st.integers(1, 5040))
+def test_a_spec_drawn_from_the_grammar_builds_or_raises_a_typed_error(spec, cap):
+    text = spec.to_string()
+    assert parse_spec(text) == spec
+    try:
+        g = build_group(spec, Budget(order_cap=cap))
+    except FgtError:
+        return
+    assert g.order <= cap
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="DirectSymAlt_(),.0123456789- ", max_size=40))
+def test_a_string_over_the_grammar_parses_or_raises_a_typed_error(text):
+    for parse in (parse_spec, parse_universe):
+        try:
+            parse(text)
+        except FgtError:
+            pass
 
 
 def test_universe_items_are_specs_ranges_and_the_catalog():
@@ -408,6 +455,7 @@ def test_budget_exceeded_is_typed():
     "PowerAction(2,100000,(3,1,1))",
     "PowerAction(2,1,(3,100000,1))",
     "PowerAction(2,1,(3,3000000,1))",  # its order alone has 4.75M bits
+    "PowerAction(2,7,(6607,18978774267,7),(-63,1,1))",  # a huge factor before a malformed one
     "ElementaryAbelian(3,10000000)",
     "Modular(2,10000000)",
     "PSL2(1000000000039)",

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import fgt.cli
 from fgt.cli import main
 
 
@@ -86,6 +87,16 @@ def test_check_report_writes_json_file(tmp_path, capsys):
     assert doc["claims"][0]["id"] == "dicyclic-iff"
 
 
+def test_check_report_to_a_missing_directory_exits_two_before_any_claim_runs(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("claims ran before the report path was checked")
+
+    monkeypatch.setattr(fgt.cli, "run_all_claims", refuse)
+    code, _, err = run_cli(capsys, "check", "--all", "--report", str(tmp_path / "missing" / "r.json"))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_lattice_json_and_dot(capsys):
     code, out, _ = run_cli(capsys, "lattice", "Sym(3)")
     assert code == 0
@@ -104,6 +115,9 @@ def test_lattice_budget_exhaustion_exit_three(capsys):
 def test_order_cap_flag_limits_builds(capsys):
     code, _, err = run_cli(capsys, "group", "info", "Sym(5)", "--order-cap", "100")
     assert code == 3
+    for cap in ("0", "-5", "5041"):  # outside [1, 5040], as for FGT_ORDER_CAP
+        code, _, err = run_cli(capsys, "group", "info", "Cyclic(1)", "--order-cap", cap)
+        assert code == 2 and err.startswith("error: order cap must be in [1, 5040]"), cap
 
 
 def test_an_order_too_long_to_print_exits_three(capsys):

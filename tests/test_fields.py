@@ -11,7 +11,6 @@ from oracles import gf9_add, gf9_bar, gf9_mul
 
 from fgt.errors import DegreeMismatchError, NotPrimeError, UnsupportedExtensionError
 from fgt.fields import (
-    FIXED_MODULI,
     MAX_FIELD_SIZE,
     field_make,
     is_prime,
@@ -63,9 +62,21 @@ def scalar_pow(f, a, e):
     return out
 
 
+# the moduli of the extension fields the catalog builds, pinned: every SL2, PSL2 and GU(2,3) table numbers its
+# elements through them
+FIXED_MODULI = {
+    (2, 2): (1, 1, 1),  # x^2 + x + 1
+    (2, 3): (1, 1, 0, 1),  # x^3 + x + 1
+    (3, 2): (1, 0, 1),  # x^2 + 1
+    (3, 3): (1, 2, 0, 1),  # x^3 + 2x + 1
+    (5, 2): (2, 0, 1),  # x^2 + 2
+}
+
+
 def test_fixed_moduli_are_irreducible_by_root_search():
     # Independent check: degree <= 3, so a factor would force a root.
     for (p, k), coeffs in FIXED_MODULI.items():
+        assert field_make(p, k).modulus == coeffs
         assert len(coeffs) == k + 1 and coeffs[-1] == 1
         assert all(poly_eval(coeffs, x, p) != 0 for x in range(p))
 
@@ -273,7 +284,7 @@ def test_mat_mul_array_form_matches_scalar_form_on_gf9():
 def test_gf9_oracle_arithmetic_uses_the_fixed_modulus_encoding():
     """The GU(2,3) oracle's own GF(9) arithmetic agrees with GF(3)[x]/(x^2 + 1), a + b x at index a + 3b."""
     f = field_make(3, 2)
-    assert f.modulus == FIXED_MODULI[(3, 2)] == (1, 0, 1)
+    assert f.modulus == FIXED_MODULI[(3, 2)]
     for x, y in itertools.product(range(9), repeat=2):
         assert gf9_add(x, y) == f.add[x, y]
         assert gf9_mul(x, y) == f.mul[x, y]

@@ -22,7 +22,7 @@ from oracles import (
 from fgt.catalog import build_group, parse_spec, standard_catalog
 from fgt.claims import _pa_spec, _power_action_universe
 from fgt.config import Budget
-from fgt.errors import BudgetExceededError, ConsistencyError, InvalidElementError
+from fgt.errors import BudgetExceededError, ConsistencyError
 import fgt.lattice
 from fgt.groups import Group, close_under_product, order_fingerprint
 from fgt.lattice import (
@@ -114,9 +114,11 @@ RESTRICTION_MAX_ORDER = 200
 def test_restricted_lattices_match_fresh_enumeration(monkeypatch):
     """Lattices of subgroup_as_group children, read off the parent lattice, against enumerating each child.
 
-    The fresh child is a new Group on the child's table and carries no
-    embedding, so it is enumerated.  Each parent is a fresh copy of the
-    catalog group, so no child lattice is cached from an earlier test.
+    Each child's generators are the ones the parent lattice records for it,
+    relabelled through its member positions.  The fresh child is a new Group
+    on the child's table and carries no embedding, so it is enumerated.  Each
+    parent is a fresh copy of the catalog group, so no child lattice is
+    cached from an earlier test.
     """
     calls = {"restricted": 0, "closures": 0}
     restrict, close = fgt.lattice._restricted_lattice, fgt.lattice.close_under_product
@@ -137,8 +139,11 @@ def test_restricted_lattices_match_fresh_enumeration(monkeypatch):
         if built.order > RESTRICTION_MAX_ORDER:
             continue
         g = Group(built.mul, built.label, built.generators)
-        for s in all_subgroups(g, BUDGET).subgroups:
-            child = subgroup_as_group(g, s)
+        parent = all_subgroups(g, BUDGET)
+        for i, s in enumerate(parent.subgroups):
+            child = subgroup_as_group(parent, i)
+            recorded = parent.gen_flat[parent.gen_start[i] : parent.gen_start[i + 1]]
+            assert np.array_equal(s.members[list(child.generators)], recorded), (spec.to_string(), i)
             before = calls["closures"]
             lat = all_subgroups(child, BUDGET)
             restricted_closures += calls["closures"] - before
@@ -220,17 +225,19 @@ def test_restricted_containment_matches_the_order_blocked_oracle(monkeypatch):
         if built.order > RESTRICTION_MAX_ORDER:
             continue
         g = Group(built.mul, built.label, built.generators)
-        for s in all_subgroups(g, BUDGET).class_representatives():
-            child = subgroup_as_group(g, s)
-            assert_readers_match_containment_oracle(all_subgroups(child, BUDGET), (spec.to_string(), s.order))
+        parent = all_subgroups(g, BUDGET)
+        for i in parent.rep_indices:
+            child = subgroup_as_group(parent, i)
+            assert_readers_match_containment_oracle(all_subgroups(child, BUDGET), (spec.to_string(), child.order))
             children += 1
     assert children == calls["restricted"] > 0
 
 
 def test_subgroup_as_group_relabels_a4_in_s4():
     s4 = build("Sym(4)")
-    a4 = all_subgroups(s4, BUDGET).subgroups_of_order(12)[0]
-    child = subgroup_as_group(s4, a4)
+    lat = all_subgroups(s4, BUDGET)
+    a4 = lat.subgroups_of_order(12)[0]
+    child = subgroup_as_group(lat, lat.subgroup_index(a4))
     assert child.order == 12
     assert child.generators
     assert close_under_product(child.mul, child.generators, cutoff_to_full=False).size == 12
@@ -239,19 +246,25 @@ def test_subgroup_as_group_relabels_a4_in_s4():
     assert np.array_equal(a4.members[child.mul], s4.mul[np.ix_(a4.members, a4.members)])
 
 
-def test_subgroup_as_group_rejects_a_set_not_closed():
-    s4 = build("Sym(4)")
-    x = int(np.flatnonzero(s4.element_orders() == 3)[0])
-    with pytest.raises(InvalidElementError):
-        subgroup_as_group(s4, Subgroup(s4, [0, x]))
+def test_children_of_sym4_never_enumerate(monkeypatch):
+    """Every class representative of Sym(4) as a group gets its lattice from the parent's, never from an enumeration."""
+    built = build("Sym(4)")
+    lat = all_subgroups(Group(built.mul, built.label, built.generators), BUDGET)
+
+    def refuse(*args):
+        raise AssertionError("a child group was enumerated")
+
+    monkeypatch.setattr(fgt.lattice, "_enumerate", refuse)
+    for i in lat.rep_indices:
+        assert len(all_subgroups(subgroup_as_group(lat, i), BUDGET).subgroups) == 1 + lat.below(i).size
 
 
 def test_restricted_lattice_over_budget_raises_like_enumeration():
     """Under a subgroup budget below the child's count, restriction fails as enumeration does."""
     built = build("Sym(4)")
     g = Group(built.mul, built.label, built.generators)
-    a4 = all_subgroups(g, BUDGET).subgroups_of_order(12)[0]
-    child = subgroup_as_group(g, a4)
+    lat = all_subgroups(g, BUDGET)
+    child = subgroup_as_group(lat, lat.subgroup_index(lat.subgroups_of_order(12)[0]))
     fresh = Group(child.mul, child.label, child.generators)
     tight = Budget(max_subgroups=9)  # A4 has 10 subgroups
     with pytest.raises(BudgetExceededError) as restricted:
@@ -527,7 +540,8 @@ def test_a_held_lattice_raises_what_a_fresh_enumeration_raises(monkeypatch, spec
     monkeypatch.setattr(fgt.lattice, "_restricted_lattice", lambda *a: restricted.append(1) or restrict(*a))
     built = build(spec)
     parent = Group(built.mul, built.label, built.generators)
-    child = subgroup_as_group(parent, all_subgroups(parent, BUDGET).subgroups[-2])
+    lat = all_subgroups(parent, BUDGET)
+    child = subgroup_as_group(lat, len(lat.subgroups) - 2)
     all_subgroups(child, BUDGET)
     assert restricted == [1]
     for g in (parent, child):
